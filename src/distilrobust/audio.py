@@ -14,8 +14,11 @@ from scipy.signal import butter, lfilter
 
 from .errors import (
     DegenerateSignalError,
+    DistilRobustError,
+    NumericError,
     ParameterError,
     SampleRateError,
+    ShapeError,
     UnsupportedWavError,
     WavFormatError,
 )
@@ -40,11 +43,11 @@ class Waveform:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("waveform must be a nonempty 1-D sample sequence")
+            raise ShapeError("waveform must be a nonempty 1-D sample sequence")
         if not np.all(np.isfinite(self.samples)):
-            raise ValueError("waveform samples must be finite")
+            raise NumericError("waveform samples must be finite")
         if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+            raise ParameterError("sample_rate_hz must be positive")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -65,15 +68,15 @@ class RoomImpulseResponse:
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
         if self.taps.ndim != 1 or self.taps.size == 0:
-            raise ValueError("impulse response must be a nonempty 1-D tap sequence")
+            raise ShapeError("impulse response must be a nonempty 1-D tap sequence")
         if not np.all(np.isfinite(self.taps)):
-            raise ValueError("impulse response taps must be finite")
+            raise NumericError("impulse response taps must be finite")
         if not np.any(self.taps):
             raise DegenerateSignalError("impulse response has no nonzero tap")
         if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+            raise ParameterError("sample_rate_hz must be positive")
         if self.room_class not in ROOM_CLASSES:
-            raise ValueError(f"room_class must be one of {ROOM_CLASSES}")
+            raise ParameterError(f"room_class must be one of {ROOM_CLASSES}")
 
 
 def _require_same_rate(a_hz: int, b_hz: int):
@@ -136,7 +139,10 @@ def read_wav(path) -> Waveform:
     if audio_format == _WAVE_FORMAT_PCM:
         raw = raw / PCM16_SCALE
     mono = raw.reshape(-1, n_channels).mean(axis=1)
-    return Waveform(mono, int(rate))
+    try:
+        return Waveform(mono, int(rate))
+    except DistilRobustError as exc:
+        raise WavFormatError(f"{path}: {exc}") from exc
 
 
 def write_wav(w: Waveform, path):

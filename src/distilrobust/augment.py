@@ -14,7 +14,6 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,22 +231,17 @@ def utterance_seed(master_seed: int, iteration: int, index: int) -> int:
 
 
 def augment_batch(batch, state: CurriculumState, noise_bank, rir_bank, master_seed: int,
-                  noise_first: bool = True, parallel: bool = False):
+                  noise_first: bool = True):
     """Contaminate a batch; each utterance depends only on its own index and seed."""
     if not batch:
         raise ParameterError("augment_batch needs a nonempty batch")
-
-    def one(args):
-        index, clean = args
+    pairs = []
+    for index, clean in enumerate(batch):
         seed = utterance_seed(master_seed, state.iteration, index)
         plan = sample_plan(state, len(noise_bank), len(rir_bank), seed)
-        return apply_plan(clean, plan, noise_bank, rir_bank, noise_first=noise_first), plan
-
-    items = list(enumerate(batch))
-    if parallel and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(items))) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+        pairs.append((apply_plan(clean, plan, noise_bank, rir_bank, noise_first=noise_first),
+                      plan))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

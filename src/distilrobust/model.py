@@ -105,6 +105,8 @@ def teacher_forward(teacher: TeacherSurrogate, w: Waveform) -> dict[int, np.ndar
 
 @dataclass(frozen=True)
 class StudentConfig:
+    """Student geometry; construction rejects any shape no teacher could host."""
+
     dim: int = DEFAULT_DIM
     n_student_layers: int = DEFAULT_STUDENT_LAYERS
     frame_stride: int = DEFAULT_FRAME_STRIDE
@@ -115,32 +117,42 @@ class StudentConfig:
     cell_type: str = "lstm"
     deconv_strides: tuple[int, ...] = DEFAULT_DECONV_STRIDES
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_student_layers": self.n_student_layers,
-            "frame_stride": self.frame_stride,
-            "hidden_multiplier": self.hidden_multiplier,
-            "distill_layers": list(self.distill_layers),
-            "enhancement": self.enhancement,
-            "enh_hidden": self.enh_hidden,
-            "cell_type": self.cell_type,
-            "deconv_strides": list(self.deconv_strides),
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "distill_layers",
+                           tuple(sorted(int(l) for l in self.distill_layers)))
+        object.__setattr__(self, "deconv_strides", tuple(int(s) for s in self.deconv_strides))
+        object.__setattr__(self, "enh_hidden",
+                           self.dim if self.enh_hidden is None else self.enh_hidden)
+        if self.dim < 1 or self.frame_stride < 1:
+            raise ConfigError(f"dim {self.dim} and frame_stride {self.frame_stride} must be "
+                              f"positive")
+        if self.n_student_layers < 1:
+            raise ConfigError(f"student needs at least one mixing layer, got "
+                              f"{self.n_student_layers}")
+        if not self.distill_layers or self.distill_layers[0] < 1:
+            raise ConfigError(f"distill_layers must name one or more layers from 1 up, got "
+                              f"{self.distill_layers}")
+        if self.enh_hidden < 1:
+            raise ConfigError(f"enhancement hidden size must be positive, got {self.enh_hidden}")
+        if self.cell_type not in ("lstm", "gru"):
+            raise ConfigError(f"cell_type must be 'lstm' or 'gru', got {self.cell_type!r}")
+        if len(self.deconv_strides) != N_DECONV_LAYERS:
+            raise ConfigError(f"deconv stack must have exactly {N_DECONV_LAYERS} layers, "
+                              f"got {len(self.deconv_strides)}")
+        if math.prod(self.deconv_strides) != self.frame_stride:
+            raise ConfigError(f"deconv strides {self.deconv_strides} multiply to "
+                              f"{math.prod(self.deconv_strides)}, expected frame_stride "
+                              f"{self.frame_stride}")
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "StudentConfig":
-        return cls(
-            dim=int(record["dim"]),
-            n_student_layers=int(record["n_student_layers"]),
-            frame_stride=int(record["frame_stride"]),
-            hidden_multiplier=int(record["hidden_multiplier"]),
-            distill_layers=tuple(int(x) for x in record["distill_layers"]),
-            enhancement=bool(record["enhancement"]),
-            enh_hidden=None if record.get("enh_hidden") is None else int(record["enh_hidden"]),
-            cell_type=str(record["cell_type"]),
-            deconv_strides=tuple(int(x) for x in record["deconv_strides"]),
-        )
+
+def check_fits_teacher(config: StudentConfig, teacher_layers: int):
+    """Raise ConfigError unless the student's depth and distilled layers fit the teacher's."""
+    if config.n_student_layers > teacher_layers:
+        raise ConfigError(f"student depth {config.n_student_layers} exceeds teacher depth "
+                          f"{teacher_layers}")
+    if config.distill_layers[-1] > teacher_layers:
+        raise ConfigError(f"distill layer {config.distill_layers[-1]} outside teacher range "
+                          f"[1, {teacher_layers}]")
 
 
 @dataclass
@@ -159,9 +171,6 @@ class StudentModel:
 
     def trainable_parameters(self) -> dict[str, T.Tensor]:
         return {name: p for name, p in self.params.items() if p.requires_grad}
-
-    def encoder_parameters(self) -> dict[str, T.Tensor]:
-        return {name: p for name, p in self.params.items() if name.startswith("encoder.")}
 
     def has_heads(self) -> bool:
         return any(name.startswith("head.") for name in self.params)
@@ -184,18 +193,7 @@ def _deconv_channel_plan(first_in: int, n_layers: int) -> list[tuple[int, int]]:
 
 
 def _init_enhancement(rng: np.random.Generator, cfg: StudentConfig) -> dict[str, np.ndarray]:
-    hidden = cfg.enh_hidden if cfg.enh_hidden is not None else cfg.dim
-    if hidden < 1:
-        raise ConfigError(f"enhancement hidden size must be positive, got {hidden}")
-    if len(cfg.deconv_strides) != N_DECONV_LAYERS:
-        raise ConfigError(f"deconv stack must have exactly {N_DECONV_LAYERS} layers, "
-                          f"got {len(cfg.deconv_strides)}")
-    if math.prod(cfg.deconv_strides) != cfg.frame_stride:
-        raise ConfigError(f"deconv strides {cfg.deconv_strides} multiply to "
-                          f"{math.prod(cfg.deconv_strides)}, expected frame_stride "
-                          f"{cfg.frame_stride}")
-    if cfg.cell_type not in ("lstm", "gru"):
-        raise ConfigError(f"unknown recurrent cell type {cfg.cell_type!r}")
+    hidden = cfg.enh_hidden
     gates = 4 if cfg.cell_type == "lstm" else 3
     arrays: dict[str, np.ndarray] = {}
     for direction in ("fwd", "bwd"):
@@ -216,29 +214,15 @@ def init_student_from_teacher(teacher: TeacherSurrogate,
                               enh_hidden: int | None = None,
                               cell_type: str = "lstm",
                               deconv_strides=DEFAULT_DECONV_STRIDES,
-                              dim: int | None = None,
                               seed: int = 1) -> StudentModel:
     """Copy the teacher's front-end and first blocks; heads start seeded-random."""
-    if dim is not None and dim != teacher.dim:
-        raise ConfigError(f"student width {dim} does not match teacher width {teacher.dim}")
-    if n_student_layers < 1:
-        raise ConfigError(f"student needs at least one mixing layer, got {n_student_layers}")
-    if n_student_layers > teacher.n_layers:
-        raise ConfigError(f"student depth {n_student_layers} exceeds teacher depth "
-                          f"{teacher.n_layers}")
-    distill_layers = tuple(sorted(int(l) for l in distill_layers))
-    if not distill_layers:
-        raise ConfigError("distill_layers must be nonempty")
-    for l in distill_layers:
-        if not 1 <= l <= teacher.n_layers:
-            raise ConfigError(f"distill layer {l} outside teacher range [1, {teacher.n_layers}]")
-
     config = StudentConfig(dim=teacher.dim, n_student_layers=n_student_layers,
                            frame_stride=teacher.frame_stride,
                            hidden_multiplier=teacher.hidden_multiplier,
                            distill_layers=distill_layers, enhancement=enhancement,
                            enh_hidden=enh_hidden, cell_type=cell_type,
-                           deconv_strides=tuple(int(s) for s in deconv_strides))
+                           deconv_strides=deconv_strides)
+    check_fits_teacher(config, teacher.n_layers)
 
     params: dict[str, T.Tensor] = {}
     copied = ["frontend.kernel"]
@@ -248,7 +232,7 @@ def init_student_from_teacher(teacher: TeacherSurrogate,
         params["encoder." + name] = T.parameter(np.array(teacher.params[name].values, copy=True))
 
     rng = np.random.default_rng(seed)
-    for l in distill_layers:
+    for l in config.distill_layers:
         params[f"head.{l}.w"] = T.parameter(_init(rng, (teacher.dim, teacher.dim), teacher.dim))
         params[f"head.{l}.b"] = T.parameter(np.zeros(teacher.dim))
     if enhancement:
@@ -259,14 +243,13 @@ def init_student_from_teacher(teacher: TeacherSurrogate,
 
 def _enhancement_forward(student: StudentModel, rep: T.Tensor, n_samples: int) -> T.Tensor:
     cfg = student.config
-    hidden = cfg.enh_hidden if cfg.enh_hidden is not None else cfg.dim
     p = student.params
     rnn = T.BiRecurrentParams(
         forward=T.RecurrentParams(p["enhancement.rnn.fwd.w_x"], p["enhancement.rnn.fwd.w_h"],
                                   p["enhancement.rnn.fwd.bias"]),
         backward=T.RecurrentParams(p["enhancement.rnn.bwd.w_x"], p["enhancement.rnn.bwd.w_h"],
                                    p["enhancement.rnn.bwd.bias"]),
-        hidden=hidden, cell=cfg.cell_type)
+        hidden=cfg.enh_hidden, cell=cfg.cell_type)
     h = T.bidir_recurrent(rep, rnn)
     for i, stride in enumerate(cfg.deconv_strides, start=1):
         h = T.gelu(T.conv1d_transposed(h, p[f"enhancement.deconv{i}.kernel"], stride=stride))

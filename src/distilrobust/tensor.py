@@ -2,7 +2,7 @@
 
 Nodes record their parents and a vector-Jacobian closure when any input
 requires gradients; `backward` walks the graph once per call and adds the
-resulting adjoints into `.grad`, so repeated calls accumulate. Every op
+resulting adjoints into the leaves' `.grad`, so repeated calls accumulate. Every op
 allocates fresh output buffers and never mutates its inputs.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import DataError, NumericError, ParameterError, ShapeError
 
 COSINE_EPS = 1e-8
 
@@ -54,35 +54,6 @@ class Tensor:
         tag = self.op or ("param" if self.requires_grad else "const")
         return f"Tensor(shape={self.values.shape}, op={tag})"
 
-    # convenience arithmetic, same-shape or scalar operands
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), scale(self, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise ParameterError("tensor division only supports scalar divisors")
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -103,10 +74,10 @@ def _node(values: np.ndarray, parents: tuple[Tensor, ...], op: str, vjp) -> Tens
 
 
 def backward(loss: Tensor):
-    """Populate/accumulate `.grad` on every requires_grad tensor reachable from loss.
+    """Accumulate `.grad` on every leaf (parameter) reachable from loss.
 
-    Adjoints are tracked per call, so calling twice without zeroing doubles
-    the leaf gradients rather than compounding stale intermediate state.
+    Intermediate adjoints live only for the call, so calling twice without
+    zeroing doubles the leaf gradients and stores nothing else.
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.values.shape}")
@@ -134,11 +105,10 @@ def backward(loss: Tensor):
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if node._vjp is None:
             if node.grad is None:
                 node.grad = np.zeros_like(node.values)
             node.grad = node.grad + g
-        if node._vjp is None:
             continue
         for p, contrib in zip(node.parents, node._vjp(g)):
             if contrib is None or not p.requires_grad:
@@ -685,18 +655,17 @@ def tensor_to_bytes(values: np.ndarray) -> bytes:
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    from .errors import DataError
-
     if buf[offset : offset + 4] != DRTN_MAGIC:
         raise DataError("not a DRTN tensor record")
-    version, rank = struct.unpack_from("<BB", buf, offset + 4)
+    try:
+        version, rank = struct.unpack_from("<BB", buf, offset + 4)
+        dims = struct.unpack_from(f"<{rank}Q", buf, offset + 6)
+    except struct.error as exc:
+        raise DataError("DRTN record truncated") from exc
     if version != DRTN_VERSION:
         raise DataError(f"unsupported DRTN version {version}")
-    pos = offset + 6
-    dims = struct.unpack_from(f"<{rank}Q", buf, pos) if rank else ()
-    pos += 8 * rank
-    count = int(np.prod(dims)) if rank else 1
-    end = pos + 8 * count
+    pos = offset + 6 + 8 * rank
+    end = pos + 8 * math.prod(dims)
     if end > len(buf):
         raise DataError("DRTN record truncated")
     values = np.frombuffer(buf[pos:end], dtype="<f8").reshape(dims).astype(np.float64)

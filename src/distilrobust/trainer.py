@@ -10,7 +10,6 @@ peak LR 2e-4) is recorded alongside every serialized config.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -36,6 +35,7 @@ from .model import (
     StudentConfig,
     StudentModel,
     TeacherSurrogate,
+    check_fits_teacher,
     init_student_from_teacher,
     parameter_checksum,
     student_forward,
@@ -43,7 +43,6 @@ from .model import (
 )
 
 EXPERIMENTS = ("A", "B", "C1", "C2")
-ENHANCEMENT_LOSSES = ("none", "l1_wav", "l1_freq")
 
 # full-scale recipe the desk defaults are scaled down from
 PAPER_SCALE_RECIPE = {
@@ -105,9 +104,7 @@ class TrainConfig:
 
     @classmethod
     def preset(cls, experiment: str, **overrides) -> "TrainConfig":
-        if experiment not in _PRESET_TABLE:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-        base = dict(_PRESET_TABLE[experiment], experiment=experiment)
+        base = dict(_PRESET_TABLE.get(experiment, {}), experiment=experiment)
         base.update(overrides)
         cfg = cls(**base)
         cfg.validate()
@@ -117,21 +114,10 @@ class TrainConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got "
                               f"{self.experiment!r}")
-        preset = _PRESET_TABLE[self.experiment]
-        if self.curriculum != preset["curriculum"]:
-            raise ConfigError(f"experiment {self.experiment} requires curriculum="
-                              f"{preset['curriculum']}, got curriculum={self.curriculum}")
-        if self.enhancement_loss != preset["enhancement_loss"]:
-            raise ConfigError(f"experiment {self.experiment} requires enhancement_loss="
-                              f"{preset['enhancement_loss']!r}, got enhancement_loss="
-                              f"{self.enhancement_loss!r}")
-        if self.lambda_weight != preset["lambda_weight"]:
-            raise ConfigError(f"experiment {self.experiment} requires lambda_weight="
-                              f"{preset['lambda_weight']}, got lambda_weight="
-                              f"{self.lambda_weight}")
-        if self.enhancement_loss not in ENHANCEMENT_LOSSES:
-            raise ConfigError(f"enhancement_loss must be one of {ENHANCEMENT_LOSSES}, got "
-                              f"{self.enhancement_loss!r}")
+        for key, want in _PRESET_TABLE[self.experiment].items():
+            if getattr(self, key) != want:
+                raise ConfigError(f"experiment {self.experiment} requires {key}={want!r}, got "
+                                  f"{key}={getattr(self, key)!r}")
         if self.total_iterations < 1:
             raise ConfigError(f"total_iterations must be positive, got {self.total_iterations}")
         if self.batch_size < 1:
@@ -141,34 +127,13 @@ class TrainConfig:
         if not 0 <= self.warmup_iterations < self.total_iterations:
             raise ConfigError(f"warmup_iterations {self.warmup_iterations} must lie in "
                               f"[0, total_iterations)")
-        if self.lambda_weight < 0:
-            raise ConfigError(f"lambda_weight must be nonnegative, got {self.lambda_weight}")
-        if not self.distill_layers:
-            raise ConfigError("distill_layers must be nonempty")
-        for l in self.distill_layers:
-            if not 1 <= l <= self.teacher_layers:
-                raise ConfigError(f"distill_layers entry {l} outside [1, {self.teacher_layers}]")
-        if not 1 <= self.student_layers <= self.teacher_layers:
-            raise ConfigError(f"student_layers {self.student_layers} outside "
-                              f"[1, {self.teacher_layers}]")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be positive, got {self.dim}")
-        if self.frame_stride < 1:
-            raise ConfigError(f"frame_stride must be positive, got {self.frame_stride}")
+        check_fits_teacher(self.student_config(), self.teacher_layers)
         if self.crop_samples < self.frame_stride:
             raise ConfigError(f"crop_samples {self.crop_samples} shorter than one frame "
                               f"of {self.frame_stride}")
         if self.enhancement_loss == "l1_freq" and self.crop_samples < self.stft_window:
             raise ConfigError(f"crop_samples {self.crop_samples} shorter than stft_window "
                               f"{self.stft_window}")
-        if len(self.deconv_strides) != 7:
-            raise ConfigError(f"deconv_strides must have 7 entries, got "
-                              f"{len(self.deconv_strides)}")
-        if math.prod(self.deconv_strides) != self.frame_stride:
-            raise ConfigError(f"deconv_strides product {math.prod(self.deconv_strides)} "
-                              f"must equal frame_stride {self.frame_stride}")
-        if self.cell_type not in ("lstm", "gru"):
-            raise ConfigError(f"cell_type must be 'lstm' or 'gru', got {self.cell_type!r}")
         if self.grad_clip is not None:
             raise ConfigError("grad_clip is not supported and must be null")
         if self.dropout is not None:
@@ -212,6 +177,16 @@ class TrainConfig:
         if not isinstance(record, dict):
             raise ConfigError("config JSON must be an object")
         return cls.from_dict(record)
+
+    def student_config(self) -> StudentConfig:
+        """The student geometry this config trains, checked on construction."""
+        return StudentConfig(dim=self.dim, n_student_layers=self.student_layers,
+                             frame_stride=self.frame_stride,
+                             hidden_multiplier=self.hidden_multiplier,
+                             distill_layers=self.distill_layers,
+                             enhancement=self.enhancement_loss != "none",
+                             enh_hidden=self.enh_hidden, cell_type=self.cell_type,
+                             deconv_strides=self.deconv_strides)
 
     def stft_params(self) -> STFTParams:
         return STFTParams(window_length=self.stft_window, hop=self.stft_hop,
@@ -279,10 +254,12 @@ def build_teacher(cfg: TrainConfig) -> TeacherSurrogate:
 
 
 def build_student(cfg: TrainConfig, teacher: TeacherSurrogate) -> StudentModel:
+    geometry = cfg.student_config()
     return init_student_from_teacher(
-        teacher, n_student_layers=cfg.student_layers, distill_layers=cfg.distill_layers,
-        enhancement=cfg.enhancement_loss != "none", enh_hidden=cfg.enh_hidden,
-        cell_type=cfg.cell_type, deconv_strides=cfg.deconv_strides, seed=cfg.student_seed)
+        teacher, n_student_layers=geometry.n_student_layers,
+        distill_layers=geometry.distill_layers, enhancement=geometry.enhancement,
+        enh_hidden=geometry.enh_hidden, cell_type=geometry.cell_type,
+        deconv_strides=geometry.deconv_strides, seed=cfg.student_seed)
 
 
 def _normalize_corpus(corpus) -> list[tuple[str, Waveform]]:
@@ -365,6 +342,21 @@ def _metrics_record(iteration: int, lr: float, breakdown, plans, tau: float,
     }
 
 
+def _rewind_metrics(path: str, iteration: int):
+    """Cut the log back to its complete records of iterations before `iteration`."""
+    keep = 0
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        for line in fh:
+            try:
+                if not line.endswith(b"\n") or json.loads(line)["iter"] >= iteration:
+                    break
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path}: unreadable metrics record ({exc})") from exc
+            keep += len(line)
+        fh.truncate(keep)
+
+
 def _mean_of(tensors: list[T.Tensor]) -> T.Tensor:
     total = tensors[0]
     for t in tensors[1:]:
@@ -422,6 +414,8 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
     stft = cfg.stft_params() if cfg.enhancement_loss == "l1_freq" else None
     params = student.params
 
+    if resume_from is not None:
+        _rewind_metrics(metrics_path, start_iteration)
     with open(metrics_path, "a" if resume_from is not None else "w", encoding="utf-8") as log:
         for iteration in range(start_iteration, end_iteration):
             batch_ids, cleans = [], []
@@ -495,16 +489,6 @@ DRTC_MAGIC = b"DRTC"
 DRTC_VERSION = 1
 
 
-def _student_config_from(cfg: TrainConfig) -> StudentConfig:
-    return StudentConfig(dim=cfg.dim, n_student_layers=cfg.student_layers,
-                         frame_stride=cfg.frame_stride,
-                         hidden_multiplier=cfg.hidden_multiplier,
-                         distill_layers=cfg.distill_layers,
-                         enhancement=cfg.enhancement_loss != "none",
-                         enh_hidden=cfg.enh_hidden, cell_type=cfg.cell_type,
-                         deconv_strides=cfg.deconv_strides)
-
-
 def _write_container(path: str, header: dict, blocks: list[tuple[str, list[np.ndarray]]]):
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -520,31 +504,50 @@ def _write_container(path: str, header: dict, blocks: list[tuple[str, list[np.nd
                 fh.write(T.tensor_to_bytes(arr))
 
 
-def _read_container(path: str) -> tuple[dict, list[tuple[str, list[np.ndarray]]]]:
+def _read_container(path: str, moments: bool) -> tuple[dict, TrainConfig, dict]:
+    """Header, config and per-parameter tensors of a checkpoint (`moments`) or an export.
+
+    The stored parameters must be exactly the config's student (its encoder,
+    for an export) by name and shape; anything else raises DataError.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != DRTC_MAGIC:
         raise DataError(f"{path}: not a checkpoint container")
-    version = buf[4]
-    if version != DRTC_VERSION:
-        raise DataError(f"{path}: unsupported container version {version}")
-    (header_len,) = struct.unpack_from("<I", buf, 5)
-    pos = 9
-    header = json.loads(buf[pos : pos + header_len].decode("utf-8"))
-    pos += header_len
-    per_name = 3 if header.get("has_moments") else 1
-    blocks = []
-    while pos < len(buf):
-        (name_len,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        name = buf[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        tensors = []
-        for _ in range(per_name):
-            arr, pos = T.tensor_from_bytes(buf, pos)
-            tensors.append(arr)
-        blocks.append((name, tensors))
-    return header, blocks
+    try:
+        version, header_len = struct.unpack_from("<BI", buf, 4)
+        if version != DRTC_VERSION:
+            raise DataError(f"unsupported container version {version}")
+        pos = 9 + header_len
+        header = json.loads(buf[9:pos].decode("utf-8"))
+        stored_moments, record = header["has_moments"], header["config"]
+        blocks = []
+        while pos < len(buf):
+            (name_len,) = struct.unpack_from("<H", buf, pos)
+            name = buf[pos + 2 : pos + 2 + name_len].decode("utf-8")
+            pos += 2 + name_len
+            tensors = []
+            for _ in range(3 if stored_moments else 1):
+                arr, pos = T.tensor_from_bytes(buf, pos)
+                tensors.append(arr)
+            blocks.append((name, tensors))
+    except (DataError, struct.error, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint container: {exc}") from exc
+    if moments and not stored_moments:
+        raise DataError(f"{path}: exported model without optimizer state; it cannot "
+                        f"resume training")
+    if stored_moments and not moments:
+        raise DataError(f"{path}: full checkpoint, not an exported model")
+    cfg = TrainConfig.from_dict(record)
+    student = build_student(cfg, build_teacher(cfg))
+    expected = {name: p.values.shape for name, p in student.params.items()
+                if moments or name.startswith("encoder.")}
+    if sorted(name for name, _ in blocks) != sorted(expected):
+        raise DataError(f"{path}: stored parameters do not match the config's student")
+    for name, tensors in blocks:
+        if any(arr.shape != expected[name] for arr in tensors):
+            raise DataError(f"{path}: {name} does not have the shape {expected[name]}")
+    return header, cfg, dict(blocks)
 
 
 def save_checkpoint(state: TrainState, path: str):
@@ -564,18 +567,14 @@ def save_checkpoint(state: TrainState, path: str):
 
 
 def load_checkpoint(path: str) -> TrainState:
-    header, blocks = _read_container(path)
-    if not header.get("has_moments"):
-        raise DataError(f"{path}: exported model without optimizer state; it cannot "
-                        f"resume training")
-    cfg = TrainConfig.from_dict(header["config"])
-    params = {name: T.parameter(tensors[0]) for name, tensors in blocks}
-    student = StudentModel(_student_config_from(cfg), params)
-    moments = AdamMoments(m={name: tensors[1] for name, tensors in blocks},
-                          v={name: tensors[2] for name, tensors in blocks},
+    header, cfg, blocks = _read_container(path, moments=True)
+    params = {name: T.parameter(tensors[0]) for name, tensors in blocks.items()}
+    moments = AdamMoments(m={name: tensors[1] for name, tensors in blocks.items()},
+                          v={name: tensors[2] for name, tensors in blocks.items()},
                           step=int(header["adam_step"]))
-    return TrainState(config=cfg, iteration=int(header["iteration"]), student=student,
-                      moments=moments, teacher_checksum=header.get("teacher_checksum", ""))
+    return TrainState(config=cfg, iteration=int(header["iteration"]),
+                      student=StudentModel(cfg.student_config(), params), moments=moments,
+                      teacher_checksum=header.get("teacher_checksum", ""))
 
 
 def export_student(state: TrainState, path: str):
@@ -595,12 +594,9 @@ def export_student(state: TrainState, path: str):
 
 
 def load_exported(path: str) -> StudentModel:
-    header, blocks = _read_container(path)
-    if header.get("has_moments"):
-        raise DataError(f"{path}: full checkpoint, not an exported model")
-    cfg = TrainConfig.from_dict(header["config"])
-    params = {name: T.Tensor(tensors[0]) for name, tensors in blocks}
-    return StudentModel(_student_config_from(cfg), params)
+    _, cfg, blocks = _read_container(path, moments=False)
+    return StudentModel(cfg.student_config(),
+                        {name: T.Tensor(tensors[0]) for name, tensors in blocks.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from distilrobust.audio import (
 )
 from distilrobust.errors import (
     DegenerateSignalError,
+    DistilRobustError,
     ParameterError,
     SampleRateError,
     UnsupportedWavError,
@@ -95,6 +96,15 @@ class TestReadWav:
         with pytest.raises(UnsupportedWavError):
             read_wav(path)
 
+    @pytest.mark.parametrize("blob", [
+        build_wav(struct.pack("<3f", 0.25, math.nan, 1.0), audio_format=3, bits=32),
+        build_wav(struct.pack("<2h", 1, 2), rate=0),
+    ], ids=["nan_sample", "zero_rate"])
+    def test_invalid_decoded_audio_names_file(self, tmp_path, blob):
+        path = write_bytes(tmp_path / "bad.wav", blob)
+        with pytest.raises(WavFormatError, match="bad.wav"):
+            read_wav(path)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_wav(tmp_path / "absent.wav")
@@ -140,22 +150,22 @@ class TestWriteWav:
 
 class TestWaveform:
     def test_rejects_nonfinite(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DistilRobustError):
             Waveform(np.array([0.0, np.nan]), 16000)
 
     def test_rejects_empty(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DistilRobustError):
             Waveform(np.zeros(0), 16000)
 
     def test_duration(self):
         assert Waveform(np.zeros(8000), 16000).duration_s == 0.5
 
     def test_rir_zero_taps_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DistilRobustError):
             RoomImpulseResponse(np.zeros(4), 16000, "small")
 
     def test_rir_room_class_validated(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DistilRobustError):
             RoomImpulseResponse(np.array([1.0]), 16000, "stadium")
 
 

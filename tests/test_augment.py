@@ -319,16 +319,6 @@ class TestAugmentBatch:
             assert pa == pb
             np.testing.assert_array_equal(wa.samples, wb.samples)
 
-    def test_parallel_equals_serial(self, reference_corpus, noise_bank, rir_bank):
-        batch = [w for _, w in reference_corpus[:4]]
-        state = CurriculumState(100, 400)
-        serial = augment_batch(batch, state, noise_bank, rir_bank, master_seed=5)
-        threaded = augment_batch(batch, state, noise_bank, rir_bank, master_seed=5,
-                                 parallel=True)
-        for (wa, pa), (wb, pb) in zip(serial, threaded):
-            assert pa == pb
-            np.testing.assert_array_equal(wa.samples, wb.samples)
-
     def test_each_item_depends_only_on_own_slot(self, reference_corpus, noise_bank,
                                                 rir_bank):
         w0, w1, w2 = (w for _, w in reference_corpus[:3])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -77,6 +78,23 @@ class TestAugmentCommand:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert "ghost" in err
+
+    def test_nonfinite_audio_exits_2(self, disk_assets, tmp_path, capsys):
+        body = struct.pack("<4f", 0.1, float("nan"), -0.1, 0.0)
+        fmt = struct.pack("<IHHIIHH", 16, 3, 1, 16000, 64000, 4, 32)
+        chunks = b"fmt " + fmt + b"data" + struct.pack("<I", len(body)) + body
+        (tmp_path / "nan.wav").write_bytes(
+            b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        manifest = write_manifest(tmp_path / "nan.jsonl",
+                                  [{"id": "nan", "path": "nan.wav", "kind": "speech"}])
+        code = run_cli("augment", "--manifest", manifest,
+                       "--noise-bank", disk_assets["noise"],
+                       "--rir-bank", disk_assets["rir"],
+                       "--iterations", 10, "--iter", 0,
+                       "--seed", 0, "--out-dir", tmp_path / "x")
+        assert code == EXIT_IO
+        assert any(line.startswith("error: nan:") and "finite" in line
+                   for line in capsys.readouterr().err.splitlines())
 
     def test_bad_manifest_exits_1(self, disk_assets, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

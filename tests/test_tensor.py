@@ -156,6 +156,13 @@ class TestBackward:
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, 2.0 * once)
 
+    def test_intermediate_nodes_keep_no_grad(self):
+        x = leaf([1.0, -2.0])
+        inner = T.mul(x, x)
+        T.backward(T.sum_all(T.scale(inner, 3.0)))
+        assert inner.grad is None
+        np.testing.assert_array_equal(x.grad, [6.0, -12.0])
+
     def test_zero_grad_resets(self):
         x = leaf([1.0])
         T.backward(T.sum_all(x))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from distilrobust.trainer import (
     load_exported,
     load_metrics,
     lr_at,
+    save_checkpoint,
     smoothed_loss,
     train,
 )
@@ -220,6 +222,24 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match="deconv"):
             TrainConfig.preset("A", deconv_strides=(2, 2, 2, 2, 2, 2, 2))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"student_layers": 0}, "mixing layer"),
+        ({"student_layers": 13}, "exceeds teacher depth 12"),
+        ({"distill_layers": ()}, "distill_layers"),
+        ({"distill_layers": (4, 13)}, "distill layer 13"),
+        ({"cell_type": "rnn"}, "cell_type"),
+        ({"deconv_strides": (8, 8, 5)}, "deconv"),
+    ])
+    def test_student_geometry_checked(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig.preset("A", **fields)
+
+    def test_student_config_follows_enhancement_loss(self):
+        assert not TrainConfig.preset("B").student_config().enhancement
+        student = TrainConfig.preset("C2", student_layers=3, cell_type="gru").student_config()
+        assert (student.enhancement, student.n_student_layers, student.cell_type) == \
+            (True, 3, "gru")
+
 
 class TestTrainLoop:
     def test_metrics_schema_and_length(self, tmp_path, banks):
@@ -306,6 +326,21 @@ class TestTrainLoop:
         assert not (out / "ckpt_final.drtc").exists() or True  # final comes from resume
         cfg_resume = tiny_config(out, "C1")
         train(cfg_resume, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
+              resume_from=str(out / "ckpt_000003.drtc"))
+        assert (out / "metrics.jsonl").read_bytes() == full_metrics
+        assert (out / "ckpt_final.drtc").read_bytes() == full_ckpt
+
+    def test_resume_drops_metrics_past_checkpoint(self, tmp_path, banks):
+        noise, rirs = banks
+        out = tmp_path / "run"
+        train(tiny_config(out, "A"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        full_metrics = (out / "metrics.jsonl").read_bytes()
+        full_ckpt = (out / "ckpt_final.drtc").read_bytes()
+        train(tiny_config(out, "A"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
+              stop_after=5)
+        with open(out / "metrics.jsonl", "ab") as fh:
+            fh.write(b'{"iter": 5, "comb')  # a record cut off by the crash
+        train(tiny_config(out, "A"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
               resume_from=str(out / "ckpt_000003.drtc"))
         assert (out / "metrics.jsonl").read_bytes() == full_metrics
         assert (out / "ckpt_final.drtc").read_bytes() == full_ckpt
@@ -414,6 +449,53 @@ class TestCheckpoints:
         export_student(state, export_path)
         with pytest.raises(DataError):
             load_checkpoint(export_path)
+
+    @pytest.mark.parametrize("exported", [False, True])
+    def test_every_truncation_rejected(self, tmp_path, banks, exported):
+        noise, rirs = banks
+        cfg = tiny_config(tmp_path / "run", "C1", total_iterations=3, teacher_layers=2,
+                          student_layers=1, distill_layers=(2,), enh_hidden=2)
+        state = train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        path = tmp_path / "run" / "ckpt_final.drtc"
+        load = load_checkpoint
+        if exported:
+            export_student(state, str(path))
+            load = load_exported
+        blob = path.read_bytes()
+        load(str(path))
+        # every header offset, every record boundary, a seeded sample of the rest
+        (header_len,) = struct.unpack_from("<I", blob, 5)
+        offsets = set(range(9 + header_len + 1))
+        pos, per_name = 9 + header_len, 1 if exported else 3
+        while pos < len(blob):
+            (name_len,) = struct.unpack_from("<H", blob, pos)
+            pos += 2 + name_len
+            for _ in range(per_name):
+                offsets.add(pos)
+                _, pos = T.tensor_from_bytes(blob, pos)
+            offsets.add(pos)
+        offsets.discard(len(blob))
+        rng = np.random.default_rng(0)
+        offsets.update(int(k) for k in rng.integers(0, len(blob), 200))
+        cut = tmp_path / "cut.drtc"
+        for data in [blob[:k] for k in sorted(offsets)] + [blob + blob[-20:]]:
+            cut.write_bytes(data)
+            with pytest.raises(DataError):
+                load(str(cut))
+            cut.unlink()  # rewriting a file in place is slow on some filesystems
+
+    def test_wrong_parameter_shape_rejected(self, tmp_path, banks):
+        noise, rirs = banks
+        state = train(tiny_config(tmp_path / "run", "A"), corpus=tiny_corpus(),
+                      noise_bank=noise, rir_bank=rirs)
+        head = state.student.params["head.2.b"]
+        head.values = np.zeros(head.values.size + 1)
+        for moments in (state.moments.m, state.moments.v):
+            moments["head.2.b"] = head.values
+        path = str(tmp_path / "wrong.drtc")
+        save_checkpoint(state, path)
+        with pytest.raises(DataError, match="head.2.b"):
+            load_checkpoint(path)
 
     def test_corrupt_container_rejected(self, tmp_path):
         path = tmp_path / "bad.drtc"
