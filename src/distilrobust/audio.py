@@ -22,6 +22,7 @@ from .errors import (
     UnsupportedWavError,
     WavFormatError,
 )
+from .fileio import atomic_write
 
 DEFAULT_SAMPLE_RATE_HZ = 16_000
 
@@ -162,7 +163,7 @@ def write_wav(w: Waveform, path):
             struct.pack("<I", len(body)),
         ]
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
         fh.write(body)
 

@@ -1,8 +1,15 @@
 """Exception taxonomy shared across the package.
 
-Validation and numeric problems raise subclasses of DistilRobustError;
-I/O problems raise DataError (or builtins like OSError from the stdlib).
-The CLI maps these onto stable exit codes.
+Every library error subclasses DistilRobustError. The CLI maps errors onto
+stable exit codes by type:
+
+- exit 1: validation and numeric failures, and DataError, which reports bad
+  content in a manifest, checkpoint, export or metrics file (a checkpoint cut
+  short exits 1, and so does a training WAV that cannot be decoded, since
+  training wraps its error in DataError);
+- exit 2: OSError from the standard library (a missing or unreadable file) and
+  WavFormatError, a WAV container that cannot be decoded, as `augment` reports
+  it.
 """
 
 
@@ -43,4 +50,4 @@ class NumericError(DistilRobustError):
 
 
 class DataError(DistilRobustError):
-    """Problem locating or loading user-supplied data files."""
+    """Bad content in a user-supplied data file: manifest, checkpoint, export or metrics log."""

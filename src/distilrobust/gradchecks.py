@@ -151,6 +151,65 @@ def _bidir_inputs(cell: str):
     return fn, arrays
 
 
+# Composed reference of `tensor.bidir_recurrent`: the same cells built step by
+# step from graph ops (about 19 nodes per step), so the fused op can be checked
+# against a path whose gradients come from the generic vjps alone.
+
+
+def _lstm_direction(x: T.Tensor, p: T.RecurrentParams, hidden: int,
+                    reverse: bool) -> list[T.Tensor]:
+    t_steps = x.values.shape[0]
+    h = T.Tensor(np.zeros((1, hidden)))
+    c = T.Tensor(np.zeros((1, hidden)))
+    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
+    outputs: list[T.Tensor | None] = [None] * t_steps
+    for t in order:
+        x_t = T.narrow(x, 0, t, 1)
+        z = T.add(T.add(T.linear(x_t, p.w_x), T.linear(h, p.w_h)), T.reshape(p.bias, (1, -1)))
+        i_g = T.sigmoid(T.narrow(z, 1, 0, hidden))
+        f_g = T.sigmoid(T.narrow(z, 1, hidden, hidden))
+        c_g = T.tanh(T.narrow(z, 1, 2 * hidden, hidden))
+        o_g = T.sigmoid(T.narrow(z, 1, 3 * hidden, hidden))
+        c = T.add(T.mul(f_g, c), T.mul(i_g, c_g))
+        h = T.mul(o_g, T.tanh(c))
+        outputs[t] = h
+    return outputs  # type: ignore[return-value]
+
+
+def _gru_direction(x: T.Tensor, p: T.RecurrentParams, hidden: int,
+                   reverse: bool) -> list[T.Tensor]:
+    t_steps = x.values.shape[0]
+    h = T.Tensor(np.zeros((1, hidden)))
+    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
+    outputs: list[T.Tensor | None] = [None] * t_steps
+    ones = T.Tensor(np.ones((1, hidden)))
+    for t in order:
+        x_t = T.narrow(x, 0, t, 1)
+        zx = T.linear(x_t, p.w_x)
+        zh = T.linear(h, p.w_h)
+        bias_row = T.reshape(p.bias, (1, -1))
+        u_g = T.sigmoid(T.add(T.add(T.narrow(zx, 1, 0, hidden), T.narrow(zh, 1, 0, hidden)),
+                              T.narrow(bias_row, 1, 0, hidden)))
+        r_g = T.sigmoid(T.add(T.add(T.narrow(zx, 1, hidden, hidden),
+                                    T.narrow(zh, 1, hidden, hidden)),
+                              T.narrow(bias_row, 1, hidden, hidden)))
+        cand = T.tanh(T.add(T.add(T.narrow(zx, 1, 2 * hidden, hidden),
+                                  T.mul(r_g, T.narrow(zh, 1, 2 * hidden, hidden))),
+                            T.narrow(bias_row, 1, 2 * hidden, hidden)))
+        h = T.add(T.mul(T.sub_from(ones, u_g), h), T.mul(u_g, cand))
+        outputs[t] = h
+    return outputs  # type: ignore[return-value]
+
+
+def composed_bidir_recurrent(x, params: T.BiRecurrentParams) -> T.Tensor:
+    """What `tensor.bidir_recurrent` computes, as a per-step graph of generic ops."""
+    x = T.as_tensor(x)
+    step = {"lstm": _lstm_direction, "gru": _gru_direction}[params.cell]
+    fwd = step(x, params.forward, params.hidden, reverse=False)
+    bwd = step(x, params.backward, params.hidden, reverse=True)
+    return T.concat([T.concat([f, b], axis=1) for f, b in zip(fwd, bwd)], axis=0)
+
+
 def _check_bidir_lstm():
     return _bidir_inputs("lstm")
 

@@ -4,6 +4,12 @@ Nodes record their parents and a vector-Jacobian closure when any input
 requires gradients; `backward` walks the graph once per call and adds the
 resulting adjoints into the leaves' `.grad`, so repeated calls accumulate. Every op
 allocates fresh output buffers and never mutates its inputs.
+
+Sequence ops are single nodes with hand-written vjps: `bidir_recurrent` runs
+both directions of an LSTM or GRU over a whole (T, C) sequence in plain numpy
+loops and backpropagates through time in one vjp, and the convolutions do one
+matmul per run of `stride` kernel taps instead of one per tap. `gradchecks`
+keeps the per-step composed recurrence as their reference.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError, ParameterError, ShapeError
+from .fileio import atomic_write
 
 COSINE_EPS = 1e-8
 
@@ -186,12 +193,20 @@ def scale_add(alpha: float, a, beta: float = 0.0, b=None) -> Tensor:
     return _node(out, (a, b), "scale_add", vjp)
 
 
+def sub_from(a, b) -> Tensor:
+    """a - b as a graph op."""
+    return add(a, scale(b, -1.0))
+
+
+def _sigmoid_values(v: np.ndarray) -> np.ndarray:
+    # stable in both tails
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    # stable in both tails
-    s = np.where(x.values >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(x.values))),
-                 np.exp(-np.abs(x.values)) / (1.0 + np.exp(-np.abs(x.values))))
+    s = _sigmoid_values(x.values)
     return _node(s, (x,), "sigmoid", lambda g: (g * s * (1.0 - s),))
 
 
@@ -383,49 +398,84 @@ def _conv_checks(x: Tensor, k: Tensor, stride: int, op: str):
         raise ShapeError(f"{op}: channel mismatch {x.values.shape[1]} vs {k.values.shape[1]}")
 
 
+def _tap_blocks(kw: int, stride: int) -> list[tuple[int, int]]:
+    """(first tap, tap count) of each run of at most `stride` consecutive kernel taps.
+
+    Within one run, the taps that touch frame t read or write the rows
+    t*stride + first ... t*stride + first + count - 1, and frames do not overlap.
+    """
+    return [(j, min(stride, kw - j)) for j in range(0, kw, stride)]
+
+
+def _strided_rows(a: np.ndarray, start: int, count: int, width: int, step: int) -> np.ndarray:
+    """Read-only view (count, width*C) of a (N, C) array; row i is a[start + i*step :][:width].
+
+    With width <= step the rows do not overlap, so matmul reads the view in place.
+    """
+    c = a.shape[1]
+    flat = np.ascontiguousarray(a).reshape(-1)[start * c :]
+    return np.lib.stride_tricks.sliding_window_view(flat, width * c)[:: step * c][:count]
+
+
 def conv1d(x, k, stride: int = 1) -> Tensor:
-    """Valid cross-correlation along time: (N, Cin) * (kw, Cin, Cout) -> (T, Cout)."""
+    """Valid cross-correlation along time: (N, Cin) * (kw, Cin, Cout) -> (T, Cout).
+
+    One matmul per run of `stride` taps, so stride == kw is a single matmul.
+    """
     x, k = as_tensor(x), as_tensor(k)
     _conv_checks(x, k, stride, "conv1d")
-    n, kw = x.values.shape[0], k.values.shape[0]
+    (n, c_in), (kw, _, c_out) = x.values.shape, k.values.shape
     if n < kw:
         raise ShapeError(f"conv1d: input of {n} samples shorter than kernel {kw}")
     t_out = (n - kw) // stride + 1
-    span = stride * (t_out - 1) + 1
-    out = np.zeros((t_out, k.values.shape[2]))
-    for j in range(kw):
-        out += x.values[j : j + span : stride, :] @ k.values[j]
+    blocks = _tap_blocks(kw, stride)
+    out = np.zeros((t_out, c_out))
+    for j, taps in blocks:
+        k_block = k.values[j : j + taps].reshape(-1, c_out)
+        out += _strided_rows(x.values, j, t_out, taps, stride) @ k_block
 
     def vjp(g):
-        gx = np.zeros_like(x.values)
-        gk = np.zeros_like(k.values)
-        for j in range(kw):
-            rows = x.values[j : j + span : stride, :]
-            gx[j : j + span : stride, :] += g @ k.values[j].T
-            gk[j] = rows.T @ g
-        return gx, gk
+        # overlap-add into stride-row slots; the padding rows past n are cut off
+        slots = t_out + len(blocks) - 1
+        gx = np.zeros((max(n, slots * stride), c_in))
+        gk = np.empty_like(k.values)
+        for j, taps in blocks:
+            k_block = k.values[j : j + taps].reshape(-1, c_out)
+            gx[j : j + t_out * stride].reshape(t_out, stride, c_in)[:, :taps] += (
+                (g @ k_block.T).reshape(t_out, taps, c_in))
+            rows = _strided_rows(x.values, j, t_out, taps, stride)
+            gk[j : j + taps] = (rows.T @ g).reshape(taps, c_in, c_out)
+        return gx[:n], gk
 
     return _node(out, (x, k), "conv1d", vjp)
 
 
 def conv1d_transposed(x, k, stride: int = 1) -> Tensor:
-    """Transposed conv along time: (T, Cin) * (kw, Cin, Cout) -> ((T-1)*stride + kw, Cout)."""
+    """Transposed conv along time: (T, Cin) * (kw, Cin, Cout) -> ((T-1)*stride + kw, Cout).
+
+    One matmul gives every tap's contribution; each run of `stride` taps is
+    then overlap-added into stride-row slots.
+    """
     x, k = as_tensor(x), as_tensor(k)
     _conv_checks(x, k, stride, "conv1d_transposed")
-    t_in, kw = x.values.shape[0], k.values.shape[0]
+    (t_in, c_in), (kw, _, c_out) = x.values.shape, k.values.shape
     n_out = (t_in - 1) * stride + kw
-    span = stride * (t_in - 1) + 1
-    out = np.zeros((n_out, k.values.shape[2]))
-    for j in range(kw):
-        out[j : j + span : stride, :] += x.values @ k.values[j]
+    blocks = _tap_blocks(kw, stride)
+    k_wide = k.values.transpose(1, 0, 2).reshape(c_in, kw * c_out)
+    y = x.values @ k_wide
+    out = np.zeros(((t_in + len(blocks) - 1) * stride, c_out))
+    for j, taps in blocks:
+        out[j : j + t_in * stride].reshape(t_in, stride, c_out)[:, :taps] += (
+            y[:, j * c_out : (j + taps) * c_out].reshape(t_in, taps, c_out))
+    out = out[:n_out]
 
     def vjp(g):
         gx = np.zeros_like(x.values)
-        gk = np.zeros_like(k.values)
-        for j in range(kw):
-            g_rows = g[j : j + span : stride, :]
-            gx += g_rows @ k.values[j].T
-            gk[j] = x.values.T @ g_rows
+        gk = np.empty_like(k.values)
+        for j, taps in blocks:
+            g_rows = _strided_rows(g, j, t_in, taps, stride)
+            gx += g_rows @ k_wide[:, j * c_out : (j + taps) * c_out].T
+            gk[j : j + taps] = (x.values.T @ g_rows).reshape(c_in, taps, c_out).transpose(1, 0, 2)
         return gx, gk
 
     return _node(out, (x, k), "conv1d_transposed", vjp)
@@ -456,68 +506,142 @@ class BiRecurrentParams:
     cell: str = "lstm"  # "lstm" | "gru"
 
 
-def _lstm_direction(x: Tensor, p: RecurrentParams, hidden: int, reverse: bool) -> list[Tensor]:
-    t_steps = x.values.shape[0]
-    h = Tensor(np.zeros((1, hidden)))
-    c = Tensor(np.zeros((1, hidden)))
-    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
-    outputs: list[Tensor | None] = [None] * t_steps
-    for t in order:
-        x_t = narrow(x, 0, t, 1)
-        z = add(add(linear(x_t, p.w_x), linear(h, p.w_h)), reshape(p.bias, (1, -1)))
-        i_g = sigmoid(narrow(z, 1, 0, hidden))
-        f_g = sigmoid(narrow(z, 1, hidden, hidden))
-        c_g = tanh(narrow(z, 1, 2 * hidden, hidden))
-        o_g = sigmoid(narrow(z, 1, 3 * hidden, hidden))
-        c = add(mul(f_g, c), mul(i_g, c_g))
-        h = mul(o_g, tanh(c))
-        outputs[t] = h
-    return outputs  # type: ignore[return-value]
+# Each cell is a pair of plain numpy loops over one direction. `run` takes the
+# hoisted input projection zx = x @ w_x + bias (T, gH) and returns the states
+# h_1..h_T plus a tape; `bptt` takes dL/dh_t for every t and returns the adjoint
+# of zx, the adjoint of the state projection h_{t-1} @ w_h, and h_0..h_{T-1}.
 
 
-def _gru_direction(x: Tensor, p: RecurrentParams, hidden: int, reverse: bool) -> list[Tensor]:
-    t_steps = x.values.shape[0]
-    h = Tensor(np.zeros((1, hidden)))
-    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
-    outputs: list[Tensor | None] = [None] * t_steps
-    ones = Tensor(np.ones((1, hidden)))
-    for t in order:
-        x_t = narrow(x, 0, t, 1)
-        zx = linear(x_t, p.w_x)
-        zh = linear(h, p.w_h)
-        bias_row = reshape(p.bias, (1, -1))
-        u_g = sigmoid(add(add(narrow(zx, 1, 0, hidden), narrow(zh, 1, 0, hidden)),
-                          narrow(bias_row, 1, 0, hidden)))
-        r_g = sigmoid(add(add(narrow(zx, 1, hidden, hidden), narrow(zh, 1, hidden, hidden)),
-                          narrow(bias_row, 1, hidden, hidden)))
-        cand = tanh(add(add(narrow(zx, 1, 2 * hidden, hidden),
-                            mul(r_g, narrow(zh, 1, 2 * hidden, hidden))),
-                        narrow(bias_row, 1, 2 * hidden, hidden)))
-        h = add(mul(sub_from(ones, u_g), h), mul(u_g, cand))
-        outputs[t] = h
-    return outputs  # type: ignore[return-value]
+def _lstm_run(zx: np.ndarray, w_h: np.ndarray, hidden: int):
+    t_steps = zx.shape[0]
+    acts = np.empty((t_steps, 4, hidden))  # i, f, g = tanh(cell input), o
+    cells = np.zeros((t_steps + 1, hidden))  # c_0 = 0, then c_1..c_T
+    tanh_cells = np.empty((t_steps, hidden))
+    states = np.zeros((t_steps + 1, hidden))  # h_0 = 0, then h_1..h_T
+    for t in range(t_steps):
+        z = zx[t] + states[t] @ w_h
+        a = _sigmoid_values(z).reshape(4, hidden)
+        a[2] = np.tanh(z[2 * hidden : 3 * hidden])
+        i, f, g, o = a
+        cells[t + 1] = f * cells[t] + i * g
+        tanh_cells[t] = np.tanh(cells[t + 1])
+        states[t + 1] = o * tanh_cells[t]
+        acts[t] = a
+    return states[1:], (acts, cells, tanh_cells, states)
 
 
-def sub_from(a, b) -> Tensor:
-    """a - b as a graph op."""
-    return add(a, scale(b, -1.0))
+def _lstm_bptt(dh_out: np.ndarray, w_h: np.ndarray, tape):
+    acts, cells, tanh_cells, states = tape
+    t_steps, _, hidden = acts.shape
+    i, f, g, o = (acts[:, k] for k in range(4))
+    # dz per unit dc for the i, f, g pre-activations, and per unit dh for o and c
+    dc_to_z = np.stack([g * i * (1.0 - i), cells[:-1] * f * (1.0 - f), i * (1.0 - g * g)],
+                       axis=1)
+    dh_to_zo = tanh_cells * o * (1.0 - o)
+    dh_to_c = o * (1.0 - tanh_cells * tanh_cells)
+    dz = np.empty((t_steps, 4, hidden))
+    w_h_t = w_h.T
+    dh = np.zeros(hidden)
+    dc = np.zeros(hidden)
+    for t in range(t_steps - 1, -1, -1):
+        dh = dh + dh_out[t]
+        dc = dc + dh * dh_to_c[t]
+        dz[t, :3] = dc * dc_to_z[t]
+        dz[t, 3] = dh * dh_to_zo[t]
+        dc = dc * f[t]
+        dh = dz[t].reshape(-1) @ w_h_t
+    dz = dz.reshape(t_steps, 4 * hidden)
+    return dz, dz, states[:-1]
+
+
+def _gru_run(zx: np.ndarray, w_h: np.ndarray, hidden: int):
+    t_steps = zx.shape[0]
+    acts = np.empty((t_steps, 3, hidden))  # u, r, candidate
+    cand_state = np.empty((t_steps, hidden))  # candidate columns of h_{t-1} @ w_h
+    states = np.zeros((t_steps + 1, hidden))  # h_0 = 0, then h_1..h_T
+    for t in range(t_steps):
+        zh = states[t] @ w_h
+        u, r = _sigmoid_values(zx[t, : 2 * hidden] + zh[: 2 * hidden]).reshape(2, hidden)
+        cand = np.tanh(zx[t, 2 * hidden :] + r * zh[2 * hidden :])
+        states[t + 1] = (1.0 - u) * states[t] + u * cand
+        acts[t] = u, r, cand
+        cand_state[t] = zh[2 * hidden :]
+    return states[1:], (acts, cand_state, states)
+
+
+def _gru_bptt(dh_out: np.ndarray, w_h: np.ndarray, tape):
+    acts, cand_state, states = tape
+    t_steps, _, hidden = acts.shape
+    u, r, cand = (acts[:, k] for k in range(3))
+    h_prev = states[:-1]
+    # dz per unit dh: the input side sees (u, r, cand); the state side sees r * cand
+    dz_cand = u * (1.0 - cand * cand)
+    dzx_per_dh = np.stack([(cand - h_prev) * u * (1.0 - u),
+                           dz_cand * cand_state * r * (1.0 - r), dz_cand], axis=1)
+    dzh_per_dh = dzx_per_dh.copy()
+    dzh_per_dh[:, 2] *= r
+    keep = 1.0 - u
+    w_h_t = w_h.T
+    dhs = np.empty((t_steps, hidden))
+    dh = np.zeros(hidden)
+    for t in range(t_steps - 1, -1, -1):
+        dh = dh + dh_out[t]
+        dhs[t] = dh
+        dh = dh * keep[t] + (dh * dzh_per_dh[t]).reshape(-1) @ w_h_t
+    dzx = (dhs[:, None, :] * dzx_per_dh).reshape(t_steps, 3 * hidden)
+    dzh = (dhs[:, None, :] * dzh_per_dh).reshape(t_steps, 3 * hidden)
+    return dzx, dzh, h_prev
+
+
+_CELLS = {"lstm": (4, _lstm_run, _lstm_bptt), "gru": (3, _gru_run, _gru_bptt)}
 
 
 def bidir_recurrent(x, params: BiRecurrentParams) -> Tensor:
-    """Bidirectional recurrence over (T, C) rows -> (T, 2*hidden)."""
+    """Bidirectional recurrence over (T, C) rows -> (T, 2*hidden), as one graph node.
+
+    Each direction projects all inputs at once, x @ w_x + bias, then steps the
+    state in a numpy loop; the vjp backpropagates through time and forms the
+    weight gradients with one matmul each after its loop.
+    """
     x = as_tensor(x)
     if x.values.ndim != 2:
         raise ShapeError(f"bidir_recurrent needs (T, C), got {x.values.shape}")
-    if params.cell == "lstm":
-        step = _lstm_direction
-    elif params.cell == "gru":
-        step = _gru_direction
-    else:
+    if params.cell not in _CELLS:
         raise ParameterError(f"unknown recurrent cell {params.cell!r}")
-    fwd = step(x, params.forward, params.hidden, reverse=False)
-    bwd = step(x, params.backward, params.hidden, reverse=True)
-    rows = [concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return concat(rows, axis=0)
+    gates, run, bptt = _CELLS[params.cell]
+    t_steps, c_in = x.values.shape
+    hidden = params.hidden
+    if t_steps < 1:
+        raise ShapeError("bidir_recurrent needs at least one frame")
+    directions = (params.forward, params.backward)
+    for name, p in zip(("forward", "backward"), directions):
+        for field_, want in (("w_x", (c_in, gates * hidden)),
+                             ("w_h", (hidden, gates * hidden)), ("bias", (gates * hidden,))):
+            got = getattr(p, field_).values.shape
+            if got != want:
+                raise ShapeError(f"bidir_recurrent: {name}.{field_} has shape {got}, "
+                                 f"expected {want}")
+
+    inputs = (x.values, np.ascontiguousarray(x.values[::-1]))  # backward runs on reversed time
+    states, tapes = [], []
+    for p, rows in zip(directions, inputs):
+        h, tape = run(rows @ p.w_x.values + p.bias.values, p.w_h.values, hidden)
+        states.append(h)
+        tapes.append(tape)
+    out = np.concatenate([states[0], states[1][::-1]], axis=1)
+
+    def vjp(g):
+        grads = []
+        gx = np.zeros_like(x.values)
+        for p, rows, tape, dh_out, flip in zip(directions, inputs, tapes,
+                                               (g[:, :hidden], g[::-1, hidden:]), (1, -1)):
+            dzx, dzh, h_prev = bptt(dh_out, p.w_h.values, tape)
+            gx += (dzx @ p.w_x.values.T)[::flip]
+            grads += [rows.T @ dzx, h_prev.T @ dzh, dzx.sum(axis=0)]
+        return (gx, *grads)
+
+    parents = (x,) + tuple(t for p in directions for t in (p.w_x, p.w_h, p.bias))
+    return _node(out, parents, "bidir_recurrent", vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +797,7 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 
 
 def write_tensor_file(path, values: np.ndarray):
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(tensor_to_bytes(values))
 
 

@@ -29,7 +29,15 @@ from .augment import (
     snr_lower_bound,
     stable_hash,
 )
-from .errors import ConfigError, DataError, DistilRobustError, ParameterError, ShapeError
+from .errors import (
+    ConfigError,
+    DataError,
+    DistilRobustError,
+    NumericError,
+    ParameterError,
+    ShapeError,
+)
+from .fileio import atomic_write
 from .losses import KDLossParts, STFTParams, combined_loss, kd_loss_parts, l1_freq, l1_wav
 from .model import (
     StudentConfig,
@@ -218,7 +226,20 @@ class AdamMoments:
 def adamw_step(params: dict[str, T.Tensor], grads: dict[str, np.ndarray],
                moments: AdamMoments, lr: float, beta1: float = 0.9, beta2: float = 0.98,
                eps: float = 1e-6, weight_decay: float = 0.01):
-    """One decoupled-weight-decay Adam update with bias correction, in place."""
+    """One decoupled-weight-decay Adam update with bias correction, in place.
+
+    Every gradient is checked before anything is written, so a wrongly shaped
+    or non-finite one raises and leaves parameters, moments and step untouched.
+    """
+    for name in sorted(params):
+        g = grads.get(name)
+        if g is None:
+            continue
+        if g.shape != params[name].values.shape:
+            raise ShapeError(f"gradient for {name}: shape {g.shape} vs parameter "
+                             f"{params[name].values.shape}")
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"gradient for {name} is not finite")
     moments.step += 1
     t = moments.step
     bc1 = 1.0 - beta1**t
@@ -228,9 +249,6 @@ def adamw_step(params: dict[str, T.Tensor], grads: dict[str, np.ndarray],
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.values)
-        if g.shape != p.values.shape:
-            raise ShapeError(f"gradient for {name}: shape {g.shape} vs parameter "
-                             f"{p.values.shape}")
         moments.m[name] = beta1 * moments.m[name] + (1.0 - beta1) * g
         moments.v[name] = beta2 * moments.v[name] + (1.0 - beta2) * (g * g)
         m_hat = moments.m[name] / bc1
@@ -364,6 +382,13 @@ def _mean_of(tensors: list[T.Tensor]) -> T.Tensor:
     return T.scale(total, 1.0 / len(tensors))
 
 
+def _run_identity(cfg: TrainConfig) -> str:
+    """The config JSON a resume must match: all but out_dir, so a run directory can move."""
+    record = cfg.to_dict()
+    del record["out_dir"]
+    return json.dumps(record, sort_keys=True)
+
+
 def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
           resume_from: str | None = None, stop_after: int | None = None) -> TrainState:
     """Run (or resume) the loop; returns the final state after writing artifacts.
@@ -392,7 +417,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
 
     if resume_from is not None:
         state = load_checkpoint(resume_from)
-        if state.config.to_json() != cfg.to_json():
+        if _run_identity(state.config) != _run_identity(cfg):
             raise ConfigError("resume checkpoint was written with a different config")
         student = state.student
         moments = state.moments
@@ -491,7 +516,7 @@ DRTC_VERSION = 1
 
 def _write_container(path: str, header: dict, blocks: list[tuple[str, list[np.ndarray]]]):
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(DRTC_MAGIC)
         fh.write(struct.pack("<B", DRTC_VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))

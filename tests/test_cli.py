@@ -193,6 +193,20 @@ class TestTrainCommand:
         assert (train_setup["out_dir"] / "ckpt_final.drtc").read_bytes() == full_ckpt
         assert (train_setup["out_dir"] / "metrics.jsonl").read_bytes() == full_metrics
 
+    def test_truncated_checkpoint_resume_exits_1(self, train_setup, capsys):
+        assert run_cli("train", "--config", train_setup["cfg_path"]) == EXIT_OK
+        capsys.readouterr()
+        ckpt = train_setup["out_dir"] / "ckpt_000002.drtc"
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[: len(data) // 2])
+        code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "unreadable checkpoint container" in lines[0]
+        assert "Traceback" not in err
+
     def test_invalid_config_exits_1(self, train_setup, tmp_path, capsys):
         record = json.loads(train_setup["cfg_path"].read_text())
         record["lambda_weight"] = 3.0  # experiment A requires 0

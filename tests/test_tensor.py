@@ -367,3 +367,102 @@ class TestBidirRecurrent:
         assert not np.allclose(out_a[0], out_b[0])
         # forward half of the first row ignores the future
         np.testing.assert_allclose(out_a[0, :3], out_b[0, :3], atol=1e-15)
+
+
+def _value_and_grads(fn, arrays, seed=0):
+    """Output of fn on fresh leaves, and each leaf's gradient of <output, fixed cotangent>."""
+    leaves = [leaf(a) for a in arrays]
+    out = fn(*leaves)
+    cotangent = np.random.default_rng(seed).standard_normal(out.shape)
+    T.backward(T.sum_all(T.mul(out, T.Tensor(cotangent))))
+    return out.values, [p.grad for p in leaves], cotangent
+
+
+def _conv1d_per_tap(x, k, stride, g):
+    kw = k.shape[0]
+    t_out = (x.shape[0] - kw) // stride + 1
+    span = stride * (t_out - 1) + 1
+    out, gx, gk = np.zeros((t_out, k.shape[2])), np.zeros_like(x), np.zeros_like(k)
+    for j in range(kw):
+        out += x[j : j + span : stride] @ k[j]
+        gx[j : j + span : stride] += g @ k[j].T
+        gk[j] = x[j : j + span : stride].T @ g
+    return out, gx, gk
+
+
+def _conv1d_transposed_per_tap(x, k, stride, g):
+    kw = k.shape[0]
+    span = stride * (x.shape[0] - 1) + 1
+    out = np.zeros(((x.shape[0] - 1) * stride + kw, k.shape[2]))
+    gx, gk = np.zeros_like(x), np.zeros_like(k)
+    for j in range(kw):
+        out[j : j + span : stride] += x @ k[j]
+        gx += g[j : j + span : stride] @ k[j].T
+        gk[j] = x.T @ g[j : j + span : stride]
+    return out, gx, gk
+
+
+class TestFusedMatchesReference:
+    """The fused recurrence and the loop-free convolutions against the paths they replace."""
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("t_steps", [1, 2, 7, 50])
+    def test_bidir_recurrent_matches_composed(self, cell, t_steps):
+        from distilrobust.gradchecks import composed_bidir_recurrent
+
+        rng = np.random.default_rng(t_steps)
+        gates, hidden, c_in = (4 if cell == "lstm" else 3), 5, 4
+        arrays = [rng.standard_normal((t_steps, c_in))]
+        for _ in range(2):
+            arrays += [0.5 * rng.standard_normal((c_in, gates * hidden)),
+                       0.5 * rng.standard_normal((hidden, gates * hidden)),
+                       0.3 * rng.standard_normal(gates * hidden)]
+
+        def run(op):
+            def fn(x, fwx, fwh, fb, bwx, bwh, bb):
+                params = T.BiRecurrentParams(T.RecurrentParams(fwx, fwh, fb),
+                                             T.RecurrentParams(bwx, bwh, bb), hidden, cell)
+                return op(x, params)
+            return _value_and_grads(fn, arrays)
+
+        fused, fused_grads, _ = run(T.bidir_recurrent)
+        composed, composed_grads, _ = run(composed_bidir_recurrent)
+        assert fused.shape == (t_steps, 2 * hidden)
+        np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+        assert len(fused_grads) == 7
+        for got, want in zip(fused_grads, composed_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_bidir_recurrent_is_one_node(self):
+        params = TestBidirRecurrent()._params(3, 4, "lstm")
+        x = leaf(np.random.default_rng(1).standard_normal((6, 3)))
+        out = T.bidir_recurrent(x, params)
+        assert out.op == "bidir_recurrent"
+        assert out.parents == (x, params.forward.w_x, params.forward.w_h, params.forward.bias,
+                               params.backward.w_x, params.backward.w_h, params.backward.bias)
+
+    def test_bidir_recurrent_rejects_bad_shapes(self):
+        x = leaf(np.ones((5, 3)))
+        params = TestBidirRecurrent()._params(3, 4, "gru")
+        with pytest.raises(ShapeError, match="at least one frame"):
+            T.bidir_recurrent(leaf(np.ones((0, 3))), params)
+        with pytest.raises(ParameterError, match="unknown recurrent cell"):
+            T.bidir_recurrent(x, T.BiRecurrentParams(params.forward, params.backward, 4, "rnn"))
+        params.backward.w_x = leaf(np.ones((2, 12)))
+        with pytest.raises(ShapeError, match="backward.w_x"):
+            T.bidir_recurrent(x, params)
+
+    @pytest.mark.parametrize("kw,stride", [(3, 2), (4, 2), (3, 1), (2, 5), (320, 320)])
+    @pytest.mark.parametrize("op,reference", [(T.conv1d, _conv1d_per_tap),
+                                              (T.conv1d_transposed, _conv1d_transposed_per_tap)])
+    def test_conv_matches_per_tap_loop(self, op, reference, kw, stride):
+        rng = np.random.default_rng(kw * 100 + stride)
+        c_in, c_out = 3, 2
+        # conv1d input with a ragged tail the last frame does not reach
+        x = rng.standard_normal((kw + 4 * stride + 1, c_in) if op is T.conv1d else (6, c_in))
+        k = rng.standard_normal((kw, c_in, c_out))
+        out, (gx, gk), cotangent = _value_and_grads(lambda a, b: op(a, b, stride=stride), [x, k])
+        want_out, want_gx, want_gk = reference(x, k, stride, cotangent)
+        for got, want in ((out, want_out), (gx, want_gx), (gk, want_gk)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -2,13 +2,14 @@
 
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
 import distilrobust.tensor as T
-from distilrobust.errors import ConfigError, DataError, ShapeError
+from distilrobust.errors import ConfigError, DataError, NumericError, ShapeError
 from distilrobust.trainer import (
     PAPER_SCALE_RECIPE,
     AdamMoments,
@@ -141,6 +142,24 @@ class TestAdamW:
         moments = AdamMoments.zeros_like(params)
         with pytest.raises(ShapeError):
             adamw_step(params, {"w": np.ones(3)}, moments, lr=1e-3)
+
+    def test_nonfinite_gradient_rejected_before_any_write(self):
+        rng = np.random.default_rng(3)
+        params = {name: T.parameter(rng.standard_normal(4)) for name in ("a", "b", "c")}
+        moments = AdamMoments.zeros_like(params)
+        grads = {name: rng.standard_normal(4) for name in params}
+        adamw_step(params, grads, moments, lr=1e-3)  # nonzero moments to protect
+        before = ({n: p.values.tobytes() for n, p in params.items()},
+                  {n: m.tobytes() for n, m in moments.m.items()},
+                  {n: v.tobytes() for n, v in moments.v.items()}, moments.step)
+        grads["b"] = grads["b"].copy()
+        grads["b"][2] = np.nan
+        with pytest.raises(NumericError, match="gradient for b is not finite"):
+            adamw_step(params, grads, moments, lr=1e-3)
+        after = ({n: p.values.tobytes() for n, p in params.items()},
+                 {n: m.tobytes() for n, m in moments.m.items()},
+                 {n: v.tobytes() for n, v in moments.v.items()}, moments.step)
+        assert after == before
 
 
 class TestPresets:
@@ -344,6 +363,24 @@ class TestTrainLoop:
               resume_from=str(out / "ckpt_000003.drtc"))
         assert (out / "metrics.jsonl").read_bytes() == full_metrics
         assert (out / "ckpt_final.drtc").read_bytes() == full_ckpt
+
+    def test_resume_from_moved_run_directory(self, tmp_path, banks):
+        noise, rirs = banks
+        final = tmp_path / "final"
+        train(tiny_config(final, "C1"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        full_metrics = (final / "metrics.jsonl").read_bytes()
+        full_ckpt = (final / "ckpt_final.drtc").read_bytes()
+        shutil.rmtree(final)
+
+        first = tmp_path / "first"
+        train(tiny_config(first, "C1"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
+              stop_after=5)
+        shutil.move(str(first), str(final))
+        train(tiny_config(final, "C1"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
+              resume_from=str(final / "ckpt_000003.drtc"))
+        assert not first.exists()
+        assert (final / "metrics.jsonl").read_bytes() == full_metrics
+        assert (final / "ckpt_final.drtc").read_bytes() == full_ckpt
 
     def test_resume_config_mismatch_rejected(self, tmp_path, banks):
         noise, rirs = banks
