@@ -6,11 +6,12 @@ randomness is involved); no global RNG state is touched.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import butter, lfilter
 
 from .errors import (
     DegenerateSignalError,
@@ -29,6 +30,9 @@ DEFAULT_SAMPLE_RATE_HZ = 16_000
 PCM16_SCALE = 32768  # int16 full scale; read maps q -> q / 32768
 
 ROOM_CLASSES = ("small", "medium", "large")
+
+NOISE_CUTOFF_HZ = 2000.0  # white noise is low-passed to this narrow band
+NOISE_FILTER_ORDER = 4  # Butterworth order of that low-pass
 
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
@@ -222,24 +226,37 @@ def convolve_rir(clean: Waveform, rir: RoomImpulseResponse) -> Waveform:
     return Waveform(wet * (rms(clean) / wet_rms), clean.sample_rate_hz)
 
 
-def white_noise(
-    length: int,
-    seed: int,
-    narrowband: bool = False,
-    sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ,
-    cutoff_hz: float = 2000.0,
-    filter_order: int = 4,
-) -> Waveform:
-    """Seeded standard-normal noise, optionally low-passed to a narrow band.
+@lru_cache
+def _lowpass_taps(sample_rate_hz: int) -> np.ndarray:
+    """Read-only impulse response of the Butterworth low-pass that shapes white noise.
 
-    The narrowband variant applies a 4th-order Butterworth low-pass at 2 kHz
-    (both configurable); the generator output is identical for a fixed seed.
+    Digital poles z_k come from the analog ones by a bilinear transform prewarped to
+    NOISE_CUTOFF_HZ. The response (1 + z^-1)^N / prod(1 - z_k z^-1), 1 at DC, is inverted
+    from an FFT grid and cut at the first n taps with max|z_k|^n < 1e-17.
+    """
+    fs, order = float(sample_rate_hz), NOISE_FILTER_ORDER
+    if fs <= 2.0 * NOISE_CUTOFF_HZ:
+        raise ParameterError(f"white noise at {sample_rate_hz} Hz cannot be low-passed at "
+                             f"{NOISE_CUTOFF_HZ:g} Hz: the rate must exceed "
+                             f"{2 * NOISE_CUTOFF_HZ:g} Hz")
+    warped = 2.0 * fs * math.tan(math.pi * NOISE_CUTOFF_HZ / fs)
+    analog = warped * np.exp(1j * np.pi * (2 * np.arange(order) + order + 1) / (2 * order))
+    poles = (2.0 * fs + analog) / (2.0 * fs - analog)
+    n = math.floor(-17.0 / math.log10(np.abs(poles).max())) + 1
+    z_inv = np.exp(-1j * np.pi * np.arange(n + 1) / n)  # rfft grid of 2n points
+    response = (1.0 + z_inv) ** order / np.prod(1.0 - poles[:, None] * z_inv, axis=0)
+    taps = np.fft.irfft(response / response[0].real, 2 * n)[:n]
+    taps.flags.writeable = False
+    return taps
+
+
+def white_noise(length: int, seed: int, sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ) -> Waveform:
+    """Seeded standard-normal noise through the 4th-order 2 kHz Butterworth low-pass.
+
+    The rate must exceed 4 kHz; a fixed seed gives identical output.
     """
     if length <= 0:
         raise ParameterError(f"noise length must be positive, got {length}")
-    rng = np.random.default_rng(seed)
-    samples = rng.standard_normal(length)
-    if narrowband:
-        b, a = butter(filter_order, cutoff_hz / (sample_rate_hz / 2.0), btype="low")
-        samples = lfilter(b, a, samples)
-    return Waveform(samples, sample_rate_hz)
+    samples = np.random.default_rng(seed).standard_normal(length)
+    return Waveform(np.convolve(samples, _lowpass_taps(sample_rate_hz))[:length],
+                    sample_rate_hz)

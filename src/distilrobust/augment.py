@@ -194,8 +194,7 @@ def _noise_for_plan(clean: Waveform, plan: AugmentPlan, noise_bank) -> Waveform:
         if not 0 <= plan.noise_index < len(noise_bank):
             raise DataError(f"noise index {plan.noise_index} outside bank of {len(noise_bank)}")
         return noise_bank[plan.noise_index]
-    return white_noise(len(clean), stable_hash(plan.seed, "white"), narrowband=True,
-                       sample_rate_hz=clean.sample_rate_hz)
+    return white_noise(len(clean), stable_hash(plan.seed, "white"), clean.sample_rate_hz)
 
 
 def _apply_noise(clean: Waveform, plan: AugmentPlan, noise_bank) -> Waveform:
@@ -211,9 +210,8 @@ def _apply_reverb(w: Waveform, plan: AugmentPlan, rir_bank) -> Waveform:
     return convolve_rir(w, rir_bank[plan.rir_index])
 
 
-def apply_plan(clean: Waveform, plan: AugmentPlan, noise_bank, rir_bank,
-               noise_first: bool = True) -> Waveform:
-    """Realize a plan on one clean utterance; output length equals input length."""
+def apply_plan(clean: Waveform, plan: AugmentPlan, noise_bank, rir_bank) -> Waveform:
+    """Realize a plan on one utterance (noise, then reverb); output length equals input length."""
     if plan.action is AugmentAction.A1_CLEAN:
         return Waveform(clean.samples.copy(), clean.sample_rate_hz)
     if plan.action is AugmentAction.A2_NOISE:
@@ -221,17 +219,14 @@ def apply_plan(clean: Waveform, plan: AugmentPlan, noise_bank, rir_bank,
     if plan.action is AugmentAction.A3_REVERB:
         out = _apply_reverb(clean, plan, rir_bank)
         return out if out is not clean else Waveform(clean.samples.copy(), clean.sample_rate_hz)
-    if noise_first:
-        return _apply_reverb(_apply_noise(clean, plan, noise_bank), plan, rir_bank)
-    return _apply_noise(_apply_reverb(clean, plan, rir_bank), plan, noise_bank)
+    return _apply_reverb(_apply_noise(clean, plan, noise_bank), plan, rir_bank)
 
 
 def utterance_seed(master_seed: int, iteration: int, index: int) -> int:
     return stable_hash(master_seed, iteration, index)
 
 
-def augment_batch(batch, state: CurriculumState, noise_bank, rir_bank, master_seed: int,
-                  noise_first: bool = True):
+def augment_batch(batch, state: CurriculumState, noise_bank, rir_bank, master_seed: int):
     """Contaminate a batch; each utterance depends only on its own index and seed."""
     if not batch:
         raise ParameterError("augment_batch needs a nonempty batch")
@@ -239,8 +234,7 @@ def augment_batch(batch, state: CurriculumState, noise_bank, rir_bank, master_se
     for index, clean in enumerate(batch):
         seed = utterance_seed(master_seed, state.iteration, index)
         plan = sample_plan(state, len(noise_bank), len(rir_bank), seed)
-        pairs.append((apply_plan(clean, plan, noise_bank, rir_bank, noise_first=noise_first),
-                      plan))
+        pairs.append((apply_plan(clean, plan, noise_bank, rir_bank), plan))
     return pairs
 
 

@@ -8,20 +8,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .augment import stable_hash
 from .errors import ParameterError
 from .losses import STFTParams, kd_loss, l1_freq, l1_wav
 
 
 def _rng(tag: str) -> np.random.Generator:
-    return np.random.default_rng(abs(hash_tag(tag)) % (2**32))
-
-
-def hash_tag(tag: str) -> int:
-    # tiny stable string hash; avoids the salted builtin
-    value = 0
-    for ch in tag:
-        value = (value * 131 + ord(ch)) % (2**31)
-    return value
+    return np.random.default_rng(stable_hash(tag))
 
 
 def _separated_pair(rng, shape, gap: float = 0.15):

@@ -6,8 +6,7 @@ width-normalized L1 distance plus a log-sigmoid cosine term:
 
     sum_l sum_t [ (1/D) * ||h_t - s_t||_1  -  log sigmoid(cos(h_t, s_t)) ]
 
-It is a sum, not a mean; an optional per-frame normalization exists for
-stability experiments but defaults off.
+It is a sum, not a mean.
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ class KDLossParts:
     cos: T.Tensor
 
 
-def kd_loss_parts(teacher_maps, student_maps, layers=DEFAULT_DISTILL_LAYERS,
-                  normalize_by_frames: bool = False) -> KDLossParts:
+def kd_loss_parts(teacher_maps, student_maps, layers=DEFAULT_DISTILL_LAYERS) -> KDLossParts:
     layers = tuple(layers)
     if not layers:
         raise ConfigError("distillation needs at least one layer")
@@ -79,18 +77,16 @@ def kd_loss_parts(teacher_maps, student_maps, layers=DEFAULT_DISTILL_LAYERS,
         if h.values.shape != s.values.shape:
             raise ShapeError(f"layer {l}: teacher {h.values.shape} vs student "
                              f"{s.values.shape}")
-        n_frames, width = h.values.shape
-        norm = 1.0 / n_frames if normalize_by_frames else 1.0
-        l1_term = T.scale(T.sum_all(T.l1_distance(s, h)), norm / width)
-        cos_term = T.scale(T.sum_all(T.log(T.sigmoid(T.cosine_sim_rows(s, h)))), -norm)
+        width = h.values.shape[1]
+        l1_term = T.scale(T.sum_all(T.l1_distance(s, h)), 1.0 / width)
+        cos_term = T.scale(T.sum_all(T.log(T.sigmoid(T.cosine_sim_rows(s, h)))), -1.0)
         l1_total = l1_term if l1_total is None else T.add(l1_total, l1_term)
         cos_total = cos_term if cos_total is None else T.add(cos_total, cos_term)
     return KDLossParts(total=T.add(l1_total, cos_total), l1=l1_total, cos=cos_total)
 
 
-def kd_loss(teacher_maps, student_maps, layers=DEFAULT_DISTILL_LAYERS,
-            normalize_by_frames: bool = False) -> T.Tensor:
-    return kd_loss_parts(teacher_maps, student_maps, layers, normalize_by_frames).total
+def kd_loss(teacher_maps, student_maps, layers=DEFAULT_DISTILL_LAYERS) -> T.Tensor:
+    return kd_loss_parts(teacher_maps, student_maps, layers).total
 
 
 def _as_equal_length_1d(enhanced, clean, op: str) -> tuple[T.Tensor, T.Tensor]:

@@ -220,7 +220,7 @@ def gelu(x) -> Tensor:
     """GELU via the tanh approximation 0.5*x*(1 + tanh(c1*(x + c2*x^3)))."""
     x = as_tensor(x)
     v = x.values
-    inner = _GELU_C1 * (v + _GELU_C2 * v**3)
+    inner = _GELU_C1 * (v + _GELU_C2 * v * v * v)
     t = np.tanh(inner)
     out = 0.5 * v * (1.0 + t)
 

@@ -94,8 +94,6 @@ class TrainConfig:
     stft_hop: int = 160
     stft_fft: int = 512
     crop_samples: int = 16000
-    noise_before_reverb: bool = True
-    kd_normalize_by_frames: bool = False
     grad_clip: float | None = None  # not supported; kept as an explicit null
     dropout: float | None = None  # not supported; kept as an explicit null
     checkpoint_every: int = 100
@@ -456,8 +454,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
             threshold = reverb_threshold(sched)
             try:
                 pairs = augment_batch(cleans, sched, noise_bank, rir_bank,
-                                      stable_hash(cfg.master_seed, "aug", iteration),
-                                      noise_first=cfg.noise_before_reverb)
+                                      stable_hash(cfg.master_seed, "aug", iteration))
             except DistilRobustError as exc:
                 raise DataError(f"iteration {iteration}, utterances {batch_ids}: {exc}") from exc
 
@@ -468,8 +465,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                 plans.append(plan)
                 teacher_maps = teacher_forward(teacher, clean)
                 out = student_forward(student, augmented)
-                parts = kd_loss_parts(teacher_maps, out.predictions, cfg.distill_layers,
-                                      normalize_by_frames=cfg.kd_normalize_by_frames)
+                parts = kd_loss_parts(teacher_maps, out.predictions, cfg.distill_layers)
                 l1_parts.append(parts.l1)
                 cos_parts.append(parts.cos)
                 if cfg.enhancement_loss == "l1_wav":

@@ -3,13 +3,16 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import distilrobust
 import distilrobust.tensor as T
-from distilrobust.audio import read_wav
+from distilrobust.audio import RoomImpulseResponse, Waveform, read_wav, write_wav
 from distilrobust.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main, render_metrics_svg
 from distilrobust.losses import IDENTITY_COSINE_TERM
 from distilrobust.trainer import TrainConfig, load_metrics
@@ -123,6 +126,31 @@ class TestAugmentCommand:
                        "--seed", 77, "--out-dir", out_flag) == EXIT_OK
         assert (out_env / "plans.jsonl").read_bytes() == \
             (out_flag / "plans.jsonl").read_bytes()
+
+    def test_white_noise_below_twice_cutoff_exits_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        rows = {"speech": [], "noise": [], "rir": []}
+        for i in range(12):
+            write_wav(Waveform(0.3 * rng.standard_normal(4000), 4000), tmp_path / f"s{i}.wav")
+            rows["speech"].append({"id": f"s{i}", "path": f"s{i}.wav", "kind": "speech"})
+        for i in range(2):
+            write_wav(Waveform(0.3 * rng.standard_normal(4000), 4000), tmp_path / f"n{i}.wav")
+            rows["noise"].append({"id": f"n{i}", "path": f"n{i}.wav", "kind": "noise"})
+            rir = RoomImpulseResponse(np.r_[1.0, 0.2 * rng.standard_normal(50)], 4000)
+            write_wav(Waveform(rir.taps, 4000), tmp_path / f"r{i}.wav")
+            rows["rir"].append({"id": f"r{i}", "path": f"r{i}.wav", "kind": "rir",
+                                "room_class": "medium"})
+        manifests = {k: write_manifest(tmp_path / f"{k}.jsonl", v) for k, v in rows.items()}
+        code = run_cli("augment", "--manifest", manifests["speech"],
+                       "--noise-bank", manifests["noise"], "--rir-bank", manifests["rir"],
+                       "--iterations", 10, "--iter", 10,
+                       "--seed", 3, "--out-dir", tmp_path / "x")
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "4000 Hz" in errors[0] and "2000 Hz" in errors[0]
 
     def test_bad_env_seed_exits_1(self, disk_assets, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DISTILROBUST_SEED", "not-a-number")
@@ -320,3 +348,13 @@ class TestPlotCommand:
         for title in ("combined loss", "learning rate", "snr lower bound tau",
                       "reverb threshold"):
             assert title in svg
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(distilrobust.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, distilrobust.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -113,13 +113,6 @@ class TestDistillLoss:
         double = kd_loss(doubled_t, doubled_s, layers=(4,)).item()
         assert double == pytest.approx(2.0 * single, rel=1e-12)
 
-    def test_optional_frame_normalization(self):
-        rng = np.random.default_rng(6)
-        teacher, student = random_maps(rng, (4,), 5, 4)
-        raw = kd_loss(teacher, student, layers=(4,)).item()
-        normed = kd_loss(teacher, student, layers=(4,), normalize_by_frames=True).item()
-        assert normed == pytest.approx(raw / 5, rel=1e-12)
-
     def test_missing_layer_named(self):
         teacher = {4: np.ones((2, 2))}
         student = {4: np.ones((2, 2))}
