@@ -108,7 +108,7 @@ def read_wav(path) -> Waveform:
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
-            if chunk_size < 16:
+            if len(body) < 16:  # declared short, or cut short by the end of the file
                 raise WavFormatError(f"{path}: fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":

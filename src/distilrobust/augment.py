@@ -248,7 +248,6 @@ class ManifestEntry:
     path: str
     kind: str  # "speech" | "noise" | "rir"
     room_class: str | None = None
-    duration_s: float | None = None
 
 
 def load_manifest(path, expect_kind: str | None = None,
@@ -266,6 +265,8 @@ def load_manifest(path, expect_kind: str | None = None,
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{line_no}: record must be a JSON object")
             for key in ("id", "path", "kind"):
                 if key not in record:
                     raise DataError(f"{path}:{line_no}: missing field {key!r}")
@@ -279,6 +280,8 @@ def load_manifest(path, expect_kind: str | None = None,
                 raise DataError(f"{path}:{line_no}: duplicate id {entry_id!r}")
             seen.add(entry_id)
             wav_path = record["path"]
+            if not isinstance(wav_path, str):
+                raise DataError(f"{path}:{line_no}: path must be a string, got {wav_path!r}")
             if not os.path.isabs(wav_path):
                 wav_path = os.path.join(base, wav_path)
             if require_exists and not os.path.exists(wav_path):
@@ -286,10 +289,8 @@ def load_manifest(path, expect_kind: str | None = None,
             room_class = record.get("room_class")
             if room_class is not None and room_class not in ROOM_CLASSES:
                 raise DataError(f"{path}:{line_no}: unknown room_class {room_class!r}")
-            duration = record.get("duration_s")
             entries.append(ManifestEntry(id=entry_id, path=wav_path, kind=kind,
-                                         room_class=room_class,
-                                         duration_s=None if duration is None else float(duration)))
+                                         room_class=room_class))
     if not entries:
         raise DataError(f"{path}: empty manifest")
     return entries

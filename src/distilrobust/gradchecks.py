@@ -124,27 +124,24 @@ def _check_stft_mag():
     return (lambda x: T.stft_mag(x, window, hop=4, fft_size=16)), [rng.standard_normal(24)]
 
 
-def _bidir_inputs(cell: str):
-    rng = _rng("bidir_" + cell)
-    gates = 4 if cell == "lstm" else 3
+def _check_bidir_lstm():
+    rng = _rng("bidir_lstm")
     hidden = 2
     x = rng.standard_normal((5, 3))
     arrays = [x]
     for _ in range(2):  # forward then backward direction
-        arrays.append(rng.standard_normal((3, gates * hidden)) * 0.5)
-        arrays.append(rng.standard_normal((hidden, gates * hidden)) * 0.5)
-        arrays.append(rng.standard_normal(gates * hidden) * 0.1)
+        arrays.append(rng.standard_normal((3, 4 * hidden)) * 0.5)
+        arrays.append(rng.standard_normal((hidden, 4 * hidden)) * 0.5)
+        arrays.append(rng.standard_normal(4 * hidden) * 0.1)
 
     def fn(xt, fwx, fwh, fb, bwx, bwh, bb):
-        params = T.BiRecurrentParams(forward=T.RecurrentParams(fwx, fwh, fb),
-                                     backward=T.RecurrentParams(bwx, bwh, bb),
-                                     hidden=hidden, cell=cell)
-        return T.bidir_recurrent(xt, params)
+        return T.bidir_recurrent(xt, T.RecurrentParams(fwx, fwh, fb),
+                                 T.RecurrentParams(bwx, bwh, bb))
 
     return fn, arrays
 
 
-# Composed reference of `tensor.bidir_recurrent`: the same cells built step by
+# Composed reference of `tensor.bidir_recurrent`: the same LSTM built step by
 # step from graph ops (about 19 nodes per step), so the fused op can be checked
 # against a path whose gradients come from the generic vjps alone.
 
@@ -169,46 +166,14 @@ def _lstm_direction(x: T.Tensor, p: T.RecurrentParams, hidden: int,
     return outputs  # type: ignore[return-value]
 
 
-def _gru_direction(x: T.Tensor, p: T.RecurrentParams, hidden: int,
-                   reverse: bool) -> list[T.Tensor]:
-    t_steps = x.values.shape[0]
-    h = T.Tensor(np.zeros((1, hidden)))
-    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
-    outputs: list[T.Tensor | None] = [None] * t_steps
-    ones = T.Tensor(np.ones((1, hidden)))
-    for t in order:
-        x_t = T.narrow(x, 0, t, 1)
-        zx = T.linear(x_t, p.w_x)
-        zh = T.linear(h, p.w_h)
-        bias_row = T.reshape(p.bias, (1, -1))
-        u_g = T.sigmoid(T.add(T.add(T.narrow(zx, 1, 0, hidden), T.narrow(zh, 1, 0, hidden)),
-                              T.narrow(bias_row, 1, 0, hidden)))
-        r_g = T.sigmoid(T.add(T.add(T.narrow(zx, 1, hidden, hidden),
-                                    T.narrow(zh, 1, hidden, hidden)),
-                              T.narrow(bias_row, 1, hidden, hidden)))
-        cand = T.tanh(T.add(T.add(T.narrow(zx, 1, 2 * hidden, hidden),
-                                  T.mul(r_g, T.narrow(zh, 1, 2 * hidden, hidden))),
-                            T.narrow(bias_row, 1, 2 * hidden, hidden)))
-        h = T.add(T.mul(T.sub_from(ones, u_g), h), T.mul(u_g, cand))
-        outputs[t] = h
-    return outputs  # type: ignore[return-value]
-
-
-def composed_bidir_recurrent(x, params: T.BiRecurrentParams) -> T.Tensor:
+def composed_bidir_recurrent(x, forward: T.RecurrentParams,
+                             backward: T.RecurrentParams) -> T.Tensor:
     """What `tensor.bidir_recurrent` computes, as a per-step graph of generic ops."""
     x = T.as_tensor(x)
-    step = {"lstm": _lstm_direction, "gru": _gru_direction}[params.cell]
-    fwd = step(x, params.forward, params.hidden, reverse=False)
-    bwd = step(x, params.backward, params.hidden, reverse=True)
+    hidden = forward.w_h.values.shape[0]
+    fwd = _lstm_direction(x, forward, hidden, reverse=False)
+    bwd = _lstm_direction(x, backward, hidden, reverse=True)
     return T.concat([T.concat([f, b], axis=1) for f, b in zip(fwd, bwd)], axis=0)
-
-
-def _check_bidir_lstm():
-    return _bidir_inputs("lstm")
-
-
-def _check_bidir_gru():
-    return _bidir_inputs("gru")
 
 
 def _check_composition():
@@ -283,7 +248,6 @@ CHECKS = {
     "cosine_sim_rows": _check_cosine_sim_rows,
     "stft_mag": _check_stft_mag,
     "bidir_lstm": _check_bidir_lstm,
-    "bidir_gru": _check_bidir_gru,
     "composition_conv_gelu_linear": _check_composition,
     "kd_loss": _check_kd_loss,
     "l1_wav": _check_l1_wav,

@@ -1,5 +1,5 @@
 """Frozen toy teacher, compact student with per-layer prediction heads, and a
-waveform-reconstruction head (bidirectional recurrence + seven transposed
+waveform-reconstruction head (bidirectional LSTM + seven transposed
 convolutions, each followed by GELU).
 
 The teacher is a seeded random-weight network that stands in for a large
@@ -27,6 +27,7 @@ DEFAULT_FRAME_STRIDE = 320
 DEFAULT_DISTILL_LAYERS = (4, 8, 12)
 DEFAULT_DECONV_STRIDES = (2, 2, 2, 2, 2, 2, 5)
 N_DECONV_LAYERS = 7
+BLOCK_WIDTH_MULTIPLIER = 2  # a mixing block's inner width is 2 * dim
 
 
 def _init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -67,19 +68,17 @@ class TeacherSurrogate:
     """Frozen, seeded feature extractor with one (T, D) map per layer."""
 
     def __init__(self, n_layers: int = DEFAULT_TEACHER_LAYERS, dim: int = DEFAULT_DIM,
-                 frame_stride: int = DEFAULT_FRAME_STRIDE, hidden_multiplier: int = 2,
-                 seed: int = 0):
+                 frame_stride: int = DEFAULT_FRAME_STRIDE, seed: int = 0):
         if n_layers < 1:
             raise ConfigError(f"teacher needs at least one layer, got {n_layers}")
-        if dim < 1 or frame_stride < 1 or hidden_multiplier < 1:
-            raise ConfigError("dim, frame_stride, and hidden_multiplier must be positive")
+        if dim < 1 or frame_stride < 1:
+            raise ConfigError("dim and frame_stride must be positive")
         self.n_layers = n_layers
         self.dim = dim
         self.frame_stride = frame_stride
-        self.hidden_multiplier = hidden_multiplier
         self.seed = seed
         rng = np.random.default_rng(seed)
-        hidden = dim * hidden_multiplier
+        hidden = dim * BLOCK_WIDTH_MULTIPLIER
         arrays: dict[str, np.ndarray] = {
             "frontend.kernel": _init(rng, (frame_stride, 1, dim), frame_stride),
         }
@@ -110,11 +109,9 @@ class StudentConfig:
     dim: int = DEFAULT_DIM
     n_student_layers: int = DEFAULT_STUDENT_LAYERS
     frame_stride: int = DEFAULT_FRAME_STRIDE
-    hidden_multiplier: int = 2
     distill_layers: tuple[int, ...] = DEFAULT_DISTILL_LAYERS
     enhancement: bool = False
     enh_hidden: int | None = None  # None: same as dim
-    cell_type: str = "lstm"
     deconv_strides: tuple[int, ...] = DEFAULT_DECONV_STRIDES
 
     def __post_init__(self):
@@ -134,8 +131,6 @@ class StudentConfig:
                               f"{self.distill_layers}")
         if self.enh_hidden < 1:
             raise ConfigError(f"enhancement hidden size must be positive, got {self.enh_hidden}")
-        if self.cell_type not in ("lstm", "gru"):
-            raise ConfigError(f"cell_type must be 'lstm' or 'gru', got {self.cell_type!r}")
         if len(self.deconv_strides) != N_DECONV_LAYERS:
             raise ConfigError(f"deconv stack must have exactly {N_DECONV_LAYERS} layers, "
                               f"got {len(self.deconv_strides)}")
@@ -194,12 +189,11 @@ def _deconv_channel_plan(first_in: int, n_layers: int) -> list[tuple[int, int]]:
 
 def _init_enhancement(rng: np.random.Generator, cfg: StudentConfig) -> dict[str, np.ndarray]:
     hidden = cfg.enh_hidden
-    gates = 4 if cfg.cell_type == "lstm" else 3
     arrays: dict[str, np.ndarray] = {}
-    for direction in ("fwd", "bwd"):
-        arrays[f"enhancement.rnn.{direction}.w_x"] = _init(rng, (cfg.dim, gates * hidden), cfg.dim)
-        arrays[f"enhancement.rnn.{direction}.w_h"] = _init(rng, (hidden, gates * hidden), hidden)
-        arrays[f"enhancement.rnn.{direction}.bias"] = np.zeros(gates * hidden)
+    for direction in ("fwd", "bwd"):  # LSTM gates packed in 4 * hidden columns
+        arrays[f"enhancement.rnn.{direction}.w_x"] = _init(rng, (cfg.dim, 4 * hidden), cfg.dim)
+        arrays[f"enhancement.rnn.{direction}.w_h"] = _init(rng, (hidden, 4 * hidden), hidden)
+        arrays[f"enhancement.rnn.{direction}.bias"] = np.zeros(4 * hidden)
     for i, ((c_in, c_out), stride) in enumerate(
             zip(_deconv_channel_plan(2 * hidden, N_DECONV_LAYERS), cfg.deconv_strides), start=1):
         kw = 2 * stride
@@ -212,16 +206,13 @@ def init_student_from_teacher(teacher: TeacherSurrogate,
                               distill_layers=DEFAULT_DISTILL_LAYERS,
                               enhancement: bool = False,
                               enh_hidden: int | None = None,
-                              cell_type: str = "lstm",
                               deconv_strides=DEFAULT_DECONV_STRIDES,
                               seed: int = 1) -> StudentModel:
     """Copy the teacher's front-end and first blocks; heads start seeded-random."""
     config = StudentConfig(dim=teacher.dim, n_student_layers=n_student_layers,
                            frame_stride=teacher.frame_stride,
-                           hidden_multiplier=teacher.hidden_multiplier,
                            distill_layers=distill_layers, enhancement=enhancement,
-                           enh_hidden=enh_hidden, cell_type=cell_type,
-                           deconv_strides=deconv_strides)
+                           enh_hidden=enh_hidden, deconv_strides=deconv_strides)
     check_fits_teacher(config, teacher.n_layers)
 
     params: dict[str, T.Tensor] = {}
@@ -244,13 +235,11 @@ def init_student_from_teacher(teacher: TeacherSurrogate,
 def _enhancement_forward(student: StudentModel, rep: T.Tensor, n_samples: int) -> T.Tensor:
     cfg = student.config
     p = student.params
-    rnn = T.BiRecurrentParams(
-        forward=T.RecurrentParams(p["enhancement.rnn.fwd.w_x"], p["enhancement.rnn.fwd.w_h"],
-                                  p["enhancement.rnn.fwd.bias"]),
-        backward=T.RecurrentParams(p["enhancement.rnn.bwd.w_x"], p["enhancement.rnn.bwd.w_h"],
-                                   p["enhancement.rnn.bwd.bias"]),
-        hidden=cfg.enh_hidden, cell=cfg.cell_type)
-    h = T.bidir_recurrent(rep, rnn)
+    forward, backward = (T.RecurrentParams(p[f"enhancement.rnn.{d}.w_x"],
+                                           p[f"enhancement.rnn.{d}.w_h"],
+                                           p[f"enhancement.rnn.{d}.bias"])
+                         for d in ("fwd", "bwd"))
+    h = T.bidir_recurrent(rep, forward, backward)
     for i, stride in enumerate(cfg.deconv_strides, start=1):
         h = T.gelu(T.conv1d_transposed(h, p[f"enhancement.deconv{i}.kernel"], stride=stride))
     flat = T.reshape(h, (-1,))

@@ -6,8 +6,8 @@ resulting adjoints into the leaves' `.grad`, so repeated calls accumulate. Every
 allocates fresh output buffers and never mutates its inputs.
 
 Sequence ops are single nodes with hand-written vjps: `bidir_recurrent` runs
-both directions of an LSTM or GRU over a whole (T, C) sequence in plain numpy
-loops and backpropagates through time in one vjp, and the convolutions do one
+both directions of an LSTM over a whole (T, C) sequence in plain numpy loops
+and backpropagates through time in one vjp, and the convolutions do one
 matmul per run of `stride` kernel taps instead of one per tap. `gradchecks`
 keeps the per-step composed recurrence as their reference.
 """
@@ -482,15 +482,14 @@ def conv1d_transposed(x, k, stride: int = 1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# recurrent cells
+# bidirectional LSTM
 
 
 @dataclass
 class RecurrentParams:
-    """One direction of a recurrent layer: input map, state map, bias.
+    """One direction of an LSTM layer: input map (C, 4H), state map (H, 4H), bias (4H,).
 
-    LSTM gates are packed (input, forget, cell, output) along the last axis of
-    4H columns; the gated fallback packs (update, reset, candidate) in 3H.
+    The gates are packed (input, forget, cell, output) along the last axis.
     """
 
     w_x: Tensor
@@ -498,18 +497,11 @@ class RecurrentParams:
     bias: Tensor
 
 
-@dataclass
-class BiRecurrentParams:
-    forward: RecurrentParams
-    backward: RecurrentParams
-    hidden: int
-    cell: str = "lstm"  # "lstm" | "gru"
-
-
-# Each cell is a pair of plain numpy loops over one direction. `run` takes the
-# hoisted input projection zx = x @ w_x + bias (T, gH) and returns the states
-# h_1..h_T plus a tape; `bptt` takes dL/dh_t for every t and returns the adjoint
-# of zx, the adjoint of the state projection h_{t-1} @ w_h, and h_0..h_{T-1}.
+# One direction is a pair of plain numpy loops. `_lstm_run` takes the hoisted
+# input projection zx = x @ w_x + bias (T, 4H) and returns the states h_1..h_T
+# plus a tape; `_lstm_bptt` takes dL/dh_t for every t and returns the adjoint of
+# the pre-activations (T, 4H), which is the adjoint of both zx and the state
+# projection h_{t-1} @ w_h, together with h_0..h_{T-1}.
 
 
 def _lstm_run(zx: np.ndarray, w_h: np.ndarray, hidden: int):
@@ -550,73 +542,30 @@ def _lstm_bptt(dh_out: np.ndarray, w_h: np.ndarray, tape):
         dz[t, 3] = dh * dh_to_zo[t]
         dc = dc * f[t]
         dh = dz[t].reshape(-1) @ w_h_t
-    dz = dz.reshape(t_steps, 4 * hidden)
-    return dz, dz, states[:-1]
+    return dz.reshape(t_steps, 4 * hidden), states[:-1]
 
 
-def _gru_run(zx: np.ndarray, w_h: np.ndarray, hidden: int):
-    t_steps = zx.shape[0]
-    acts = np.empty((t_steps, 3, hidden))  # u, r, candidate
-    cand_state = np.empty((t_steps, hidden))  # candidate columns of h_{t-1} @ w_h
-    states = np.zeros((t_steps + 1, hidden))  # h_0 = 0, then h_1..h_T
-    for t in range(t_steps):
-        zh = states[t] @ w_h
-        u, r = _sigmoid_values(zx[t, : 2 * hidden] + zh[: 2 * hidden]).reshape(2, hidden)
-        cand = np.tanh(zx[t, 2 * hidden :] + r * zh[2 * hidden :])
-        states[t + 1] = (1.0 - u) * states[t] + u * cand
-        acts[t] = u, r, cand
-        cand_state[t] = zh[2 * hidden :]
-    return states[1:], (acts, cand_state, states)
+def bidir_recurrent(x, forward: RecurrentParams, backward: RecurrentParams) -> Tensor:
+    """Bidirectional LSTM over (T, C) rows -> (T, 2*hidden), as one graph node.
 
-
-def _gru_bptt(dh_out: np.ndarray, w_h: np.ndarray, tape):
-    acts, cand_state, states = tape
-    t_steps, _, hidden = acts.shape
-    u, r, cand = (acts[:, k] for k in range(3))
-    h_prev = states[:-1]
-    # dz per unit dh: the input side sees (u, r, cand); the state side sees r * cand
-    dz_cand = u * (1.0 - cand * cand)
-    dzx_per_dh = np.stack([(cand - h_prev) * u * (1.0 - u),
-                           dz_cand * cand_state * r * (1.0 - r), dz_cand], axis=1)
-    dzh_per_dh = dzx_per_dh.copy()
-    dzh_per_dh[:, 2] *= r
-    keep = 1.0 - u
-    w_h_t = w_h.T
-    dhs = np.empty((t_steps, hidden))
-    dh = np.zeros(hidden)
-    for t in range(t_steps - 1, -1, -1):
-        dh = dh + dh_out[t]
-        dhs[t] = dh
-        dh = dh * keep[t] + (dh * dzh_per_dh[t]).reshape(-1) @ w_h_t
-    dzx = (dhs[:, None, :] * dzx_per_dh).reshape(t_steps, 3 * hidden)
-    dzh = (dhs[:, None, :] * dzh_per_dh).reshape(t_steps, 3 * hidden)
-    return dzx, dzh, h_prev
-
-
-_CELLS = {"lstm": (4, _lstm_run, _lstm_bptt), "gru": (3, _gru_run, _gru_bptt)}
-
-
-def bidir_recurrent(x, params: BiRecurrentParams) -> Tensor:
-    """Bidirectional recurrence over (T, C) rows -> (T, 2*hidden), as one graph node.
-
-    Each direction projects all inputs at once, x @ w_x + bias, then steps the
-    state in a numpy loop; the vjp backpropagates through time and forms the
-    weight gradients with one matmul each after its loop.
+    The hidden size H is the row count of `forward.w_h`; every weight of both
+    directions is checked against it. Each direction projects all inputs at
+    once, x @ w_x + bias, then steps the state in a numpy loop; the vjp
+    backpropagates through time and forms the weight gradients with one matmul
+    each after its loop.
     """
     x = as_tensor(x)
     if x.values.ndim != 2:
         raise ShapeError(f"bidir_recurrent needs (T, C), got {x.values.shape}")
-    if params.cell not in _CELLS:
-        raise ParameterError(f"unknown recurrent cell {params.cell!r}")
-    gates, run, bptt = _CELLS[params.cell]
     t_steps, c_in = x.values.shape
-    hidden = params.hidden
+    w_h_shape = forward.w_h.values.shape
+    hidden = w_h_shape[0] if w_h_shape else 0
     if t_steps < 1:
         raise ShapeError("bidir_recurrent needs at least one frame")
-    directions = (params.forward, params.backward)
+    directions = (forward, backward)
     for name, p in zip(("forward", "backward"), directions):
-        for field_, want in (("w_x", (c_in, gates * hidden)),
-                             ("w_h", (hidden, gates * hidden)), ("bias", (gates * hidden,))):
+        for field_, want in (("w_x", (c_in, 4 * hidden)),
+                             ("w_h", (hidden, 4 * hidden)), ("bias", (4 * hidden,))):
             got = getattr(p, field_).values.shape
             if got != want:
                 raise ShapeError(f"bidir_recurrent: {name}.{field_} has shape {got}, "
@@ -625,7 +574,7 @@ def bidir_recurrent(x, params: BiRecurrentParams) -> Tensor:
     inputs = (x.values, np.ascontiguousarray(x.values[::-1]))  # backward runs on reversed time
     states, tapes = [], []
     for p, rows in zip(directions, inputs):
-        h, tape = run(rows @ p.w_x.values + p.bias.values, p.w_h.values, hidden)
+        h, tape = _lstm_run(rows @ p.w_x.values + p.bias.values, p.w_h.values, hidden)
         states.append(h)
         tapes.append(tape)
     out = np.concatenate([states[0], states[1][::-1]], axis=1)
@@ -635,9 +584,9 @@ def bidir_recurrent(x, params: BiRecurrentParams) -> Tensor:
         gx = np.zeros_like(x.values)
         for p, rows, tape, dh_out, flip in zip(directions, inputs, tapes,
                                                (g[:, :hidden], g[::-1, hidden:]), (1, -1)):
-            dzx, dzh, h_prev = bptt(dh_out, p.w_h.values, tape)
-            gx += (dzx @ p.w_x.values.T)[::flip]
-            grads += [rows.T @ dzx, h_prev.T @ dzh, dzx.sum(axis=0)]
+            dz, h_prev = _lstm_bptt(dh_out, p.w_h.values, tape)
+            gx += (dz @ p.w_x.values.T)[::flip]
+            grads += [rows.T @ dz, h_prev.T @ dz, dz.sum(axis=0)]
         return (gx, *grads)
 
     parents = (x,) + tuple(t for p in directions for t in (p.w_x, p.w_h, p.bias))

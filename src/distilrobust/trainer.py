@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -86,9 +87,7 @@ class TrainConfig:
     dim: int = 32
     student_layers: int = 2
     frame_stride: int = 320
-    hidden_multiplier: int = 2
     enh_hidden: int | None = None
-    cell_type: str = "lstm"
     deconv_strides: tuple[int, ...] = (2, 2, 2, 2, 2, 2, 5)
     stft_window: int = 400
     stft_hop: int = 160
@@ -163,10 +162,15 @@ class TrainConfig:
     def from_dict(cls, record: dict) -> "TrainConfig":
         record = dict(record)
         record.pop("reference_recipe", None)
-        known = {f.name for f in fields(cls)}
-        unknown = set(record) - known
+        known = {f.name: f for f in fields(cls)}
+        unknown = set(record) - set(known)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for name, value in record.items():
+            if not _has_json_type(value, hints[name]):
+                raise ConfigError(f"config field {name!r} must be {known[name].type}, "
+                                  f"got {value!r}")
         cfg = cls(**record)
         cfg.validate()
         return cfg
@@ -188,15 +192,33 @@ class TrainConfig:
         """The student geometry this config trains, checked on construction."""
         return StudentConfig(dim=self.dim, n_student_layers=self.student_layers,
                              frame_stride=self.frame_stride,
-                             hidden_multiplier=self.hidden_multiplier,
                              distill_layers=self.distill_layers,
                              enhancement=self.enhancement_loss != "none",
-                             enh_hidden=self.enh_hidden, cell_type=self.cell_type,
-                             deconv_strides=self.deconv_strides)
+                             enh_hidden=self.enh_hidden, deconv_strides=self.deconv_strides)
 
     def stft_params(self) -> STFTParams:
         return STFTParams(window_length=self.stft_window, hop=self.stft_hop,
                           fft_size=self.stft_fft)
+
+
+def _has_json_type(value, hint) -> bool:
+    """Whether a decoded JSON value fits a TrainConfig annotation.
+
+    An int is not a bool here, a float may be written as an int, a tuple
+    arrives as a list of ints, and null fits only an optional field.
+    """
+    args = typing.get_args(hint)
+    if value is None:
+        return type(None) in args
+    if type(None) in args:
+        (hint,) = (a for a in args if a is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_json_type(v, int) for v in value)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
@@ -265,8 +287,7 @@ class TrainState:
 
 def build_teacher(cfg: TrainConfig) -> TeacherSurrogate:
     return TeacherSurrogate(n_layers=cfg.teacher_layers, dim=cfg.dim,
-                            frame_stride=cfg.frame_stride,
-                            hidden_multiplier=cfg.hidden_multiplier, seed=cfg.teacher_seed)
+                            frame_stride=cfg.frame_stride, seed=cfg.teacher_seed)
 
 
 def build_student(cfg: TrainConfig, teacher: TeacherSurrogate) -> StudentModel:
@@ -274,8 +295,8 @@ def build_student(cfg: TrainConfig, teacher: TeacherSurrogate) -> StudentModel:
     return init_student_from_teacher(
         teacher, n_student_layers=geometry.n_student_layers,
         distill_layers=geometry.distill_layers, enhancement=geometry.enhancement,
-        enh_hidden=geometry.enh_hidden, cell_type=geometry.cell_type,
-        deconv_strides=geometry.deconv_strides, seed=cfg.student_seed)
+        enh_hidden=geometry.enh_hidden, deconv_strides=geometry.deconv_strides,
+        seed=cfg.student_seed)
 
 
 def _normalize_corpus(corpus) -> list[tuple[str, Waveform]]:
@@ -624,13 +645,28 @@ def load_exported(path: str) -> StudentModel:
 # metrics helpers
 
 
+# the keys `plot` draws; every record of the log carries them
+PLOTTED_KEYS = ("iter", "lr", "combined", "tau", "reverb_threshold")
+
+
 def load_metrics(path: str) -> list[dict]:
+    """The records of a metrics log; a line that is not a plottable record raises DataError."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{line_no}: record must be a JSON object")
+            missing = [key for key in PLOTTED_KEYS if not isinstance(record.get(key), (int, float))]
+            if missing:
+                raise DataError(f"{path}:{line_no}: record lacks a number for {missing}")
+            records.append(record)
     return records
 
 

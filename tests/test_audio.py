@@ -78,6 +78,13 @@ class TestReadWav:
         with pytest.raises(WavFormatError):
             read_wav(path)
 
+    def test_every_proper_prefix_is_a_format_error(self, tmp_path):
+        blob = build_wav(struct.pack("<3h", 1, 2, 3))
+        for n in range(len(blob)):
+            path = write_bytes(tmp_path / f"cut{n}.wav", blob[:n])
+            with pytest.raises(WavFormatError):
+                read_wav(path)
+
     def test_data_ends_mid_sample(self, tmp_path):
         blob = build_wav(b"\x01\x02\x03")  # 3 bytes cannot hold int16 frames
         path = write_bytes(tmp_path / "m.wav", blob)

@@ -401,6 +401,12 @@ class TestManifests:
         entries = load_manifest(manifest, require_exists=False)
         assert entries[0].id == "a"
 
+    def test_keys_not_read_are_ignored(self, tmp_path):
+        manifest = write_manifest(tmp_path / "m.jsonl",
+                                  [{"id": "a", "path": "a.wav", "kind": "speech",
+                                    "duration_s": "about a second"}])
+        assert load_manifest(manifest, require_exists=False)[0].id == "a"
+
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("")

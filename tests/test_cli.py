@@ -24,6 +24,13 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def one_error_line(capsys) -> str:
+    """The command's stderr, which must be exactly one `error:` line and no traceback."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
 class TestAugmentCommand:
     def test_writes_wavs_and_plans(self, disk_assets, tmp_path, capsys):
         out = tmp_path / "aug"
@@ -98,6 +105,34 @@ class TestAugmentCommand:
         assert code == EXIT_IO
         assert any(line.startswith("error: nan:") and "finite" in line
                    for line in capsys.readouterr().err.splitlines())
+
+    def test_truncated_fmt_chunk_exits_2(self, disk_assets, tmp_path, capsys):
+        blob = (tmp_path / f"{disk_assets['speech_rows'][0]['id']}.wav").read_bytes()
+        (tmp_path / "cut.wav").write_bytes(blob[:26])  # 6 bytes into the fmt body
+        manifest = write_manifest(tmp_path / "cut.jsonl",
+                                  [{"id": "cut", "path": "cut.wav", "kind": "speech"}])
+        code = run_cli("augment", "--manifest", manifest,
+                       "--noise-bank", disk_assets["noise"],
+                       "--rir-bank", disk_assets["rir"],
+                       "--iterations", 10, "--iter", 0,
+                       "--seed", 0, "--out-dir", tmp_path / "x")
+        assert code == EXIT_IO
+        assert "fmt chunk too short" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("line, message", [
+        ("5", ":1: record must be a JSON object"),
+        ('{"id": "a", "path": 3, "kind": "speech"}', ":1: path must be a string"),
+    ])
+    def test_bad_manifest_line_exits_1(self, disk_assets, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        code = run_cli("augment", "--manifest", path,
+                       "--noise-bank", disk_assets["noise"],
+                       "--rir-bank", disk_assets["rir"],
+                       "--iterations", 10, "--iter", 0,
+                       "--seed", 0, "--out-dir", tmp_path / "x")
+        assert code == EXIT_VALIDATION
+        assert f"{path}{message}" in one_error_line(capsys)
 
     def test_bad_manifest_exits_1(self, disk_assets, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -243,6 +278,37 @@ class TestTrainCommand:
         assert run_cli("train", "--config", bad) == EXIT_VALIDATION
         assert "lambda_weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("cell_type", "lstm", "unknown config fields: ['cell_type']"),
+        ("hidden_multiplier", 2, "unknown config fields: ['hidden_multiplier']"),
+        ("batch_size", "8", "config field 'batch_size' must be int, got '8'"),
+        ("distill_layers", 4, "config field 'distill_layers' must be tuple[int, ...], got 4"),
+        ("curriculum", "no", "config field 'curriculum' must be bool, got 'no'"),
+    ])
+    def test_bad_config_field_exits_1(self, train_setup, tmp_path, capsys, key, value, message):
+        record = json.loads(train_setup["cfg_path"].read_text())
+        record[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        assert run_cli("train", "--config", bad) == EXIT_VALIDATION
+        assert one_error_line(capsys) == f"error: {message}"
+
+    @pytest.mark.parametrize("key, value", [("cell_type", "lstm"), ("hidden_multiplier", 2)])
+    def test_checkpoint_with_removed_field_exits_1(self, train_setup, capsys, key, value):
+        assert run_cli("train", "--config", train_setup["cfg_path"]) == EXIT_OK
+        capsys.readouterr()
+        ckpt = train_setup["out_dir"] / "ckpt_000002.drtc"
+        data = ckpt.read_bytes()
+        (header_len,) = struct.unpack_from("<I", data, 5)
+        header = json.loads(data[9 : 9 + header_len])
+        header["config"][key] = value
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        ckpt.write_bytes(data[:5] + struct.pack("<I", len(header_bytes)) + header_bytes
+                         + data[9 + header_len :])
+        code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
+        assert code == EXIT_VALIDATION
+        assert one_error_line(capsys) == f"error: unknown config fields: ['{key}']"
+
     def test_missing_config_exits_2(self, tmp_path):
         assert run_cli("train", "--config", tmp_path / "gone.json") == EXIT_IO
 
@@ -335,6 +401,23 @@ class TestPlotCommand:
         empty.write_text("")
         assert run_cli("plot", "--metrics", empty, "--out", tmp_path / "x.svg") == \
             EXIT_VALIDATION
+
+    @pytest.mark.parametrize("last_line, message", [
+        ('{"iter": 1, "lr": 0.1, "comb', ":2: invalid JSON"),
+        ("[1, 2]", ":2: record must be a JSON object"),
+        ('{"iter": 0}', ":2: record lacks a number for ['lr', 'combined', 'tau', "
+                        "'reverb_threshold']"),
+        ('{"iter": 1, "lr": 0.1, "combined": "x", "tau": 20, "reverb_threshold": 0.5}',
+         ":2: record lacks a number for ['combined']"),
+    ])
+    def test_bad_metrics_line_exits_1(self, tmp_path, capsys, last_line, message):
+        good = {"iter": 0, "lr": 0.1, "combined": 3.0, "tau": 20.0, "reverb_threshold": 0.5}
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text(json.dumps(good) + "\n" + last_line)
+        code = run_cli("plot", "--metrics", metrics, "--out", tmp_path / "x.svg")
+        assert code == EXIT_VALIDATION
+        assert one_error_line(capsys).startswith(f"error: {metrics}{message}")
+        assert not (tmp_path / "x.svg").exists()
 
     def test_missing_metrics_exits_2(self, tmp_path):
         assert run_cli("plot", "--metrics", tmp_path / "gone.jsonl",

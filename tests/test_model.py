@@ -102,10 +102,6 @@ class TestStudentInit:
         with pytest.raises(ConfigError):
             init_student_from_teacher(teacher, distill_layers=(4, 13))
 
-    def test_bad_cell_type_rejected(self, teacher):
-        with pytest.raises(ConfigError):
-            init_student_from_teacher(teacher, enhancement=True, cell_type="rnn")
-
     def test_deconv_strides_must_multiply_to_stride(self, teacher):
         with pytest.raises(ConfigError):
             init_student_from_teacher(teacher, enhancement=True,
@@ -172,11 +168,6 @@ class TestStudentForward:
             node = inner.parents[0]
         assert deconvs == 7
 
-    def test_gru_cell_supported(self, teacher, wave):
-        student = init_student_from_teacher(teacher, enhancement=True, cell_type="gru")
-        out = student_forward(student, wave)
-        assert out.enhanced.values.shape == (len(wave),)
-
     def test_no_enhancement_no_output(self, teacher, wave):
         student = init_student_from_teacher(teacher, enhancement=False)
         assert student_forward(student, wave).enhanced is None
@@ -210,7 +201,7 @@ class TestStudentConfig:
         ({"distill_layers": (0, 4)}, "distill_layers"),
         ({"dim": 0}, "dim"),
         ({"enh_hidden": 0}, "hidden"),
-        ({"cell_type": "rnn"}, "cell_type"),
+        ({"frame_stride": 0}, "frame_stride"),
         ({"deconv_strides": (8, 8, 5)}, "deconv"),
         ({"deconv_strides": (2, 2, 2, 2, 2, 2, 2)}, "deconv"),
     ])

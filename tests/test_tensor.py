@@ -338,32 +338,27 @@ class TestDrtnFiles:
 
 
 class TestBidirRecurrent:
-    def _params(self, d_in, hidden, cell, seed=0):
+    def _params(self, d_in, hidden, seed=0):
         rng = np.random.default_rng(seed)
-        gates = 4 if cell == "lstm" else 3
         def p(shape):
             return T.parameter(0.3 * rng.standard_normal(shape))
-        fwd = T.RecurrentParams(p((d_in, gates * hidden)), p((hidden, gates * hidden)),
-                                p(gates * hidden))
-        bwd = T.RecurrentParams(p((d_in, gates * hidden)), p((hidden, gates * hidden)),
-                                p(gates * hidden))
-        return T.BiRecurrentParams(fwd, bwd, hidden, cell)
+        return [T.RecurrentParams(p((d_in, 4 * hidden)), p((hidden, 4 * hidden)),
+                                  p(4 * hidden)) for _ in range(2)]
 
     def test_output_shape_concat(self):
         x = leaf(np.random.default_rng(5).standard_normal((6, 3)))
-        for cell in ("lstm", "gru"):
-            out = T.bidir_recurrent(x, self._params(3, 4, cell))
-            assert out.shape == (6, 8)
+        out = T.bidir_recurrent(x, *self._params(3, 4))
+        assert out.shape == (6, 8)
 
     def test_backward_direction_sees_future(self):
         # changing only the last frame must alter the first output row
         rng = np.random.default_rng(6)
         base = rng.standard_normal((5, 2))
-        params = self._params(2, 3, "lstm", seed=7)
-        out_a = T.bidir_recurrent(leaf(base), params).values
+        params = self._params(2, 3, seed=7)
+        out_a = T.bidir_recurrent(leaf(base), *params).values
         bumped = base.copy()
         bumped[-1] += 1.0
-        out_b = T.bidir_recurrent(leaf(bumped), params).values
+        out_b = T.bidir_recurrent(leaf(bumped), *params).values
         assert not np.allclose(out_a[0], out_b[0])
         # forward half of the first row ignores the future
         np.testing.assert_allclose(out_a[0, :3], out_b[0, :3], atol=1e-15)
@@ -405,24 +400,21 @@ def _conv1d_transposed_per_tap(x, k, stride, g):
 class TestFusedMatchesReference:
     """The fused recurrence and the loop-free convolutions against the paths they replace."""
 
-    @pytest.mark.parametrize("cell", ["lstm", "gru"])
-    @pytest.mark.parametrize("t_steps", [1, 2, 7, 50])
-    def test_bidir_recurrent_matches_composed(self, cell, t_steps):
+    @pytest.mark.parametrize("t_steps", [1, 2, 7, 50], ids=lambda t: f"{t}-lstm")
+    def test_bidir_recurrent_matches_composed(self, t_steps):
         from distilrobust.gradchecks import composed_bidir_recurrent
 
         rng = np.random.default_rng(t_steps)
-        gates, hidden, c_in = (4 if cell == "lstm" else 3), 5, 4
+        hidden, c_in = 5, 4
         arrays = [rng.standard_normal((t_steps, c_in))]
         for _ in range(2):
-            arrays += [0.5 * rng.standard_normal((c_in, gates * hidden)),
-                       0.5 * rng.standard_normal((hidden, gates * hidden)),
-                       0.3 * rng.standard_normal(gates * hidden)]
+            arrays += [0.5 * rng.standard_normal((c_in, 4 * hidden)),
+                       0.5 * rng.standard_normal((hidden, 4 * hidden)),
+                       0.3 * rng.standard_normal(4 * hidden)]
 
         def run(op):
             def fn(x, fwx, fwh, fb, bwx, bwh, bb):
-                params = T.BiRecurrentParams(T.RecurrentParams(fwx, fwh, fb),
-                                             T.RecurrentParams(bwx, bwh, bb), hidden, cell)
-                return op(x, params)
+                return op(x, T.RecurrentParams(fwx, fwh, fb), T.RecurrentParams(bwx, bwh, bb))
             return _value_and_grads(fn, arrays)
 
         fused, fused_grads, _ = run(T.bidir_recurrent)
@@ -434,23 +426,28 @@ class TestFusedMatchesReference:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_bidir_recurrent_is_one_node(self):
-        params = TestBidirRecurrent()._params(3, 4, "lstm")
+        fwd, bwd = TestBidirRecurrent()._params(3, 4)
         x = leaf(np.random.default_rng(1).standard_normal((6, 3)))
-        out = T.bidir_recurrent(x, params)
+        out = T.bidir_recurrent(x, fwd, bwd)
         assert out.op == "bidir_recurrent"
-        assert out.parents == (x, params.forward.w_x, params.forward.w_h, params.forward.bias,
-                               params.backward.w_x, params.backward.w_h, params.backward.bias)
+        assert out.parents == (x, fwd.w_x, fwd.w_h, fwd.bias, bwd.w_x, bwd.w_h, bwd.bias)
 
     def test_bidir_recurrent_rejects_bad_shapes(self):
         x = leaf(np.ones((5, 3)))
-        params = TestBidirRecurrent()._params(3, 4, "gru")
+        fwd, bwd = TestBidirRecurrent()._params(3, 4)
         with pytest.raises(ShapeError, match="at least one frame"):
-            T.bidir_recurrent(leaf(np.ones((0, 3))), params)
-        with pytest.raises(ParameterError, match="unknown recurrent cell"):
-            T.bidir_recurrent(x, T.BiRecurrentParams(params.forward, params.backward, 4, "rnn"))
-        params.backward.w_x = leaf(np.ones((2, 12)))
+            T.bidir_recurrent(leaf(np.ones((0, 3))), fwd, bwd)
+        bwd.w_x = leaf(np.ones((2, 16)))
         with pytest.raises(ShapeError, match="backward.w_x"):
-            T.bidir_recurrent(x, params)
+            T.bidir_recurrent(x, fwd, bwd)
+        # the hidden size comes from forward.w_h, so a 3-gate state map is refused
+        fwd.w_h = leaf(np.ones((4, 12)))
+        with pytest.raises(ShapeError,
+                           match=r"forward.w_h has shape \(4, 12\), expected \(4, 16\)"):
+            T.bidir_recurrent(x, fwd, bwd)
+        fwd.w_h = leaf(np.ones(()))
+        with pytest.raises(ShapeError, match="forward.w_x"):
+            T.bidir_recurrent(x, fwd, bwd)
 
     @pytest.mark.parametrize("kw,stride", [(3, 2), (4, 2), (3, 1), (2, 5), (320, 320)])
     @pytest.mark.parametrize("op,reference", [(T.conv1d, _conv1d_per_tap),

@@ -229,6 +229,30 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match="dropout"):
             TrainConfig.from_dict(record)
 
+    @pytest.mark.parametrize("key, value", [("cell_type", "lstm"), ("hidden_multiplier", 2)])
+    def test_removed_field_rejected(self, key, value):
+        record = dict(TrainConfig.preset("C1").to_dict(), **{key: value})
+        with pytest.raises(ConfigError, match=rf"unknown config fields: \['{key}'\]"):
+            TrainConfig.from_dict(record)
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", "8"), ("batch_size", True), ("batch_size", 8.0), ("batch_size", None),
+        ("lr_peak", "1e-3"), ("lr_peak", True), ("curriculum", "no"), ("curriculum", 0),
+        ("distill_layers", 4), ("distill_layers", [4, "8"]), ("distill_layers", [4, True]),
+        ("out_dir", 3), ("grad_clip", "none"),
+    ])
+    def test_wrong_json_type_rejected(self, key, value):
+        record = dict(TrainConfig.preset("A").to_dict(), **{key: value})
+        with pytest.raises(ConfigError, match=f"config field '{key}' must be"):
+            TrainConfig.from_dict(record)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr_peak", 1), ("lambda_weight", 0), ("warmup_iterations", None),
+        ("enh_hidden", None), ("distill_layers", [4, 8]),
+    ])
+    def test_json_types_accepted(self, key, value):
+        TrainConfig.from_dict(dict(TrainConfig.preset("A").to_dict(), **{key: value}))
+
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_json("{nope")
@@ -246,7 +270,7 @@ class TestConfigSerialization:
         ({"student_layers": 13}, "exceeds teacher depth 12"),
         ({"distill_layers": ()}, "distill_layers"),
         ({"distill_layers": (4, 13)}, "distill layer 13"),
-        ({"cell_type": "rnn"}, "cell_type"),
+        ({"frame_stride": 0}, "frame_stride"),
         ({"deconv_strides": (8, 8, 5)}, "deconv"),
     ])
     def test_student_geometry_checked(self, fields, message):
@@ -255,9 +279,8 @@ class TestConfigSerialization:
 
     def test_student_config_follows_enhancement_loss(self):
         assert not TrainConfig.preset("B").student_config().enhancement
-        student = TrainConfig.preset("C2", student_layers=3, cell_type="gru").student_config()
-        assert (student.enhancement, student.n_student_layers, student.cell_type) == \
-            (True, 3, "gru")
+        student = TrainConfig.preset("C2", student_layers=3).student_config()
+        assert (student.enhancement, student.n_student_layers) == (True, 3)
 
 
 class TestTrainLoop:
