@@ -34,6 +34,10 @@ ROOM_CLASSES = ("small", "medium", "large")
 NOISE_CUTOFF_HZ = 2000.0  # white noise is low-passed to this narrow band
 NOISE_FILTER_ORDER = 4  # Butterworth order of that low-pass
 
+# Responses up to this many taps are convolved directly, longer ones by FFT: on a
+# 2-vCPU EPYC with numpy 2.4 the two tie at about 250-300 taps for 16,000 samples.
+_DIRECT_MAX_TAPS = 256
+
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 
@@ -209,17 +213,47 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, seed: int) -> Wa
     return Waveform(clean.samples + gain * fitted, clean.sample_rate_hz)
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c at or above n, a size numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve_head(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The first len(x) samples of the linear convolution of x with taps.
+
+    Up to _DIRECT_MAX_TAPS taps it is np.convolve; longer responses are multiplied
+    in the frequency domain at a 5-smooth size (Stockham 1966), which is exact only
+    to rounding.
+    """
+    n = x.size
+    if taps.size <= _DIRECT_MAX_TAPS:
+        return np.convolve(x, taps)[:n]
+    taps = taps[:n]  # later taps reach no output sample that is kept
+    size = _fft_size(n + taps.size - 1)
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(taps, size), size)[:n]
+
+
 def convolve_rir(clean: Waveform, rir: RoomImpulseResponse) -> Waveform:
     """Convolve with a room impulse response, keep the input length and level.
 
     The full linear convolution is truncated to the input length and rescaled
-    so the output RMS equals the input RMS; a unit-impulse response is the
-    exact identity.
+    so the output RMS equals the input RMS. Responses of more than
+    _DIRECT_MAX_TAPS taps are convolved by FFT, within about 1e-15 of the
+    direct sum; shorter ones directly, so a unit-impulse response is the exact
+    identity.
     """
     _require_same_rate(clean.sample_rate_hz, rir.sample_rate_hz)
     if not np.any(rir.taps):
         raise DegenerateSignalError("impulse response has no nonzero tap")
-    wet = np.convolve(clean.samples, rir.taps)[: len(clean)]
+    wet = _convolve_head(clean.samples, rir.taps)
     wet_rms = float(np.sqrt(np.mean(np.square(wet))))
     if wet_rms == 0.0:
         raise DegenerateSignalError("convolution output has zero RMS")
@@ -258,5 +292,4 @@ def white_noise(length: int, seed: int, sample_rate_hz: int = DEFAULT_SAMPLE_RAT
     if length <= 0:
         raise ParameterError(f"noise length must be positive, got {length}")
     samples = np.random.default_rng(seed).standard_normal(length)
-    return Waveform(np.convolve(samples, _lowpass_taps(sample_rate_hz))[:length],
-                    sample_rate_hz)
+    return Waveform(_convolve_head(samples, _lowpass_taps(sample_rate_hz)), sample_rate_hz)

@@ -164,12 +164,6 @@ class StudentModel:
         self.config = config
         self.params = params
 
-    def trainable_parameters(self) -> dict[str, T.Tensor]:
-        return {name: p for name, p in self.params.items() if p.requires_grad}
-
-    def has_heads(self) -> bool:
-        return any(name.startswith("head.") for name in self.params)
-
     def has_enhancement(self) -> bool:
         return any(name.startswith("enhancement.") for name in self.params)
 

@@ -51,12 +51,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.values.shape}")
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         tag = self.op or ("param" if self.requires_grad else "const")
         return f"Tensor(shape={self.values.shape}, op={tag})"

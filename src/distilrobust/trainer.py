@@ -10,6 +10,7 @@ peak LR 2e-4) is recorded alongside every serialized config.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import typing
@@ -127,8 +128,8 @@ class TrainConfig:
             raise ConfigError(f"total_iterations must be positive, got {self.total_iterations}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lr_peak <= 0:
-            raise ConfigError(f"lr_peak must be positive, got {self.lr_peak}")
+        if not 0 < self.lr_peak < math.inf:
+            raise ConfigError(f"lr_peak must be positive and finite, got {self.lr_peak}")
         if not 0 <= self.warmup_iterations < self.total_iterations:
             raise ConfigError(f"warmup_iterations {self.warmup_iterations} must lie in "
                               f"[0, total_iterations)")
@@ -331,6 +332,18 @@ def _check_corpus(cfg: TrainConfig, corpus: list[tuple[str, Waveform]]):
                             f"required minimum {min_len}")
 
 
+def _check_sample_rates(corpus, noise_bank, rir_bank):
+    """Every utterance, noise and RIR must share one rate, checked before iteration 0."""
+    rate = corpus[0][1].sample_rate_hz
+    entries = ([(f"utterance {utt_id}", w) for utt_id, w in corpus]
+               + [(f"noise bank entry {i}", w) for i, w in enumerate(noise_bank)]
+               + [(f"RIR bank entry {i}", r) for i, r in enumerate(rir_bank)])
+    for name, item in entries:
+        if item.sample_rate_hz != rate:
+            raise DataError(f"{name}: sample-rate mismatch: {rate} Hz vs "
+                            f"{item.sample_rate_hz} Hz")
+
+
 def _crop(w: Waveform, crop_samples: int, seed: int) -> Waveform:
     if len(w) <= crop_samples:
         return Waveform(w.samples.copy(), w.sample_rate_hz)
@@ -430,6 +443,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
         rir_bank = load_rir_bank(cfg.rir_manifest)
     if not noise_bank or not rir_bank:
         raise DataError("noise and RIR banks must be nonempty")
+    _check_sample_rates(corpus, noise_bank, rir_bank)
 
     teacher = build_teacher(cfg)
     checksum_before = teacher.checksum()

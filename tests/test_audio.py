@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distilrobust.audio import (
+    _DIRECT_MAX_TAPS,
     Waveform,
     RoomImpulseResponse,
+    _convolve_head,
+    _fft_size,
     convolve_rir,
     mix_at_snr,
     read_wav,
@@ -291,6 +294,43 @@ class TestConvolveRir:
         with pytest.raises(SampleRateError):
             convolve_rir(Waveform(np.ones(10), 16000),
                          RoomImpulseResponse(np.array([1.0]), 44100, "small"))
+
+
+def _is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestConvolveHead:
+    def test_fft_size_is_the_least_5_smooth_bound(self):
+        smooth = [m for m in range(1, 5_200) if _is_5_smooth(m)]
+        for n in range(1, 5_001):
+            assert _fft_size(n) == next(m for m in smooth if m >= n), n
+
+    @pytest.mark.parametrize("n, k", [
+        (1_000, _DIRECT_MAX_TAPS),
+        (1_000, _DIRECT_MAX_TAPS + 1),
+        (16_000, 301),
+        (16_000, 800),
+        (64_000, 12_800),
+        (300, 2_000),  # response longer than the signal
+        (50, 40),
+    ])
+    def test_matches_direct_convolution(self, n, k):
+        rng = np.random.default_rng(n + k)
+        x = rng.standard_normal(n)
+        taps = rng.standard_normal(k) * np.exp(-np.arange(k) / (k / 6))
+        want = np.convolve(x, taps)[:n]
+        got = _convolve_head(x, taps)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
+
+    def test_short_response_is_direct(self):
+        rng = np.random.default_rng(9)
+        x, taps = rng.standard_normal(2_000), rng.standard_normal(_DIRECT_MAX_TAPS)
+        np.testing.assert_array_equal(_convolve_head(x, taps), np.convolve(x, taps)[:2_000])
 
 
 class TestWhiteNoise:

@@ -312,6 +312,28 @@ class TestTrainCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert run_cli("train", "--config", tmp_path / "gone.json") == EXIT_IO
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_nonfinite_lr_peak_exits_1(self, train_setup, tmp_path, capsys, value):
+        text = train_setup["cfg_path"].read_text()
+        record = json.loads(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(f'"lr_peak": {record["lr_peak"]!r}', f'"lr_peak": {value}'))
+        assert json.loads(bad.read_text())["lr_peak"] != record["lr_peak"]
+        assert run_cli("train", "--config", bad) == EXIT_VALIDATION
+        assert "lr_peak must be positive and finite" in one_error_line(capsys)
+        assert not (train_setup["out_dir"] / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("wav, entry", [("r0.wav", "RIR bank entry 0"),
+                                            ("n1.wav", "noise bank entry 1")])
+    def test_sample_rate_mismatch_exits_1_before_training(self, train_setup, capsys,
+                                                          wav, entry):
+        path = train_setup["tmp"] / wav
+        write_wav(Waveform(read_wav(path).samples, 8000), path)
+        assert run_cli("train", "--config", train_setup["cfg_path"]) == EXIT_VALIDATION
+        assert one_error_line(capsys) == (f"error: {entry}: sample-rate mismatch: "
+                                          f"16000 Hz vs 8000 Hz")
+        assert not (train_setup["out_dir"] / "metrics.jsonl").exists()
+
 
 @pytest.fixture()
 def feature_dirs(tmp_path):

@@ -484,7 +484,6 @@ class TestCheckpoints:
         export_student(state, export_path)
         exported = load_exported(export_path)
         assert all(name.startswith("encoder.") for name in exported.params)
-        assert not exported.has_heads()
         assert not exported.has_enhancement()
 
     def test_export_preserves_representation(self, tmp_path, banks):
