@@ -252,7 +252,8 @@ class ManifestEntry:
 
 def load_manifest(path, expect_kind: str | None = None,
                   require_exists: bool = True) -> list[ManifestEntry]:
-    """Parse a JSON-lines manifest; ids must be unique and paths must resolve."""
+    """Parse a JSON-lines manifest; paths must resolve, and ids must be unique plain file
+    names (no separator, not `.` or `..`), since `augment` names its outputs after them."""
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     base = os.path.dirname(os.path.abspath(path))
@@ -276,6 +277,8 @@ def load_manifest(path, expect_kind: str | None = None,
             if expect_kind is not None and kind != expect_kind:
                 raise DataError(f"{path}:{line_no}: expected kind {expect_kind!r}, got {kind!r}")
             entry_id = str(record["id"])
+            if entry_id in ("", ".", "..") or "/" in entry_id or "\\" in entry_id:
+                raise DataError(f"{path}:{line_no}: id {entry_id!r} is not a plain file name")
             if entry_id in seen:
                 raise DataError(f"{path}:{line_no}: duplicate id {entry_id!r}")
             seen.add(entry_id)

@@ -18,21 +18,12 @@ from .audio import read_wav, write_wav
 from .errors import DistilRobustError, ConfigError, DataError, UnsupportedWavError, WavFormatError
 from .gradchecks import CHECKS, run_suite
 from .losses import combined_loss, kd_loss_parts
+from .model import DEFAULT_DISTILL_LAYERS
 from .trainer import TrainConfig, load_metrics, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("DISTILROBUST_SEED")
-    if raw is None or raw == "":
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"DISTILROBUST_SEED must be an integer, got {raw!r}") from exc
 
 
 def cmd_augment(args) -> int:
@@ -186,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schedule length N the snapshot is taken from")
     p_aug.add_argument("--iter", type=int, required=True,
                        help="schedule position (0-based iteration)")
-    p_aug.add_argument("--seed", type=int, default=None, help="master seed")
+    p_aug.add_argument("--seed", type=int, default=0, help="master seed")
     p_aug.add_argument("--out-dir", required=True)
     p_aug.set_defaults(func=cmd_augment)
 
@@ -200,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory of layer_<L>.drtn tensors")
     p_loss.add_argument("--student-features", required=True,
                         help="directory of layer_<L>.drtn tensors")
-    p_loss.add_argument("--layers", default="4,8,12", help="comma-separated layer ids")
+    p_loss.add_argument("--layers", default=",".join(map(str, DEFAULT_DISTILL_LAYERS)),
+                        help="comma-separated layer ids")
     p_loss.set_defaults(func=cmd_losses)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference checks of the op set")
@@ -222,8 +214,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", "unset") is None:
-            args.seed = _env_seed()
         return args.func(args)
     except (WavFormatError, UnsupportedWavError) as exc:
         print(f"error: {exc}", file=sys.stderr)

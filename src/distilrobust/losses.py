@@ -19,11 +19,10 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, NumericError, ParameterError, ShapeError
+from .model import DEFAULT_DISTILL_LAYERS
 
 # value of one cosine term when student matches teacher exactly: -ln(sigmoid(1))
 IDENTITY_COSINE_TERM = math.log(1.0 + math.exp(-1.0))
-
-DEFAULT_DISTILL_LAYERS = (4, 8, 12)
 
 
 @dataclass(frozen=True)

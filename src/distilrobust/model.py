@@ -23,10 +23,9 @@ from .errors import ConfigError, ShapeError
 DEFAULT_DIM = 32
 DEFAULT_TEACHER_LAYERS = 12
 DEFAULT_STUDENT_LAYERS = 2
-DEFAULT_FRAME_STRIDE = 320
 DEFAULT_DISTILL_LAYERS = (4, 8, 12)
-DEFAULT_DECONV_STRIDES = (2, 2, 2, 2, 2, 2, 5)
-N_DECONV_LAYERS = 7
+FRAME_STRIDE = 320  # 20 ms frames at 16 kHz
+DECONV_STRIDES = (2, 2, 2, 2, 2, 2, 5)  # seven upsamplings back to one frame
 BLOCK_WIDTH_MULTIPLIER = 2  # a mixing block's inner width is 2 * dim
 
 
@@ -45,16 +44,16 @@ def parameter_checksum(params: dict[str, T.Tensor]) -> str:
 
 
 def encoder_forward(samples: np.ndarray, params: dict[str, T.Tensor], prefix: str,
-                    n_blocks: int, frame_stride: int) -> list[T.Tensor]:
+                    n_blocks: int) -> list[T.Tensor]:
     """Front-end conv + GELU, then residual mixing blocks; returns every block output."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ShapeError(f"encoder input must be 1-D, got shape {samples.shape}")
-    if samples.size < frame_stride:
+    if samples.size < FRAME_STRIDE:
         raise ShapeError(f"input of {samples.size} samples is shorter than one "
-                         f"frame of {frame_stride}")
+                         f"frame of {FRAME_STRIDE}")
     x = T.Tensor(samples.reshape(-1, 1))
-    h = T.gelu(T.conv1d(x, params[prefix + "frontend.kernel"], stride=frame_stride))
+    h = T.gelu(T.conv1d(x, params[prefix + "frontend.kernel"], stride=FRAME_STRIDE))
     outputs: list[T.Tensor] = []
     for k in range(1, n_blocks + 1):
         inner = T.gelu(T.linear(h, params[f"{prefix}block{k}.w1"], params[f"{prefix}block{k}.b1"]))
@@ -68,19 +67,18 @@ class TeacherSurrogate:
     """Frozen, seeded feature extractor with one (T, D) map per layer."""
 
     def __init__(self, n_layers: int = DEFAULT_TEACHER_LAYERS, dim: int = DEFAULT_DIM,
-                 frame_stride: int = DEFAULT_FRAME_STRIDE, seed: int = 0):
+                 seed: int = 0):
         if n_layers < 1:
             raise ConfigError(f"teacher needs at least one layer, got {n_layers}")
-        if dim < 1 or frame_stride < 1:
-            raise ConfigError("dim and frame_stride must be positive")
+        if dim < 1:
+            raise ConfigError(f"dim must be positive, got {dim}")
         self.n_layers = n_layers
         self.dim = dim
-        self.frame_stride = frame_stride
         self.seed = seed
         rng = np.random.default_rng(seed)
         hidden = dim * BLOCK_WIDTH_MULTIPLIER
         arrays: dict[str, np.ndarray] = {
-            "frontend.kernel": _init(rng, (frame_stride, 1, dim), frame_stride),
+            "frontend.kernel": _init(rng, (FRAME_STRIDE, 1, dim), FRAME_STRIDE),
         }
         for k in range(1, n_layers + 1):
             arrays[f"block{k}.w1"] = _init(rng, (dim, hidden), dim)
@@ -97,47 +95,27 @@ class TeacherSurrogate:
 
 def teacher_forward(teacher: TeacherSurrogate, w: Waveform) -> dict[int, np.ndarray]:
     """Layer index (1-based) -> frozen (T, D) feature map for the clean input."""
-    outputs = encoder_forward(w.samples, teacher.params, "", teacher.n_layers,
-                              teacher.frame_stride)
+    outputs = encoder_forward(w.samples, teacher.params, "", teacher.n_layers)
     return {k + 1: out.values for k, out in enumerate(outputs)}
 
 
 @dataclass(frozen=True)
 class StudentConfig:
-    """Student geometry; construction rejects any shape no teacher could host."""
+    """Student depth and heads; its width is the teacher's and its frame is FRAME_STRIDE."""
 
-    dim: int = DEFAULT_DIM
     n_student_layers: int = DEFAULT_STUDENT_LAYERS
-    frame_stride: int = DEFAULT_FRAME_STRIDE
     distill_layers: tuple[int, ...] = DEFAULT_DISTILL_LAYERS
     enhancement: bool = False
-    enh_hidden: int | None = None  # None: same as dim
-    deconv_strides: tuple[int, ...] = DEFAULT_DECONV_STRIDES
 
     def __post_init__(self):
         object.__setattr__(self, "distill_layers",
                            tuple(sorted(int(l) for l in self.distill_layers)))
-        object.__setattr__(self, "deconv_strides", tuple(int(s) for s in self.deconv_strides))
-        object.__setattr__(self, "enh_hidden",
-                           self.dim if self.enh_hidden is None else self.enh_hidden)
-        if self.dim < 1 or self.frame_stride < 1:
-            raise ConfigError(f"dim {self.dim} and frame_stride {self.frame_stride} must be "
-                              f"positive")
         if self.n_student_layers < 1:
             raise ConfigError(f"student needs at least one mixing layer, got "
                               f"{self.n_student_layers}")
         if not self.distill_layers or self.distill_layers[0] < 1:
             raise ConfigError(f"distill_layers must name one or more layers from 1 up, got "
                               f"{self.distill_layers}")
-        if self.enh_hidden < 1:
-            raise ConfigError(f"enhancement hidden size must be positive, got {self.enh_hidden}")
-        if len(self.deconv_strides) != N_DECONV_LAYERS:
-            raise ConfigError(f"deconv stack must have exactly {N_DECONV_LAYERS} layers, "
-                              f"got {len(self.deconv_strides)}")
-        if math.prod(self.deconv_strides) != self.frame_stride:
-            raise ConfigError(f"deconv strides {self.deconv_strides} multiply to "
-                              f"{math.prod(self.deconv_strides)}, expected frame_stride "
-                              f"{self.frame_stride}")
 
 
 def check_fits_teacher(config: StudentConfig, teacher_layers: int):
@@ -181,37 +159,28 @@ def _deconv_channel_plan(first_in: int, n_layers: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _init_enhancement(rng: np.random.Generator, cfg: StudentConfig) -> dict[str, np.ndarray]:
-    hidden = cfg.enh_hidden
+def _init_enhancement(rng: np.random.Generator, dim: int) -> dict[str, np.ndarray]:
+    """A bidirectional LSTM `dim` wide, then the deconvolution stack."""
     arrays: dict[str, np.ndarray] = {}
-    for direction in ("fwd", "bwd"):  # LSTM gates packed in 4 * hidden columns
-        arrays[f"enhancement.rnn.{direction}.w_x"] = _init(rng, (cfg.dim, 4 * hidden), cfg.dim)
-        arrays[f"enhancement.rnn.{direction}.w_h"] = _init(rng, (hidden, 4 * hidden), hidden)
-        arrays[f"enhancement.rnn.{direction}.bias"] = np.zeros(4 * hidden)
+    for direction in ("fwd", "bwd"):  # LSTM gates packed in 4 * dim columns
+        arrays[f"enhancement.rnn.{direction}.w_x"] = _init(rng, (dim, 4 * dim), dim)
+        arrays[f"enhancement.rnn.{direction}.w_h"] = _init(rng, (dim, 4 * dim), dim)
+        arrays[f"enhancement.rnn.{direction}.bias"] = np.zeros(4 * dim)
     for i, ((c_in, c_out), stride) in enumerate(
-            zip(_deconv_channel_plan(2 * hidden, N_DECONV_LAYERS), cfg.deconv_strides), start=1):
+            zip(_deconv_channel_plan(2 * dim, len(DECONV_STRIDES)), DECONV_STRIDES), start=1):
         kw = 2 * stride
         arrays[f"enhancement.deconv{i}.kernel"] = _init(rng, (kw, c_in, c_out), c_in * kw)
     return arrays
 
 
-def init_student_from_teacher(teacher: TeacherSurrogate,
-                              n_student_layers: int = DEFAULT_STUDENT_LAYERS,
-                              distill_layers=DEFAULT_DISTILL_LAYERS,
-                              enhancement: bool = False,
-                              enh_hidden: int | None = None,
-                              deconv_strides=DEFAULT_DECONV_STRIDES,
-                              seed: int = 1) -> StudentModel:
+def init_student_from_teacher(teacher: TeacherSurrogate, config: StudentConfig,
+                              seed: int) -> StudentModel:
     """Copy the teacher's front-end and first blocks; heads start seeded-random."""
-    config = StudentConfig(dim=teacher.dim, n_student_layers=n_student_layers,
-                           frame_stride=teacher.frame_stride,
-                           distill_layers=distill_layers, enhancement=enhancement,
-                           enh_hidden=enh_hidden, deconv_strides=deconv_strides)
     check_fits_teacher(config, teacher.n_layers)
 
     params: dict[str, T.Tensor] = {}
     copied = ["frontend.kernel"]
-    for k in range(1, n_student_layers + 1):
+    for k in range(1, config.n_student_layers + 1):
         copied += [f"block{k}.w1", f"block{k}.b1", f"block{k}.w2", f"block{k}.b2"]
     for name in copied:
         params["encoder." + name] = T.parameter(np.array(teacher.params[name].values, copy=True))
@@ -220,21 +189,20 @@ def init_student_from_teacher(teacher: TeacherSurrogate,
     for l in config.distill_layers:
         params[f"head.{l}.w"] = T.parameter(_init(rng, (teacher.dim, teacher.dim), teacher.dim))
         params[f"head.{l}.b"] = T.parameter(np.zeros(teacher.dim))
-    if enhancement:
-        for name, arr in _init_enhancement(rng, config).items():
+    if config.enhancement:
+        for name, arr in _init_enhancement(rng, teacher.dim).items():
             params[name] = T.parameter(arr)
     return StudentModel(config, params)
 
 
 def _enhancement_forward(student: StudentModel, rep: T.Tensor, n_samples: int) -> T.Tensor:
-    cfg = student.config
     p = student.params
     forward, backward = (T.RecurrentParams(p[f"enhancement.rnn.{d}.w_x"],
                                            p[f"enhancement.rnn.{d}.w_h"],
                                            p[f"enhancement.rnn.{d}.bias"])
                          for d in ("fwd", "bwd"))
     h = T.bidir_recurrent(rep, forward, backward)
-    for i, stride in enumerate(cfg.deconv_strides, start=1):
+    for i, stride in enumerate(DECONV_STRIDES, start=1):
         h = T.gelu(T.conv1d_transposed(h, p[f"enhancement.deconv{i}.kernel"], stride=stride))
     flat = T.reshape(h, (-1,))
     if flat.values.size < n_samples:
@@ -246,7 +214,7 @@ def _enhancement_forward(student: StudentModel, rep: T.Tensor, n_samples: int) -
 def student_forward(student: StudentModel, w: Waveform) -> StudentOutput:
     """Predictions per distilled layer plus (optionally) the reconstructed waveform."""
     outputs = encoder_forward(w.samples, student.params, "encoder.",
-                              student.config.n_student_layers, student.config.frame_stride)
+                              student.config.n_student_layers)
     rep = outputs[-1]
     predictions: dict[int, T.Tensor] = {}
     for l in student.config.distill_layers:

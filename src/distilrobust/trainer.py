@@ -42,6 +42,11 @@ from .errors import (
 from .fileio import atomic_write
 from .losses import KDLossParts, STFTParams, combined_loss, kd_loss_parts, l1_freq, l1_wav
 from .model import (
+    DEFAULT_DIM,
+    DEFAULT_DISTILL_LAYERS,
+    DEFAULT_STUDENT_LAYERS,
+    DEFAULT_TEACHER_LAYERS,
+    FRAME_STRIDE,
     StudentConfig,
     StudentModel,
     TeacherSurrogate,
@@ -53,6 +58,10 @@ from .model import (
 )
 
 EXPERIMENTS = ("A", "B", "C1", "C2")
+
+STFT = STFTParams()  # 25 ms window, 10 ms hop at 16 kHz, for l1_freq
+TEACHER_SEED = 100
+STUDENT_SEED = 1
 
 # full-scale recipe the desk defaults are scaled down from
 PAPER_SCALE_RECIPE = {
@@ -80,19 +89,11 @@ class TrainConfig:
     lambda_weight: float = 0.0
     enhancement_loss: str = "none"
     curriculum: bool = False
-    distill_layers: tuple[int, ...] = (4, 8, 12)
+    distill_layers: tuple[int, ...] = DEFAULT_DISTILL_LAYERS
     master_seed: int = 0
-    teacher_seed: int = 100
-    student_seed: int = 1
-    teacher_layers: int = 12
-    dim: int = 32
-    student_layers: int = 2
-    frame_stride: int = 320
-    enh_hidden: int | None = None
-    deconv_strides: tuple[int, ...] = (2, 2, 2, 2, 2, 2, 5)
-    stft_window: int = 400
-    stft_hop: int = 160
-    stft_fft: int = 512
+    teacher_layers: int = DEFAULT_TEACHER_LAYERS
+    dim: int = DEFAULT_DIM
+    student_layers: int = DEFAULT_STUDENT_LAYERS
     crop_samples: int = 16000
     grad_clip: float | None = None  # not supported; kept as an explicit null
     dropout: float | None = None  # not supported; kept as an explicit null
@@ -106,7 +107,6 @@ class TrainConfig:
         if self.warmup_iterations is None:
             self.warmup_iterations = round(0.07 * self.total_iterations)
         self.distill_layers = tuple(int(l) for l in self.distill_layers)
-        self.deconv_strides = tuple(int(s) for s in self.deconv_strides)
 
     @classmethod
     def preset(cls, experiment: str, **overrides) -> "TrainConfig":
@@ -133,23 +133,21 @@ class TrainConfig:
         if not 0 <= self.warmup_iterations < self.total_iterations:
             raise ConfigError(f"warmup_iterations {self.warmup_iterations} must lie in "
                               f"[0, total_iterations)")
+        if self.dim < 1:
+            raise ConfigError(f"dim must be positive, got {self.dim}")
         check_fits_teacher(self.student_config(), self.teacher_layers)
-        if self.crop_samples < self.frame_stride:
+        if self.crop_samples < FRAME_STRIDE:
             raise ConfigError(f"crop_samples {self.crop_samples} shorter than one frame "
-                              f"of {self.frame_stride}")
-        if self.enhancement_loss == "l1_freq" and self.crop_samples < self.stft_window:
-            raise ConfigError(f"crop_samples {self.crop_samples} shorter than stft_window "
-                              f"{self.stft_window}")
+                              f"of {FRAME_STRIDE}")
+        if self.enhancement_loss == "l1_freq" and self.crop_samples < STFT.window_length:
+            raise ConfigError(f"crop_samples {self.crop_samples} shorter than the STFT window "
+                              f"{STFT.window_length}")
         if self.grad_clip is not None:
             raise ConfigError("grad_clip is not supported and must be null")
         if self.dropout is not None:
             raise ConfigError("dropout is not supported and must be null")
         if self.checkpoint_every < 1:
             raise ConfigError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
-        if self.stft_window < 1 or self.stft_hop < 1:
-            raise ConfigError("stft_window and stft_hop must be positive")
-        if self.stft_fft < self.stft_window:
-            raise ConfigError(f"stft_fft {self.stft_fft} < stft_window {self.stft_window}")
 
     def to_dict(self) -> dict:
         record = {}
@@ -191,15 +189,9 @@ class TrainConfig:
 
     def student_config(self) -> StudentConfig:
         """The student geometry this config trains, checked on construction."""
-        return StudentConfig(dim=self.dim, n_student_layers=self.student_layers,
-                             frame_stride=self.frame_stride,
+        return StudentConfig(n_student_layers=self.student_layers,
                              distill_layers=self.distill_layers,
-                             enhancement=self.enhancement_loss != "none",
-                             enh_hidden=self.enh_hidden, deconv_strides=self.deconv_strides)
-
-    def stft_params(self) -> STFTParams:
-        return STFTParams(window_length=self.stft_window, hop=self.stft_hop,
-                          fft_size=self.stft_fft)
+                             enhancement=self.enhancement_loss != "none")
 
 
 def _has_json_type(value, hint) -> bool:
@@ -287,17 +279,11 @@ class TrainState:
 
 
 def build_teacher(cfg: TrainConfig) -> TeacherSurrogate:
-    return TeacherSurrogate(n_layers=cfg.teacher_layers, dim=cfg.dim,
-                            frame_stride=cfg.frame_stride, seed=cfg.teacher_seed)
+    return TeacherSurrogate(n_layers=cfg.teacher_layers, dim=cfg.dim, seed=TEACHER_SEED)
 
 
 def build_student(cfg: TrainConfig, teacher: TeacherSurrogate) -> StudentModel:
-    geometry = cfg.student_config()
-    return init_student_from_teacher(
-        teacher, n_student_layers=geometry.n_student_layers,
-        distill_layers=geometry.distill_layers, enhancement=geometry.enhancement,
-        enh_hidden=geometry.enh_hidden, deconv_strides=geometry.deconv_strides,
-        seed=cfg.student_seed)
+    return init_student_from_teacher(teacher, cfg.student_config(), STUDENT_SEED)
 
 
 def _normalize_corpus(corpus) -> list[tuple[str, Waveform]]:
@@ -323,9 +309,9 @@ def _load_corpus(cfg: TrainConfig) -> list[tuple[str, Waveform]]:
 
 
 def _check_corpus(cfg: TrainConfig, corpus: list[tuple[str, Waveform]]):
-    min_len = cfg.frame_stride
+    min_len = FRAME_STRIDE
     if cfg.enhancement_loss == "l1_freq":
-        min_len = max(min_len, cfg.stft_window)
+        min_len = max(min_len, STFT.window_length)
     for utt_id, w in corpus:
         if len(w) < min_len:
             raise DataError(f"utterance {utt_id}: {len(w)} samples is shorter than the "
@@ -469,7 +455,6 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
     sampler = _BatchSampler(len(corpus), cfg.batch_size, cfg.master_seed)
-    stft = cfg.stft_params() if cfg.enhancement_loss == "l1_freq" else None
     params = student.params
 
     if resume_from is not None:
@@ -506,7 +491,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                 if cfg.enhancement_loss == "l1_wav":
                     enh_parts.append(l1_wav(out.enhanced, clean.samples))
                 elif cfg.enhancement_loss == "l1_freq":
-                    enh_parts.append(l1_freq(out.enhanced, clean.samples, stft))
+                    enh_parts.append(l1_freq(out.enhanced, clean.samples, STFT))
 
             l1_mean = _mean_of(l1_parts)
             cos_mean = _mean_of(cos_parts)
@@ -577,6 +562,9 @@ def _read_container(path: str, moments: bool) -> tuple[dict, TrainConfig, dict]:
         pos = 9 + header_len
         header = json.loads(buf[9:pos].decode("utf-8"))
         stored_moments, record = header["has_moments"], header["config"]
+        for key in ("iteration", "adam_step") if stored_moments else ():
+            if type(header.get(key)) is not int:  # a bool is not a count
+                raise DataError(f"header {key!r} must be an integer, got {header.get(key)!r}")
         blocks = []
         while pos < len(buf):
             (name_len,) = struct.unpack_from("<H", buf, pos)
@@ -627,8 +615,8 @@ def load_checkpoint(path: str) -> TrainState:
     params = {name: T.parameter(tensors[0]) for name, tensors in blocks.items()}
     moments = AdamMoments(m={name: tensors[1] for name, tensors in blocks.items()},
                           v={name: tensors[2] for name, tensors in blocks.items()},
-                          step=int(header["adam_step"]))
-    return TrainState(config=cfg, iteration=int(header["iteration"]),
+                          step=header["adam_step"])
+    return TrainState(config=cfg, iteration=header["iteration"],
                       student=StudentModel(cfg.student_config(), params), moments=moments,
                       teacher_checksum=header.get("teacher_checksum", ""))
 

@@ -9,6 +9,15 @@ import pytest
 from distilrobust.audio import RoomImpulseResponse, Waveform, write_wav
 
 
+# Keys that earlier TrainConfig versions had, each with a value they wrote. A
+# config or checkpoint header carrying one is refused as an unknown field.
+REMOVED_CONFIG_FIELDS = [
+    ("cell_type", "lstm"), ("hidden_multiplier", 2), ("frame_stride", 320),
+    ("deconv_strides", [2, 2, 2, 2, 2, 2, 5]), ("enh_hidden", None), ("stft_window", 400),
+    ("stft_hop", 160), ("stft_fft", 512), ("teacher_seed", 100), ("student_seed", 1),
+]
+
+
 def make_reference_data(seed=7):
     """Build the fixed 20-utterance synthetic corpus used by the end-to-end runs.
 

@@ -1,4 +1,4 @@
-"""Command-line entry points: subcommands, exit codes, artifacts, env seeding."""
+"""Command-line entry points: subcommands, exit codes, artifacts."""
 
 import json
 import os
@@ -17,7 +17,7 @@ from distilrobust.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main, render_met
 from distilrobust.losses import IDENTITY_COSINE_TERM
 from distilrobust.trainer import TrainConfig, load_metrics
 
-from conftest import write_manifest
+from conftest import REMOVED_CONFIG_FIELDS, write_manifest
 
 
 def run_cli(*argv):
@@ -122,6 +122,10 @@ class TestAugmentCommand:
     @pytest.mark.parametrize("line, message", [
         ("5", ":1: record must be a JSON object"),
         ('{"id": "a", "path": 3, "kind": "speech"}', ":1: path must be a string"),
+    ] + [  # augment writes <out-dir>/<id>.wav, so an id must be a plain file name
+        (json.dumps({"id": bad_id, "path": "utt00.wav", "kind": "speech"}),
+         f":1: id {bad_id!r} is not a plain file name")
+        for bad_id in ["../escaped", "sub\\name", "..", ".", ""]
     ])
     def test_bad_manifest_line_exits_1(self, disk_assets, tmp_path, capsys, line, message):
         path = tmp_path / "bad.jsonl"
@@ -133,6 +137,7 @@ class TestAugmentCommand:
                        "--seed", 0, "--out-dir", tmp_path / "x")
         assert code == EXIT_VALIDATION
         assert f"{path}{message}" in one_error_line(capsys)
+        assert not (tmp_path / "x").exists()
 
     def test_bad_manifest_exits_1(self, disk_assets, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -143,24 +148,6 @@ class TestAugmentCommand:
                        "--iterations", 10, "--iter", 0,
                        "--seed", 0, "--out-dir", tmp_path / "x")
         assert code == EXIT_VALIDATION
-
-    def test_env_seed_used_when_flag_absent(self, disk_assets, tmp_path, monkeypatch):
-        out_env = tmp_path / "env"
-        out_flag = tmp_path / "flag"
-        monkeypatch.setenv("DISTILROBUST_SEED", "77")
-        assert run_cli("augment", "--manifest", disk_assets["speech"],
-                       "--noise-bank", disk_assets["noise"],
-                       "--rir-bank", disk_assets["rir"],
-                       "--iterations", 100, "--iter", 50,
-                       "--out-dir", out_env) == EXIT_OK
-        monkeypatch.delenv("DISTILROBUST_SEED")
-        assert run_cli("augment", "--manifest", disk_assets["speech"],
-                       "--noise-bank", disk_assets["noise"],
-                       "--rir-bank", disk_assets["rir"],
-                       "--iterations", 100, "--iter", 50,
-                       "--seed", 77, "--out-dir", out_flag) == EXIT_OK
-        assert (out_env / "plans.jsonl").read_bytes() == \
-            (out_flag / "plans.jsonl").read_bytes()
 
     def test_white_noise_below_twice_cutoff_exits_1(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -186,16 +173,6 @@ class TestAugmentCommand:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert "4000 Hz" in errors[0] and "2000 Hz" in errors[0]
-
-    def test_bad_env_seed_exits_1(self, disk_assets, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DISTILROBUST_SEED", "not-a-number")
-        code = run_cli("augment", "--manifest", disk_assets["speech"],
-                       "--noise-bank", disk_assets["noise"],
-                       "--rir-bank", disk_assets["rir"],
-                       "--iterations", 10, "--iter", 0,
-                       "--out-dir", tmp_path / "x")
-        assert code == EXIT_VALIDATION
-
 
 @pytest.fixture()
 def train_setup(tmp_path, reference_data):
@@ -230,6 +207,21 @@ def train_setup(tmp_path, reference_data):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(cfg.to_json())
     return {"cfg": cfg, "cfg_path": cfg_path, "out_dir": out_dir, "tmp": tmp_path}
+
+
+def checkpoint_with_header(train_setup, capsys, edit):
+    """Train, then rewrite the header of the iteration-2 checkpoint through `edit`."""
+    assert run_cli("train", "--config", train_setup["cfg_path"]) == EXIT_OK
+    capsys.readouterr()
+    ckpt = train_setup["out_dir"] / "ckpt_000002.drtc"
+    data = ckpt.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 5)
+    header = json.loads(data[9 : 9 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    ckpt.write_bytes(data[:5] + struct.pack("<I", len(header_bytes)) + header_bytes
+                     + data[9 + header_len :])
+    return ckpt
 
 
 class TestTrainCommand:
@@ -293,21 +285,28 @@ class TestTrainCommand:
         assert run_cli("train", "--config", bad) == EXIT_VALIDATION
         assert one_error_line(capsys) == f"error: {message}"
 
-    @pytest.mark.parametrize("key, value", [("cell_type", "lstm"), ("hidden_multiplier", 2)])
+    @pytest.mark.parametrize("key, value", REMOVED_CONFIG_FIELDS)
     def test_checkpoint_with_removed_field_exits_1(self, train_setup, capsys, key, value):
-        assert run_cli("train", "--config", train_setup["cfg_path"]) == EXIT_OK
-        capsys.readouterr()
-        ckpt = train_setup["out_dir"] / "ckpt_000002.drtc"
-        data = ckpt.read_bytes()
-        (header_len,) = struct.unpack_from("<I", data, 5)
-        header = json.loads(data[9 : 9 + header_len])
-        header["config"][key] = value
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        ckpt.write_bytes(data[:5] + struct.pack("<I", len(header_bytes)) + header_bytes
-                         + data[9 + header_len :])
+        ckpt = checkpoint_with_header(train_setup, capsys,
+                                      lambda header: header["config"].update({key: value}))
         code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
         assert code == EXIT_VALIDATION
         assert one_error_line(capsys) == f"error: unknown config fields: ['{key}']"
+
+    @pytest.mark.parametrize("key", ["adam_step", "iteration"])
+    @pytest.mark.parametrize("value", [None, "2"], ids=["missing", "string"])
+    def test_checkpoint_with_bad_counter_exits_1(self, train_setup, capsys, key, value):
+        def edit(header):
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value
+        ckpt = checkpoint_with_header(train_setup, capsys, edit)
+        code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
+        assert code == EXIT_VALIDATION
+        line = one_error_line(capsys)
+        assert "unreadable checkpoint container" in line
+        assert f"header '{key}' must be an integer, got {value!r}" in line
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run_cli("train", "--config", tmp_path / "gone.json") == EXIT_IO

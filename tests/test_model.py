@@ -7,6 +7,8 @@ import distilrobust.tensor as T
 from distilrobust.audio import Waveform
 from distilrobust.errors import ConfigError, ShapeError
 from distilrobust.model import (
+    DECONV_STRIDES,
+    FRAME_STRIDE,
     StudentConfig,
     check_fits_teacher,
     TeacherSurrogate,
@@ -19,7 +21,11 @@ from distilrobust.model import (
 
 @pytest.fixture(scope="module")
 def teacher():
-    return TeacherSurrogate(dim=16, n_layers=12, frame_stride=320, seed=100)
+    return TeacherSurrogate(dim=16, n_layers=12, seed=100)
+
+
+def student_of(teacher, seed=1, **fields):
+    return init_student_from_teacher(teacher, StudentConfig(**fields), seed)
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +49,8 @@ class TestTeacher:
             np.testing.assert_array_equal(a[l], b[l])
 
     def test_seed_changes_weights(self, wave):
-        t1 = TeacherSurrogate(dim=16, n_layers=4, frame_stride=320, seed=1)
-        t2 = TeacherSurrogate(dim=16, n_layers=4, frame_stride=320, seed=2)
+        t1 = TeacherSurrogate(dim=16, n_layers=4, seed=1)
+        t2 = TeacherSurrogate(dim=16, n_layers=4, seed=2)
         a = teacher_forward(t1, wave)[4]
         b = teacher_forward(t2, wave)[4]
         assert not np.allclose(a, b)
@@ -56,8 +62,12 @@ class TestTeacher:
 
     def test_checksum_stable_and_sensitive(self, teacher):
         assert teacher.checksum() == teacher.checksum()
-        other = TeacherSurrogate(dim=16, n_layers=12, frame_stride=320, seed=101)
+        other = TeacherSurrogate(dim=16, n_layers=12, seed=101)
         assert other.checksum() != teacher.checksum()
+
+    def test_nonpositive_dim_rejected(self):
+        with pytest.raises(ConfigError, match="dim"):
+            TeacherSurrogate(dim=0)
 
     def test_too_short_input_rejected(self, teacher):
         with pytest.raises(ShapeError):
@@ -66,55 +76,57 @@ class TestTeacher:
 
 class TestStudentInit:
     def test_prefix_copied_bit_for_bit(self, teacher):
-        student = init_student_from_teacher(teacher, n_student_layers=2)
+        student = student_of(teacher, n_student_layers=2)
         for name in ("frontend.kernel", "block1.w1", "block1.b1", "block2.w2"):
             np.testing.assert_array_equal(student.params["encoder." + name].values,
                                           teacher.params[name].values)
 
     def test_heads_created_per_distill_layer(self, teacher):
-        student = init_student_from_teacher(teacher, distill_layers=(4, 8, 12))
+        student = student_of(teacher, distill_layers=(4, 8, 12))
         for l in (4, 8, 12):
             assert f"head.{l}.w" in student.params
             assert f"head.{l}.b" in student.params
         assert not student.has_enhancement()
 
     def test_enhancement_parameters_present(self, teacher):
-        student = init_student_from_teacher(teacher, enhancement=True)
+        student = student_of(teacher, enhancement=True)
         assert student.has_enhancement()
         for i in range(1, 8):
             assert f"enhancement.deconv{i}.kernel" in student.params
         assert "enhancement.rnn.fwd.w_x" in student.params
 
+    def test_deconv_strides_must_multiply_to_stride(self):
+        assert np.prod(DECONV_STRIDES) == FRAME_STRIDE
+
+    def test_deconv_layer_count_enforced(self):
+        assert len(DECONV_STRIDES) == 7
+
+    def test_width_and_frame_come_from_teacher(self, teacher):
+        student = student_of(teacher, enhancement=True)
+        assert student.params["encoder.frontend.kernel"].values.shape == (FRAME_STRIDE, 1, 16)
+        for direction in ("fwd", "bwd"):  # the LSTM is as wide as the teacher
+            assert student.params[f"enhancement.rnn.{direction}.w_h"].values.shape == (16, 64)
+
     def test_everything_trainable(self, teacher):
-        student = init_student_from_teacher(teacher, enhancement=True)
+        student = student_of(teacher, enhancement=True)
         assert all(p.requires_grad for p in student.params.values())
 
     def test_zero_depth_rejected(self, teacher):
         with pytest.raises(ConfigError):
-            init_student_from_teacher(teacher, n_student_layers=0)
+            student_of(teacher, n_student_layers=0)
 
     def test_excess_depth_rejected(self, teacher):
         with pytest.raises(ConfigError):
-            init_student_from_teacher(teacher, n_student_layers=13)
+            student_of(teacher, n_student_layers=13)
 
     def test_distill_layer_out_of_range(self, teacher):
         with pytest.raises(ConfigError):
-            init_student_from_teacher(teacher, distill_layers=(4, 13))
-
-    def test_deconv_strides_must_multiply_to_stride(self, teacher):
-        with pytest.raises(ConfigError):
-            init_student_from_teacher(teacher, enhancement=True,
-                                      deconv_strides=(2, 2, 2, 2, 2, 2, 2))
-
-    def test_deconv_layer_count_enforced(self, teacher):
-        with pytest.raises(ConfigError):
-            init_student_from_teacher(teacher, enhancement=True,
-                                      deconv_strides=(8, 8, 5))
+            student_of(teacher, distill_layers=(4, 13))
 
     def test_seed_controls_head_init(self, teacher):
-        a = init_student_from_teacher(teacher, seed=1)
-        b = init_student_from_teacher(teacher, seed=1)
-        c = init_student_from_teacher(teacher, seed=2)
+        a = student_of(teacher, seed=1)
+        b = student_of(teacher, seed=1)
+        c = student_of(teacher, seed=2)
         np.testing.assert_array_equal(a.params["head.4.w"].values,
                                       b.params["head.4.w"].values)
         assert not np.array_equal(a.params["head.4.w"].values,
@@ -123,7 +135,7 @@ class TestStudentInit:
 
 class TestStudentForward:
     def test_prediction_shapes_match_teacher(self, teacher, wave):
-        student = init_student_from_teacher(teacher)
+        student = student_of(teacher)
         t_maps = teacher_forward(teacher, wave)
         out = student_forward(student, wave)
         for l, pred in out.predictions.items():
@@ -132,7 +144,7 @@ class TestStudentForward:
     def test_copied_prefix_reproduces_teacher_layer(self, teacher, wave):
         # blocks 1..2 are bitwise copies, so the student representation on the
         # clean input must match teacher layer 2 exactly
-        student = init_student_from_teacher(teacher, n_student_layers=2)
+        student = student_of(teacher, n_student_layers=2)
         rep = student_forward(student, wave).representation.values
         t2 = teacher_forward(teacher, wave)[2]
         np.testing.assert_array_equal(rep, t2)
@@ -141,7 +153,7 @@ class TestStudentForward:
         assert np.all(cos > 0.99)
 
     def test_enhanced_output_matches_input_length(self, teacher):
-        student = init_student_from_teacher(teacher, enhancement=True)
+        student = student_of(teacher, enhancement=True)
         for n in (3200, 4321, 6400):
             rng = np.random.default_rng(n)
             w = Waveform(0.2 * rng.standard_normal(n), 16000)
@@ -152,7 +164,7 @@ class TestStudentForward:
     def test_enhancement_graph_shape(self, teacher, wave):
         # the waveform head must be seven stride-matched deconvolutions, each
         # followed by the smooth gate nonlinearity
-        student = init_student_from_teacher(teacher, enhancement=True)
+        student = student_of(teacher, enhancement=True)
         out = student_forward(student, wave)
         node = out.enhanced
         assert node.op == "narrow"
@@ -168,11 +180,11 @@ class TestStudentForward:
         assert deconvs == 7
 
     def test_no_enhancement_no_output(self, teacher, wave):
-        student = init_student_from_teacher(teacher, enhancement=False)
+        student = student_of(teacher, enhancement=False)
         assert student_forward(student, wave).enhanced is None
 
     def test_missing_heads_drop_predictions(self, teacher, wave):
-        student = init_student_from_teacher(teacher)
+        student = student_of(teacher)
         stripped = {name: p for name, p in student.params.items()
                     if not name.startswith("head.")}
         bare = type(student)(student.config, stripped)
@@ -182,13 +194,13 @@ class TestStudentForward:
 
 class TestChecksums:
     def test_checksum_tracks_values(self, teacher):
-        student = init_student_from_teacher(teacher)
+        student = student_of(teacher)
         before = student.checksum()
         student.params["head.4.w"].values[0, 0] += 1.0
         assert student.checksum() != before
 
     def test_checksum_ignores_dict_order(self, teacher):
-        student = init_student_from_teacher(teacher)
+        student = student_of(teacher)
         shuffled = dict(reversed(list(student.params.items())))
         assert parameter_checksum(shuffled) == student.checksum()
 
@@ -198,20 +210,14 @@ class TestStudentConfig:
         ({"n_student_layers": 0}, "mixing layer"),
         ({"distill_layers": ()}, "distill_layers"),
         ({"distill_layers": (0, 4)}, "distill_layers"),
-        ({"dim": 0}, "dim"),
-        ({"enh_hidden": 0}, "hidden"),
-        ({"frame_stride": 0}, "frame_stride"),
-        ({"deconv_strides": (8, 8, 5)}, "deconv"),
-        ({"deconv_strides": (2, 2, 2, 2, 2, 2, 2)}, "deconv"),
     ])
     def test_geometry_rejected_on_construction(self, fields, message):
         with pytest.raises(ConfigError, match=message):
             StudentConfig(**fields)
 
     def test_geometry_normalized(self):
-        cfg = StudentConfig(distill_layers=[12, 4, 8], deconv_strides=[2, 2, 2, 2, 2, 2, 5])
+        cfg = StudentConfig(distill_layers=[12, 4, 8])
         assert cfg.distill_layers == (4, 8, 12)
-        assert cfg.deconv_strides == (2, 2, 2, 2, 2, 2, 5)
 
     def test_fit_checked_against_teacher_depth(self):
         check_fits_teacher(StudentConfig(n_student_layers=4, distill_layers=(2, 4)), 4)

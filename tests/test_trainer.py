@@ -30,7 +30,7 @@ from distilrobust.trainer import (
 from distilrobust.model import student_forward
 from distilrobust.audio import Waveform
 
-from conftest import tiny_corpus
+from conftest import REMOVED_CONFIG_FIELDS, tiny_corpus
 
 
 def tiny_config(tmp_dir, experiment="A", **overrides):
@@ -229,7 +229,7 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match="dropout"):
             TrainConfig.from_dict(record)
 
-    @pytest.mark.parametrize("key, value", [("cell_type", "lstm"), ("hidden_multiplier", 2)])
+    @pytest.mark.parametrize("key, value", REMOVED_CONFIG_FIELDS)
     def test_removed_field_rejected(self, key, value):
         record = dict(TrainConfig.preset("C1").to_dict(), **{key: value})
         with pytest.raises(ConfigError, match=rf"unknown config fields: \['{key}'\]"):
@@ -248,7 +248,7 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize("key, value", [
         ("lr_peak", 1), ("lambda_weight", 0), ("warmup_iterations", None),
-        ("enh_hidden", None), ("distill_layers", [4, 8]),
+        ("grad_clip", None), ("distill_layers", [4, 8]),
     ])
     def test_json_types_accepted(self, key, value):
         TrainConfig.from_dict(dict(TrainConfig.preset("A").to_dict(), **{key: value}))
@@ -261,17 +261,12 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match="warmup"):
             TrainConfig.preset("A", total_iterations=10, warmup_iterations=10)
 
-    def test_deconv_stride_product_checked(self):
-        with pytest.raises(ConfigError, match="deconv"):
-            TrainConfig.preset("A", deconv_strides=(2, 2, 2, 2, 2, 2, 2))
-
     @pytest.mark.parametrize("fields, message", [
         ({"student_layers": 0}, "mixing layer"),
         ({"student_layers": 13}, "exceeds teacher depth 12"),
         ({"distill_layers": ()}, "distill_layers"),
         ({"distill_layers": (4, 13)}, "distill layer 13"),
-        ({"frame_stride": 0}, "frame_stride"),
-        ({"deconv_strides": (8, 8, 5)}, "deconv"),
+        ({"dim": 0}, "dim"),
     ])
     def test_student_geometry_checked(self, fields, message):
         with pytest.raises(ConfigError, match=message):
@@ -371,6 +366,22 @@ class TestTrainLoop:
               resume_from=str(out / "ckpt_000003.drtc"))
         assert (out / "metrics.jsonl").read_bytes() == full_metrics
         assert (out / "ckpt_final.drtc").read_bytes() == full_ckpt
+
+    def test_resume_after_a_stop_at_every_iteration(self, tmp_path, banks):
+        noise, rirs = banks
+        out = tmp_path / "run"
+        cfg = tiny_config(out, "C1", checkpoint_every=2)
+        run = dict(corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        train(cfg, **run)
+        full_metrics = (out / "metrics.jsonl").read_bytes()
+        full_ckpt = (out / "ckpt_final.drtc").read_bytes()
+        for stop in range(1, 6):
+            train(cfg, stop_after=stop, **run)
+            periodic = stop - stop % 2  # newest checkpoint_every multiple at or below stop
+            resume = str(out / f"ckpt_{periodic:06d}.drtc") if periodic else None
+            train(cfg, resume_from=resume, **run)
+            assert (out / "metrics.jsonl").read_bytes() == full_metrics, stop
+            assert (out / "ckpt_final.drtc").read_bytes() == full_ckpt, stop
 
     def test_resume_drops_metrics_past_checkpoint(self, tmp_path, banks):
         noise, rirs = banks
@@ -513,7 +524,7 @@ class TestCheckpoints:
     def test_every_truncation_rejected(self, tmp_path, banks, exported):
         noise, rirs = banks
         cfg = tiny_config(tmp_path / "run", "C1", total_iterations=3, teacher_layers=2,
-                          student_layers=1, distill_layers=(2,), enh_hidden=2)
+                          student_layers=1, distill_layers=(2,), dim=2)
         state = train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
         path = tmp_path / "run" / "ckpt_final.drtc"
         load = load_checkpoint
