@@ -276,7 +276,9 @@ def load_manifest(path, expect_kind: str | None = None,
                 raise DataError(f"{path}:{line_no}: unknown kind {kind!r}")
             if expect_kind is not None and kind != expect_kind:
                 raise DataError(f"{path}:{line_no}: expected kind {expect_kind!r}, got {kind!r}")
-            entry_id = str(record["id"])
+            entry_id = record["id"]
+            if not isinstance(entry_id, str):
+                raise DataError(f"{path}:{line_no}: id must be a string, got {entry_id!r}")
             if entry_id in ("", ".", "..") or "/" in entry_id or "\\" in entry_id:
                 raise DataError(f"{path}:{line_no}: id {entry_id!r} is not a plain file name")
             if entry_id in seen:

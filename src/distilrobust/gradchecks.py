@@ -124,6 +124,13 @@ def _check_stft_mag():
     return (lambda x: T.stft_mag(x, window, hop=4, fft_size=16)), [rng.standard_normal(24)]
 
 
+def _check_stft_mag_ragged():
+    # the hop does not divide the window, so the overlap-add's last run is 2 wide
+    rng = _rng("stft_ragged")
+    window = T.hann_window(10)
+    return (lambda x: T.stft_mag(x, window, hop=4, fft_size=16)), [rng.standard_normal(26)]
+
+
 def _check_bidir_lstm():
     rng = _rng("bidir_lstm")
     hidden = 2
@@ -247,6 +254,7 @@ CHECKS = {
     "l1_distance": _check_l1_distance,
     "cosine_sim_rows": _check_cosine_sim_rows,
     "stft_mag": _check_stft_mag,
+    "stft_mag_ragged": _check_stft_mag_ragged,
     "bidir_lstm": _check_bidir_lstm,
     "composition_conv_gelu_linear": _check_composition,
     "kd_loss": _check_kd_loss,

@@ -7,9 +7,12 @@ allocates fresh output buffers and never mutates its inputs.
 
 Sequence ops are single nodes with hand-written vjps: `bidir_recurrent` runs
 both directions of an LSTM over a whole (T, C) sequence in plain numpy loops
-and backpropagates through time in one vjp, and the convolutions do one
-matmul per run of `stride` kernel taps instead of one per tap. `gradchecks`
-keeps the per-step composed recurrence as their reference.
+and backpropagates through time in one vjp. The framed ops, `conv1d`,
+`conv1d_transposed` and `stft_mag`, share one strided framing view
+(`_frames`) and its overlap-add adjoint (`_overlap_add`): a convolution is
+one matmul over the frames and its transpose one overlap-add of a matmul, in
+both directions. `gradchecks` keeps the per-step composed recurrence as the
+reference of `bidir_recurrent`.
 """
 
 from __future__ import annotations
@@ -163,28 +166,13 @@ def scale(a, alpha: float) -> Tensor:
     return _node(a.values * alpha, (a,), "scale", lambda g: (g * alpha,))
 
 
-def scale_add(alpha: float, a, beta: float = 0.0, b=None) -> Tensor:
+def scale_add(alpha: float, a, beta: float, b) -> Tensor:
     """alpha*a + beta*b; beta of exactly 0 still routes (zero) adjoints to b."""
-    a = as_tensor(a)
-    if b is None:
-        return scale(a, alpha)
-    b = as_tensor(b)
-    a_scalar, b_scalar = a.values.size == 1, b.values.size == 1
-    if not (a_scalar or b_scalar):
-        _check_same_shape(a, b, "scale_add")
+    a, b = as_tensor(a), as_tensor(b)
+    _check_same_shape(a, b, "scale_add")
     alpha, beta = float(alpha), float(beta)
-    out = alpha * a.values + beta * b.values
-
-    def vjp(g):
-        ga = alpha * g
-        gb = beta * g
-        if ga.shape != a.values.shape:
-            ga = np.sum(ga).reshape(a.values.shape)
-        if gb.shape != b.values.shape:
-            gb = np.sum(gb).reshape(b.values.shape)
-        return ga, gb
-
-    return _node(out, (a, b), "scale_add", vjp)
+    return _node(alpha * a.values + beta * b.values, (a, b), "scale_add",
+                 lambda g: (alpha * g, beta * g))
 
 
 def sub_from(a, b) -> Tensor:
@@ -351,11 +339,11 @@ def reshape(x, shape) -> Tensor:
 
 
 def linear(x, w, b=None) -> Tensor:
-    """x @ w (+ b). x may be (T, C) or (C,); w is (C, O), b is (O,)."""
+    """x @ w (+ b): x is (T, C), w is (C, O), b is (O,)."""
     x, w = as_tensor(x), as_tensor(w)
     if w.values.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-D, got {w.values.shape}")
-    if x.values.ndim not in (1, 2) or x.values.shape[-1] != w.values.shape[0]:
+    if x.values.ndim != 2 or x.values.shape[1] != w.values.shape[0]:
         raise ShapeError(f"linear: input {x.values.shape} vs weight {w.values.shape}")
     out = x.values @ w.values
     parents: tuple[Tensor, ...]
@@ -369,15 +357,8 @@ def linear(x, w, b=None) -> Tensor:
         parents = (x, w)
 
     def vjp(g):
-        gx = g @ w.values.T
-        if x.values.ndim == 2:
-            gw = x.values.T @ g
-        else:
-            gw = np.outer(x.values, g)
-        if b is not None:
-            gb = g.sum(axis=0) if g.ndim == 2 else g
-            return gx, gw, gb
-        return gx, gw
+        gx, gw = g @ w.values.T, x.values.T @ g
+        return (gx, gw, g.sum(axis=0)) if b is not None else (gx, gw)
 
     return _node(out, parents, "linear", vjp)
 
@@ -392,29 +373,37 @@ def _conv_checks(x: Tensor, k: Tensor, stride: int, op: str):
         raise ShapeError(f"{op}: channel mismatch {x.values.shape[1]} vs {k.values.shape[1]}")
 
 
-def _tap_blocks(kw: int, stride: int) -> list[tuple[int, int]]:
-    """(first tap, tap count) of each run of at most `stride` consecutive kernel taps.
+def _frames(a: np.ndarray, stride: int, width: int, count: int) -> np.ndarray:
+    """(count, width*C) rows of a (N, C) array; row t is a[t*stride : t*stride + width].
 
-    Within one run, the taps that touch frame t read or write the rows
-    t*stride + first ... t*stride + first + count - 1, and frames do not overlap.
-    """
-    return [(j, min(stride, kw - j)) for j in range(0, kw, stride)]
-
-
-def _strided_rows(a: np.ndarray, start: int, count: int, width: int, step: int) -> np.ndarray:
-    """Read-only view (count, width*C) of a (N, C) array; row i is a[start + i*step :][:width].
-
-    With width <= step the rows do not overlap, so matmul reads the view in place.
+    With width == stride the rows tile the array and come back as a view; other
+    rows are copied, since matmul reads a strided view through its slow loop.
     """
     c = a.shape[1]
-    flat = np.ascontiguousarray(a).reshape(-1)[start * c :]
-    return np.lib.stride_tricks.sliding_window_view(flat, width * c)[:: step * c][:count]
+    rows = np.lib.stride_tricks.sliding_window_view(a.reshape(-1), width * c)
+    return np.ascontiguousarray(rows[:: stride * c][:count])
+
+
+def _overlap_add(rows: np.ndarray, stride: int, n: int) -> np.ndarray:
+    """Adjoint of `_frames`: add (T, width, C) rows at offsets t*stride into (n, C).
+
+    Each run of `stride` row positions is one slice-add into stride-row slots,
+    and the rows past n are cut off.
+    """
+    t, width, c = rows.shape
+    runs = range(0, width, stride)
+    out = np.zeros((max(n, (t + len(runs) - 1) * stride), c))
+    for j in runs:
+        taps = min(stride, width - j)
+        out[j : j + t * stride].reshape(t, stride, c)[:, :taps] += rows[:, j : j + taps]
+    return out[:n]
 
 
 def conv1d(x, k, stride: int = 1) -> Tensor:
     """Valid cross-correlation along time: (N, Cin) * (kw, Cin, Cout) -> (T, Cout).
 
-    One matmul per run of `stride` taps, so stride == kw is a single matmul.
+    One matmul over the input's kw-sample frames; the vjp overlap-adds the
+    frames' adjoint back.
     """
     x, k = as_tensor(x), as_tensor(k)
     _conv_checks(x, k, stride, "conv1d")
@@ -422,55 +411,33 @@ def conv1d(x, k, stride: int = 1) -> Tensor:
     if n < kw:
         raise ShapeError(f"conv1d: input of {n} samples shorter than kernel {kw}")
     t_out = (n - kw) // stride + 1
-    blocks = _tap_blocks(kw, stride)
-    out = np.zeros((t_out, c_out))
-    for j, taps in blocks:
-        k_block = k.values[j : j + taps].reshape(-1, c_out)
-        out += _strided_rows(x.values, j, t_out, taps, stride) @ k_block
+    frames = _frames(x.values, stride, kw, t_out)
+    k_flat = k.values.reshape(kw * c_in, c_out)
 
     def vjp(g):
-        # overlap-add into stride-row slots; the padding rows past n are cut off
-        slots = t_out + len(blocks) - 1
-        gx = np.zeros((max(n, slots * stride), c_in))
-        gk = np.empty_like(k.values)
-        for j, taps in blocks:
-            k_block = k.values[j : j + taps].reshape(-1, c_out)
-            gx[j : j + t_out * stride].reshape(t_out, stride, c_in)[:, :taps] += (
-                (g @ k_block.T).reshape(t_out, taps, c_in))
-            rows = _strided_rows(x.values, j, t_out, taps, stride)
-            gk[j : j + taps] = (rows.T @ g).reshape(taps, c_in, c_out)
-        return gx[:n], gk
+        gx = _overlap_add((g @ k_flat.T).reshape(t_out, kw, c_in), stride, n)
+        return gx, (frames.T @ g).reshape(k.values.shape)
 
-    return _node(out, (x, k), "conv1d", vjp)
+    return _node(frames @ k_flat, (x, k), "conv1d", vjp)
 
 
 def conv1d_transposed(x, k, stride: int = 1) -> Tensor:
     """Transposed conv along time: (T, Cin) * (kw, Cin, Cout) -> ((T-1)*stride + kw, Cout).
 
-    One matmul gives every tap's contribution; each run of `stride` taps is
-    then overlap-added into stride-row slots.
+    The adjoint of `conv1d`: one matmul gives every tap's contribution, which
+    is overlap-added; the vjp frames the output gradient.
     """
     x, k = as_tensor(x), as_tensor(k)
     _conv_checks(x, k, stride, "conv1d_transposed")
     (t_in, c_in), (kw, _, c_out) = x.values.shape, k.values.shape
     n_out = (t_in - 1) * stride + kw
-    blocks = _tap_blocks(kw, stride)
     k_wide = k.values.transpose(1, 0, 2).reshape(c_in, kw * c_out)
-    y = x.values @ k_wide
-    out = np.zeros(((t_in + len(blocks) - 1) * stride, c_out))
-    for j, taps in blocks:
-        out[j : j + t_in * stride].reshape(t_in, stride, c_out)[:, :taps] += (
-            y[:, j * c_out : (j + taps) * c_out].reshape(t_in, taps, c_out))
-    out = out[:n_out]
+    out = _overlap_add((x.values @ k_wide).reshape(t_in, kw, c_out), stride, n_out)
 
     def vjp(g):
-        gx = np.zeros_like(x.values)
-        gk = np.empty_like(k.values)
-        for j, taps in blocks:
-            g_rows = _strided_rows(g, j, t_in, taps, stride)
-            gx += g_rows @ k_wide[:, j * c_out : (j + taps) * c_out].T
-            gk[j : j + taps] = (x.values.T @ g_rows).reshape(c_in, taps, c_out).transpose(1, 0, 2)
-        return gx, gk
+        g_frames = _frames(g, stride, kw, t_in)
+        gk = (x.values.T @ g_frames).reshape(c_in, kw, c_out).transpose(1, 0, 2)
+        return g_frames @ k_wide.T, gk
 
     return _node(out, (x, k), "conv1d_transposed", vjp)
 
@@ -610,8 +577,7 @@ def stft_mag(x, window: np.ndarray, hop: int, fft_size: int) -> Tensor:
     if n < win_len:
         raise ShapeError(f"stft_mag: signal of {n} samples shorter than window {win_len}")
     n_frames = 1 + (n - win_len) // hop
-    idx = np.arange(win_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    segments = x.values[idx] * window
+    segments = _frames(x.values[:, None], hop, win_len, n_frames) * window
     spectrum = np.fft.rfft(segments, n=fft_size, axis=1)
     mag = np.abs(spectrum)
 
@@ -621,10 +587,7 @@ def stft_mag(x, window: np.ndarray, hop: int, fft_size: int) -> Tensor:
         full = np.zeros((n_frames, fft_size), dtype=np.complex128)
         full[:, : mag.shape[1]] = g * ratio
         d_seg = fft_size * np.fft.ifft(full, axis=1).real[:, :win_len] * window
-        gx = np.zeros_like(x.values)
-        for f in range(n_frames):
-            gx[f * hop : f * hop + win_len] += d_seg[f]
-        return (gx,)
+        return (_overlap_add(d_seg[:, :, None], hop, n)[:, 0],)
 
     return _node(mag, (x,), "stft_mag", vjp)
 

@@ -438,6 +438,9 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
         state = load_checkpoint(resume_from)
         if _run_identity(state.config) != _run_identity(cfg):
             raise ConfigError("resume checkpoint was written with a different config")
+        if state.teacher_checksum != checksum_before:
+            raise DataError(f"{resume_from}: teacher checksum {state.teacher_checksum!r} "
+                            f"differs from the config's teacher {checksum_before!r}")
         student = state.student
         moments = state.moments
         start_iteration = state.iteration
@@ -565,6 +568,9 @@ def _read_container(path: str, moments: bool) -> tuple[dict, TrainConfig, dict]:
         for key in ("iteration", "adam_step") if stored_moments else ():
             if type(header.get(key)) is not int:  # a bool is not a count
                 raise DataError(f"header {key!r} must be an integer, got {header.get(key)!r}")
+        if stored_moments and not isinstance(header.get("teacher_checksum"), str):
+            raise DataError(f"header 'teacher_checksum' must be a string, got "
+                            f"{header.get('teacher_checksum')!r}")
         blocks = []
         while pos < len(buf):
             (name_len,) = struct.unpack_from("<H", buf, pos)
@@ -618,7 +624,7 @@ def load_checkpoint(path: str) -> TrainState:
                           step=header["adam_step"])
     return TrainState(config=cfg, iteration=header["iteration"],
                       student=StudentModel(cfg.student_config(), params), moments=moments,
-                      teacher_checksum=header.get("teacher_checksum", ""))
+                      teacher_checksum=header["teacher_checksum"])
 
 
 def export_student(state: TrainState, path: str):

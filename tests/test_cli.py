@@ -122,6 +122,10 @@ class TestAugmentCommand:
     @pytest.mark.parametrize("line, message", [
         ("5", ":1: record must be a JSON object"),
         ('{"id": "a", "path": 3, "kind": "speech"}', ":1: path must be a string"),
+    ] + [  # a non-string id must not turn into a name such as None.wav
+        (json.dumps({"id": bad_id, "path": "utt00.wav", "kind": "speech"}),
+         f":1: id must be a string, got {bad_id!r}")
+        for bad_id in [None, True, 7]
     ] + [  # augment writes <out-dir>/<id>.wav, so an id must be a plain file name
         (json.dumps({"id": bad_id, "path": "utt00.wav", "kind": "speech"}),
          f":1: id {bad_id!r} is not a plain file name")
@@ -307,6 +311,22 @@ class TestTrainCommand:
         line = one_error_line(capsys)
         assert "unreadable checkpoint container" in line
         assert f"header '{key}' must be an integer, got {value!r}" in line
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header: header.update(teacher_checksum="0" * 64),
+         f"teacher checksum {'0' * 64!r} differs from the config's teacher"),
+        (lambda header: header.pop("teacher_checksum"),
+         "header 'teacher_checksum' must be a string, got None"),
+    ], ids=["zeroed", "missing"])
+    def test_checkpoint_with_bad_teacher_checksum_exits_1(self, train_setup, capsys, edit,
+                                                          message):
+        ckpt = checkpoint_with_header(train_setup, capsys, edit)
+        out_dir = train_setup["out_dir"]
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
+        assert code == EXIT_VALIDATION
+        assert message in one_error_line(capsys)
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run_cli("train", "--config", tmp_path / "gone.json") == EXIT_IO

@@ -24,10 +24,6 @@ class TestForwardValues:
         np.testing.assert_array_equal(T.mul(a, b).values, [3.0, 8.0])
         np.testing.assert_array_equal(T.scale(a, -2.0).values, [-2.0, -4.0])
 
-    def test_scale_add_without_second_operand(self):
-        a = leaf([1.0, 2.0])
-        np.testing.assert_array_equal(T.scale_add(3.0, a).values, [3.0, 6.0])
-
     def test_sigmoid_symmetry(self):
         x = leaf([0.0, 50.0, -50.0])
         s = T.sigmoid(x).values
@@ -382,6 +378,22 @@ def _conv1d_transposed_per_tap(x, k, stride, g):
     return out, gx, gk
 
 
+def _stft_mag_per_frame(x, window, hop, fft_size, g):
+    """Magnitude and gx frame by frame, with d|X_k|/ds_n = Re(conj(X_k) e^(-2 pi i k n / N)) / |X_k|
+    taken from an explicit DFT matrix."""
+    win = window.size
+    bins = np.arange(fft_size // 2 + 1)
+    dft = np.exp(-2j * np.pi * np.outer(bins, np.arange(win)) / fft_size)
+    mags, gx = [], np.zeros_like(x)
+    for f in range(1 + (x.size - win) // hop):
+        spectrum = dft @ (x[f * hop : f * hop + win] * window)
+        mag = np.abs(spectrum)
+        mags.append(mag)
+        d_seg = ((g[f] / mag)[:, None] * (np.conj(spectrum)[:, None] * dft).real).sum(axis=0)
+        gx[f * hop : f * hop + win] += d_seg * window
+    return np.array(mags), gx
+
+
 class TestFusedMatchesReference:
     """The fused recurrence and the loop-free convolutions against the paths they replace."""
 
@@ -446,5 +458,18 @@ class TestFusedMatchesReference:
         out, (gx, gk), cotangent = _value_and_grads(lambda a, b: op(a, b, stride=stride), [x, k])
         want_out, want_gx, want_gk = reference(x, k, stride, cotangent)
         for got, want in ((out, want_out), (gx, want_gx), (gk, want_gk)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("win,hop", [(8, 4), (10, 4), (8, 8), (6, 9)])
+    def test_stft_mag_matches_per_frame_loop(self, win, hop):
+        rng = np.random.default_rng(win * 100 + hop)
+        window = T.hann_window(win)
+        # a ragged tail the last frame does not reach
+        x = rng.standard_normal(win + 5 * hop + max(1, hop // 2))
+        out, (gx,), cotangent = _value_and_grads(
+            lambda a: T.stft_mag(a, window, hop=hop, fft_size=16), [x])
+        want_out, want_gx = _stft_mag_per_frame(x, window, hop, 16, cotangent)
+        for got, want in ((out, want_out), (gx, want_gx)):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
