@@ -194,14 +194,23 @@ def _check_composition():
 
 
 def _check_kd_loss():
-    rng = _rng("kd")
-    student = rng.standard_normal((3, 4))
-    teacher = {7: student + np.sign(rng.standard_normal((3, 4))) * 0.2
-               + 0.3 * rng.standard_normal((3, 4))}
-    # keep the pair off the elementwise |.| kink
-    diff = teacher[7] - student
-    teacher[7] = np.where(np.abs(diff) < 0.1, student + 0.15 * np.sign(diff + 0.5), teacher[7])
-    return (lambda s: kd_loss(teacher, {7: s}, layers=(7,))), [student]
+    student, teacher = _separated_pair(_rng("kd"), (3, 4))
+    return (lambda s: kd_loss({7: teacher}, {7: s}, layers=(7,))), [student]
+
+
+def _check_kd_loss_stacked():
+    # the trainer's graph: each layer's predictions of two utterances (3 and 5
+    # frames) stacked into one map, kept off the |.| kink
+    rng = _rng("kd_stacked")
+    pairs = [_separated_pair(rng, (frames, 4)) for _ in range(2) for frames in (3, 5)]
+    teacher = {4: np.concatenate([pairs[0][1], pairs[1][1]]),
+               8: np.concatenate([pairs[2][1], pairs[3][1]])}
+
+    def fn(a_short, a_long, b_short, b_long):
+        student = {4: T.concat([a_short, a_long]), 8: T.concat([b_short, b_long])}
+        return kd_loss(teacher, student, layers=(4, 8))
+
+    return fn, [student for student, _ in pairs]
 
 
 def _check_l1_wav():
@@ -258,6 +267,7 @@ CHECKS = {
     "bidir_lstm": _check_bidir_lstm,
     "composition_conv_gelu_linear": _check_composition,
     "kd_loss": _check_kd_loss,
+    "kd_loss_stacked": _check_kd_loss_stacked,
     "l1_wav": _check_l1_wav,
     "l1_freq": _check_l1_freq,
     "encoder_head": _check_encoder_head,

@@ -6,7 +6,8 @@ width-normalized L1 distance plus a log-sigmoid cosine term:
 
     sum_l sum_t [ (1/D) * ||h_t - s_t||_1  -  log sigmoid(cos(h_t, s_t)) ]
 
-It is a sum, not a mean.
+It is a sum, not a mean, so stacking utterances' frames sums their losses;
+the trainer relies on this to take one call over a batch.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ class LossBreakdown:
     """One training step's loss values; `tensor` carries the differentiable total."""
 
     kd_total: float
-    kd_l1: float | None
-    kd_cos: float | None
+    kd_l1: float
+    kd_cos: float
     enh: float | None
     lambda_weight: float
     combined: float
@@ -137,33 +138,22 @@ class LossBreakdown:
         }
 
 
-def combined_loss(kd, enh=None, lambda_weight: float = 0.0) -> LossBreakdown:
-    """kd + lambda * enh. kd may be a KDLossParts or a bare scalar tensor/float."""
+def combined_loss(kd: KDLossParts, enh=None, lambda_weight: float = 0.0) -> LossBreakdown:
+    """kd.total + lambda * enh, with the distillation addends reported separately."""
     lambda_weight = float(lambda_weight)
     if lambda_weight < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lambda_weight}")
-    if isinstance(kd, KDLossParts):
-        kd_tensor = kd.total
-        kd_l1: float | None = kd.l1.item()
-        kd_cos: float | None = kd.cos.item()
-    else:
-        kd_tensor = T.as_tensor(kd)
-        kd_l1 = None
-        kd_cos = None
-    kd_total = kd_tensor.item()
+    kd_total = kd.total.item()
     if not math.isfinite(kd_total):
         raise NumericError(f"distillation loss is not finite: {kd_total}")
-
-    if enh is None:
-        return LossBreakdown(kd_total=kd_total, kd_l1=kd_l1, kd_cos=kd_cos, enh=None,
-                             lambda_weight=lambda_weight, combined=kd_total,
-                             tensor=kd_tensor)
-    enh_tensor = T.as_tensor(enh)
-    enh_value = enh_tensor.item()
-    if not math.isfinite(enh_value):
-        raise NumericError(f"enhancement loss is not finite: {enh_value}")
-    combined = kd_total + lambda_weight * enh_value
-    total_tensor = T.scale_add(1.0, kd_tensor, lambda_weight, enh_tensor)
-    return LossBreakdown(kd_total=kd_total, kd_l1=kd_l1, kd_cos=kd_cos, enh=enh_value,
-                         lambda_weight=lambda_weight, combined=combined,
-                         tensor=total_tensor)
+    enh_value, combined, total = None, kd_total, kd.total
+    if enh is not None:
+        enh_tensor = T.as_tensor(enh)
+        enh_value = enh_tensor.item()
+        if not math.isfinite(enh_value):
+            raise NumericError(f"enhancement loss is not finite: {enh_value}")
+        combined = kd_total + lambda_weight * enh_value
+        total = T.scale_add(1.0, kd.total, lambda_weight, enh_tensor)
+    return LossBreakdown(kd_total=kd_total, kd_l1=kd.l1.item(), kd_cos=kd.cos.item(),
+                         enh=enh_value, lambda_weight=lambda_weight, combined=combined,
+                         tensor=total)

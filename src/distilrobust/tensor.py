@@ -403,7 +403,7 @@ def conv1d(x, k, stride: int = 1) -> Tensor:
     """Valid cross-correlation along time: (N, Cin) * (kw, Cin, Cout) -> (T, Cout).
 
     One matmul over the input's kw-sample frames; the vjp overlap-adds the
-    frames' adjoint back.
+    frames' adjoint back, and returns None for x when x needs no gradient.
     """
     x, k = as_tensor(x), as_tensor(k)
     _conv_checks(x, k, stride, "conv1d")
@@ -415,8 +415,10 @@ def conv1d(x, k, stride: int = 1) -> Tensor:
     k_flat = k.values.reshape(kw * c_in, c_out)
 
     def vjp(g):
-        gx = _overlap_add((g @ k_flat.T).reshape(t_out, kw, c_in), stride, n)
-        return gx, (frames.T @ g).reshape(k.values.shape)
+        gk = (frames.T @ g).reshape(k.values.shape)
+        if not x.requires_grad:  # the front end's waveform: skip a whole-signal overlap-add
+            return None, gk
+        return _overlap_add((g @ k_flat.T).reshape(t_out, kw, c_in), stride, n), gk
 
     return _node(frames @ k_flat, (x, k), "conv1d", vjp)
 

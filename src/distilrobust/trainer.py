@@ -95,8 +95,6 @@ class TrainConfig:
     dim: int = DEFAULT_DIM
     student_layers: int = DEFAULT_STUDENT_LAYERS
     crop_samples: int = 16000
-    grad_clip: float | None = None  # not supported; kept as an explicit null
-    dropout: float | None = None  # not supported; kept as an explicit null
     checkpoint_every: int = 100
     out_dir: str = "runs/out"
     data_manifest: str | None = None
@@ -142,10 +140,6 @@ class TrainConfig:
         if self.enhancement_loss == "l1_freq" and self.crop_samples < STFT.window_length:
             raise ConfigError(f"crop_samples {self.crop_samples} shorter than the STFT window "
                               f"{STFT.window_length}")
-        if self.grad_clip is not None:
-            raise ConfigError("grad_clip is not supported and must be null")
-        if self.dropout is not None:
-            raise ConfigError("dropout is not supported and must be null")
         if self.checkpoint_every < 1:
             raise ConfigError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
 
@@ -394,6 +388,7 @@ def _rewind_metrics(path: str, iteration: int):
 
 
 def _mean_of(tensors: list[T.Tensor]) -> T.Tensor:
+    # enhancement losses are means over utterances of unequal length, so not stacked
     total = tensors[0]
     for t in tensors[1:]:
         total = T.add(total, t)
@@ -482,22 +477,24 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                 raise DataError(f"iteration {iteration}, utterances {batch_ids}: {exc}") from exc
 
             T.zero_grads(params.values())
-            l1_parts, cos_parts, enh_parts = [], [], []
-            plans = []
+            teacher_maps, predictions, enh_parts, plans = [], [], [], []
             for clean, (augmented, plan) in zip(cleans, pairs):
                 plans.append(plan)
-                teacher_maps = teacher_forward(teacher, clean)
+                teacher_maps.append(teacher_forward(teacher, clean))
                 out = student_forward(student, augmented)
-                parts = kd_loss_parts(teacher_maps, out.predictions, cfg.distill_layers)
-                l1_parts.append(parts.l1)
-                cos_parts.append(parts.cos)
+                predictions.append(out.predictions)
                 if cfg.enhancement_loss == "l1_wav":
                     enh_parts.append(l1_wav(out.enhanced, clean.samples))
                 elif cfg.enhancement_loss == "l1_freq":
                     enh_parts.append(l1_freq(out.enhanced, clean.samples, STFT))
 
-            l1_mean = _mean_of(l1_parts)
-            cos_mean = _mean_of(cos_parts)
+            # the distillation loss sums over frames: one call sums the utterances
+            layers = cfg.distill_layers
+            summed = kd_loss_parts(
+                {l: np.concatenate([maps[l] for maps in teacher_maps]) for l in layers},
+                {l: T.concat([preds[l] for preds in predictions]) for l in layers}, layers)
+            l1_mean = T.scale(summed.l1, 1.0 / len(cleans))
+            cos_mean = T.scale(summed.cos, 1.0 / len(cleans))
             kd_parts = KDLossParts(total=T.add(l1_mean, cos_mean), l1=l1_mean, cos=cos_mean)
             enh_mean = _mean_of(enh_parts) if enh_parts else None
             breakdown = combined_loss(kd_parts, enh_mean, cfg.lambda_weight)

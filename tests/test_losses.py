@@ -113,6 +113,29 @@ class TestDistillLoss:
         double = kd_loss(doubled_t, doubled_s, layers=(4,)).item()
         assert double == pytest.approx(2.0 * single, rel=1e-12)
 
+    def test_stacked_utterances_sum(self):
+        # the trainer's batch call: each layer's frames of several utterances stacked
+        rng = np.random.default_rng(9)
+        layers = (4, 8)
+        utterances = [random_maps(rng, layers, frames, 5) for frames in (3, 5)]
+        leaves = [{l: T.parameter(student[l]) for l in layers} for _, student in utterances]
+        separate = [kd_loss_parts(teacher, own, layers)
+                    for (teacher, _), own in zip(utterances, leaves)]
+        stacked_leaves = [{l: T.parameter(student[l]) for l in layers}
+                          for _, student in utterances]
+        stacked = kd_loss_parts(
+            {l: np.concatenate([teacher[l] for teacher, _ in utterances]) for l in layers},
+            {l: T.concat([own[l] for own in stacked_leaves]) for l in layers}, layers)
+        for part in ("l1", "cos", "total"):
+            want = sum(getattr(parts, part).item() for parts in separate)
+            assert abs(getattr(stacked, part).item() - want) <= 1e-12, part
+        for parts in separate:
+            T.backward(parts.total)
+        T.backward(stacked.total)
+        for own, stacked_own in zip(leaves, stacked_leaves):
+            for l in layers:
+                assert stacked_own[l].grad.tobytes() == own[l].grad.tobytes()
+
     def test_missing_layer_named(self):
         teacher = {4: np.ones((2, 2))}
         student = {4: np.ones((2, 2))}
@@ -218,27 +241,33 @@ class TestSpectralLoss:
             STFTParams(window_length=400, hop=160, fft_size=256)
 
 
+def addends(l1, cos):
+    """KDLossParts of two given addends, summed as kd_loss_parts sums them."""
+    l1, cos = T.as_tensor(np.asarray(l1)), T.as_tensor(np.asarray(cos))
+    return KDLossParts(total=T.add(l1, cos), l1=l1, cos=cos)
+
+
 class TestCombinedLoss:
     def test_weighted_sum_example(self):
-        kd = T.as_tensor(np.asarray(1.0))
         enh = T.as_tensor(np.asarray(0.5))
-        breakdown = combined_loss(kd, enh, 10.0)
+        breakdown = combined_loss(addends(0.75, 0.25), enh, 10.0)
         assert breakdown.combined == 6.0
         assert breakdown.tensor.item() == 6.0
 
     def test_no_enhancement_passthrough(self):
-        kd = T.as_tensor(np.asarray(3.25))
-        breakdown = combined_loss(kd, None, 0.0)
+        breakdown = combined_loss(addends(3.0, 0.25), None, 0.0)
         assert breakdown.combined == 3.25
+        assert (breakdown.kd_l1, breakdown.kd_cos) == (3.0, 0.25)
         assert breakdown.enh is None
 
     def test_bit_exact_identity(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            kd_val = float(rng.uniform(0, 100))
+            l1_val, cos_val = (float(v) for v in rng.uniform(0, 50, size=2))
+            kd_val = l1_val + cos_val
             enh_val = float(rng.uniform(0, 10))
             lam = float(rng.uniform(0, 20))
-            breakdown = combined_loss(T.as_tensor(np.asarray(kd_val)),
+            breakdown = combined_loss(addends(l1_val, cos_val),
                                       T.as_tensor(np.asarray(enh_val)), lam)
             assert breakdown.combined == kd_val + lam * enh_val
 
@@ -269,8 +298,8 @@ class TestCombinedLoss:
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ParameterError):
-            combined_loss(T.as_tensor(np.asarray(1.0)), T.as_tensor(np.asarray(1.0)), -1.0)
+            combined_loss(addends(1.0, 0.0), T.as_tensor(np.asarray(1.0)), -1.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
-            combined_loss(T.as_tensor(np.asarray(np.nan)), None, 0.0)
+            combined_loss(addends(np.nan, 0.0), None, 0.0)

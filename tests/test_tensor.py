@@ -461,6 +461,16 @@ class TestFusedMatchesReference:
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_conv1d_vjp_skips_gx_of_constant_input(self):
+        # the student's front end convolves the constant waveform
+        rng = np.random.default_rng(12)
+        x, k = rng.standard_normal((35, 1)), rng.standard_normal((8, 1, 3))
+        g = rng.standard_normal((4, 3))
+        gx_leaf, gk_leaf = T.conv1d(leaf(x), leaf(k), stride=8)._vjp(g)
+        gx, gk = T.conv1d(T.Tensor(x), leaf(k), stride=8)._vjp(g)
+        assert gx is None and gx_leaf.shape == x.shape
+        assert gk.tobytes() == gk_leaf.tobytes()
+
     @pytest.mark.parametrize("win,hop", [(8, 4), (10, 4), (8, 8), (6, 9)])
     def test_stft_mag_matches_per_frame_loop(self, win, hop):
         rng = np.random.default_rng(win * 100 + hop)

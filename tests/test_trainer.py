@@ -217,18 +217,6 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match="momentum"):
             TrainConfig.from_dict(record)
 
-    def test_grad_clip_must_be_null(self):
-        record = TrainConfig.preset("A").to_dict()
-        record["grad_clip"] = 1.0
-        with pytest.raises(ConfigError, match="grad_clip"):
-            TrainConfig.from_dict(record)
-
-    def test_dropout_must_be_null(self):
-        record = TrainConfig.preset("A").to_dict()
-        record["dropout"] = 0.1
-        with pytest.raises(ConfigError, match="dropout"):
-            TrainConfig.from_dict(record)
-
     @pytest.mark.parametrize("key, value", REMOVED_CONFIG_FIELDS)
     def test_removed_field_rejected(self, key, value):
         record = dict(TrainConfig.preset("C1").to_dict(), **{key: value})
@@ -239,7 +227,7 @@ class TestConfigSerialization:
         ("batch_size", "8"), ("batch_size", True), ("batch_size", 8.0), ("batch_size", None),
         ("lr_peak", "1e-3"), ("lr_peak", True), ("curriculum", "no"), ("curriculum", 0),
         ("distill_layers", 4), ("distill_layers", [4, "8"]), ("distill_layers", [4, True]),
-        ("out_dir", 3), ("grad_clip", "none"),
+        ("out_dir", 3), ("warmup_iterations", "none"),
     ])
     def test_wrong_json_type_rejected(self, key, value):
         record = dict(TrainConfig.preset("A").to_dict(), **{key: value})
@@ -248,7 +236,7 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize("key, value", [
         ("lr_peak", 1), ("lambda_weight", 0), ("warmup_iterations", None),
-        ("grad_clip", None), ("distill_layers", [4, 8]),
+        ("data_manifest", None), ("distill_layers", [4, 8]),
     ])
     def test_json_types_accepted(self, key, value):
         TrainConfig.from_dict(dict(TrainConfig.preset("A").to_dict(), **{key: value}))
@@ -295,6 +283,30 @@ class TestTrainLoop:
             assert sum(r["action_counts"].values()) == cfg.batch_size
             assert r["combined"] == pytest.approx(
                 r["kd_l1"] + r["kd_cos"] + cfg.lambda_weight * r["enh"], rel=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [2, 4])
+    def test_one_distillation_loss_per_iteration(self, tmp_path, banks, monkeypatch,
+                                                 batch_size):
+        noise, rirs = banks
+        cfg = tiny_config(tmp_path / "run", "A", batch_size=batch_size, total_iterations=1,
+                          warmup_iterations=0)
+        cosine_nodes = []
+        backward = T.backward
+
+        def counting_backward(loss):
+            seen, stack, count = set(), [loss], 0
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    count += node.op == "cosine_sim_rows"
+                    stack.extend(node.parents)
+            cosine_nodes.append(count)
+            backward(loss)
+
+        monkeypatch.setattr(T, "backward", counting_backward)
+        train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        assert cosine_nodes == [len(cfg.distill_layers)]
 
     def test_lr_column_follows_schedule(self, tmp_path, banks):
         noise, rirs = banks
