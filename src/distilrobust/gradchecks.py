@@ -1,6 +1,7 @@
 """Named finite-difference checks covering the whole differentiable op set and
 every loss, at fixed seeds. The CLI's gradcheck command and the test suite both
-run these closures.
+run these closures. An op with a batch axis is checked on one utterance and,
+as `<name>_batched`, on several.
 """
 
 from __future__ import annotations
@@ -49,16 +50,18 @@ def _check_linear():
                                                  rng.standard_normal(5)]
 
 
-def _check_conv1d():
-    rng = _rng("conv1d")
-    return (lambda x, k: T.conv1d(x, k, stride=2)), [rng.standard_normal((9, 2)),
+def _check_conv1d(x_shape=(1, 9, 2), tag="conv1d"):
+    # the batched check's last frame stops short of the input's last sample
+    rng = _rng(tag)
+    return (lambda x, k: T.conv1d(x, k, stride=2)), [rng.standard_normal(x_shape),
                                                      rng.standard_normal((3, 2, 4))]
 
 
-def _check_conv1d_transposed():
-    rng = _rng("deconv")
-    return (lambda x, k: T.conv1d_transposed(x, k, stride=2)), [rng.standard_normal((4, 3)),
-                                                                rng.standard_normal((4, 3, 2))]
+def _check_conv1d_transposed(x_shape=(1, 4, 3), kw=4, tag="deconv"):
+    # the batched check's kernel is not a multiple of the stride: a ragged last frame
+    rng = _rng(tag)
+    return (lambda x, k: T.conv1d_transposed(x, k, stride=2)), [rng.standard_normal(x_shape),
+                                                                rng.standard_normal((kw, 3, 2))]
 
 
 def _check_gelu():
@@ -121,21 +124,20 @@ def _check_cosine_sim_rows():
 def _check_stft_mag():
     rng = _rng("stft")
     window = T.hann_window(8)
-    return (lambda x: T.stft_mag(x, window, hop=4, fft_size=16)), [rng.standard_normal(24)]
+    return (lambda x: T.stft_mag(x, window, hop=4, fft_size=16)), [rng.standard_normal((1, 24))]
 
 
 def _check_stft_mag_ragged():
     # the hop does not divide the window, so the overlap-add's last run is 2 wide
     rng = _rng("stft_ragged")
     window = T.hann_window(10)
-    return (lambda x: T.stft_mag(x, window, hop=4, fft_size=16)), [rng.standard_normal(26)]
+    return (lambda x: T.stft_mag(x, window, hop=4, fft_size=16)), [rng.standard_normal((1, 26))]
 
 
-def _check_bidir_lstm():
-    rng = _rng("bidir_lstm")
+def _check_bidir_lstm(x_shape=(1, 5, 3), tag="bidir_lstm"):
+    rng = _rng(tag)
     hidden = 2
-    x = rng.standard_normal((5, 3))
-    arrays = [x]
+    arrays = [rng.standard_normal(x_shape)]
     for _ in range(2):  # forward then backward direction
         arrays.append(rng.standard_normal((3, 4 * hidden)) * 0.5)
         arrays.append(rng.standard_normal((hidden, 4 * hidden)) * 0.5)
@@ -149,20 +151,21 @@ def _check_bidir_lstm():
 
 
 # Composed reference of `tensor.bidir_recurrent`: the same LSTM built step by
-# step from graph ops (about 19 nodes per step), so the fused op can be checked
-# against a path whose gradients come from the generic vjps alone.
+# step from graph ops (about 19 nodes per step, each over the batch's (B, C)
+# rows), so the fused op can be checked against a path whose gradients come
+# from the generic vjps alone.
 
 
 def _lstm_direction(x: T.Tensor, p: T.RecurrentParams, hidden: int,
                     reverse: bool) -> list[T.Tensor]:
-    t_steps = x.values.shape[0]
-    h = T.Tensor(np.zeros((1, hidden)))
-    c = T.Tensor(np.zeros((1, hidden)))
+    batch, t_steps, c_in = x.values.shape
+    h = T.Tensor(np.zeros((batch, hidden)))
+    c = T.Tensor(np.zeros((batch, hidden)))
     order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
     outputs: list[T.Tensor | None] = [None] * t_steps
     for t in order:
-        x_t = T.narrow(x, 0, t, 1)
-        z = T.add(T.add(T.linear(x_t, p.w_x), T.linear(h, p.w_h)), T.reshape(p.bias, (1, -1)))
+        x_t = T.reshape(T.narrow(x, 1, t, 1), (batch, c_in))
+        z = T.add(T.linear(x_t, p.w_x, p.bias), T.linear(h, p.w_h))
         i_g = T.sigmoid(T.narrow(z, 1, 0, hidden))
         f_g = T.sigmoid(T.narrow(z, 1, hidden, hidden))
         c_g = T.tanh(T.narrow(z, 1, 2 * hidden, hidden))
@@ -177,19 +180,20 @@ def composed_bidir_recurrent(x, forward: T.RecurrentParams,
                              backward: T.RecurrentParams) -> T.Tensor:
     """What `tensor.bidir_recurrent` computes, as a per-step graph of generic ops."""
     x = T.as_tensor(x)
-    hidden = forward.w_h.values.shape[0]
+    batch, hidden = x.values.shape[0], forward.w_h.values.shape[0]
     fwd = _lstm_direction(x, forward, hidden, reverse=False)
     bwd = _lstm_direction(x, backward, hidden, reverse=True)
-    return T.concat([T.concat([f, b], axis=1) for f, b in zip(fwd, bwd)], axis=0)
+    return T.concat([T.reshape(T.concat([f, b], axis=1), (batch, 1, 2 * hidden))
+                     for f, b in zip(fwd, bwd)], axis=1)
 
 
 def _check_composition():
     rng = _rng("composition")
 
     def fn(x, k, w, b):
-        return T.linear(T.gelu(T.conv1d(x, k, stride=1)), w, b)
+        return T.linear(T.gelu(T.reshape(T.conv1d(x, k, stride=1), (-1, 3))), w, b)
 
-    return fn, [rng.standard_normal((6, 2)), rng.standard_normal((3, 2, 3)),
+    return fn, [rng.standard_normal((1, 6, 2)), rng.standard_normal((3, 2, 3)),
                 rng.standard_normal((3, 4)), rng.standard_normal(4)]
 
 
@@ -214,7 +218,7 @@ def _check_kd_loss_stacked():
 
 
 def _check_l1_wav():
-    a, b = _separated_pair(_rng("l1wav"), (40,))
+    a, b = _separated_pair(_rng("l1wav"), (1, 40))
     return (lambda x, y: l1_wav(x, y)), [a, b]
 
 
@@ -224,7 +228,7 @@ def _check_l1_freq():
     params = STFTParams(window_length=8, hop=4, fft_size=16)
     clean = np.sin(2 * np.pi * 3 * np.arange(n) / n) + 0.2 * rng.standard_normal(n)
     enhanced = 2.5 * clean + rng.standard_normal(n)
-    return (lambda x, y: l1_freq(x, y, params)), [enhanced, clean]
+    return (lambda x, y: l1_freq(x, y, params)), [enhanced[None], clean[None]]
 
 
 def _check_encoder_head():
@@ -233,8 +237,8 @@ def _check_encoder_head():
     x_const = rng.standard_normal(16)
 
     def fn(kernel, w1, b1, w2, b2, hw, hb):
-        x = T.Tensor(x_const.reshape(-1, 1))
-        h = T.gelu(T.conv1d(x, kernel, stride=stride))
+        x = T.Tensor(x_const.reshape(1, -1, 1))
+        h = T.gelu(T.reshape(T.conv1d(x, kernel, stride=stride), (-1, dim)))
         h = T.add(h, T.linear(T.gelu(T.linear(h, w1, b1)), w2, b2))
         return T.linear(h, hw, hb)
 
@@ -250,7 +254,9 @@ CHECKS = {
     "scale_add": _check_scale_add,
     "linear": _check_linear,
     "conv1d": _check_conv1d,
+    "conv1d_batched": lambda: _check_conv1d((2, 10, 2), "conv1d_batched"),
     "conv1d_transposed": _check_conv1d_transposed,
+    "conv1d_transposed_batched": lambda: _check_conv1d_transposed((2, 4, 3), 3, "deconv_batched"),
     "gelu": _check_gelu,
     "sigmoid": _check_sigmoid,
     "tanh": _check_tanh,
@@ -265,6 +271,7 @@ CHECKS = {
     "stft_mag": _check_stft_mag,
     "stft_mag_ragged": _check_stft_mag_ragged,
     "bidir_lstm": _check_bidir_lstm,
+    "bidir_lstm_batched": lambda: _check_bidir_lstm((3, 4, 3), "bidir_lstm_batched"),
     "composition_conv_gelu_linear": _check_composition,
     "kd_loss": _check_kd_loss,
     "kd_loss_stacked": _check_kd_loss_stacked,

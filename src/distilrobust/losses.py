@@ -89,26 +89,26 @@ def kd_loss(teacher_maps, student_maps, layers=DEFAULT_DISTILL_LAYERS) -> T.Tens
     return kd_loss_parts(teacher_maps, student_maps, layers).total
 
 
-def _as_equal_length_1d(enhanced, clean, op: str) -> tuple[T.Tensor, T.Tensor]:
+def _as_signal_batches(enhanced, clean, op: str) -> tuple[T.Tensor, T.Tensor]:
     a, b = T.as_tensor(enhanced), T.as_tensor(clean)
-    if a.values.ndim != 1 or b.values.ndim != 1:
-        raise ShapeError(f"{op} expects 1-D signals, got {a.values.shape} and "
+    if a.values.ndim != 2 or b.values.ndim != 2:
+        raise ShapeError(f"{op} expects (B, N) signal batches, got {a.values.shape} and "
                          f"{b.values.shape}")
     if a.values.shape != b.values.shape:
-        raise ShapeError(f"{op}: length {a.values.size} vs {b.values.size}")
+        raise ShapeError(f"{op}: shape {a.values.shape} vs {b.values.shape}")
     return a, b
 
 
 def l1_wav(enhanced, clean) -> T.Tensor:
-    """Mean absolute sample difference."""
-    a, b = _as_equal_length_1d(enhanced, clean, "l1_wav")
-    return T.scale(T.l1_distance(a, b), 1.0 / a.values.size)
+    """Mean absolute sample difference over a (B, N) batch: the mean of its rows' means."""
+    a, b = _as_signal_batches(enhanced, clean, "l1_wav")
+    return T.scale(T.sum_all(T.l1_distance(a, b)), 1.0 / a.values.size)
 
 
 def l1_freq(enhanced, clean, stft_params: STFTParams | None = None) -> T.Tensor:
-    """Mean absolute difference between the two magnitude spectrograms."""
+    """Mean absolute difference between the magnitude spectrograms of two (B, N) batches."""
     params = stft_params if stft_params is not None else STFTParams()
-    a, b = _as_equal_length_1d(enhanced, clean, "l1_freq")
+    a, b = _as_signal_batches(enhanced, clean, "l1_freq")
     mag_a = T.stft_mag(a, params.window(), params.hop, params.fft_size)
     mag_b = T.stft_mag(b, params.window(), params.hop, params.fft_size)
     n_cells = mag_a.values.size

@@ -6,6 +6,11 @@ The teacher is a seeded random-weight network that stands in for a large
 pretrained encoder: 12 residual mixing blocks over strided-conv frames. The
 student shares the same geometry at reduced depth and is initialized by
 copying the teacher's front-end and first blocks.
+
+Every forward takes a length group: a (B, N) batch of equal-length
+utterances, one of which is `samples[None]`. Frame-level maps come back as
+(B*T, D) rows, utterance by utterance, and the reconstructed waveform as
+(B, N).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .audio import Waveform
 from .errors import ConfigError, ShapeError
 
 DEFAULT_DIM = 32
@@ -45,15 +49,16 @@ def parameter_checksum(params: dict[str, T.Tensor]) -> str:
 
 def encoder_forward(samples: np.ndarray, params: dict[str, T.Tensor], prefix: str,
                     n_blocks: int) -> list[T.Tensor]:
-    """Front-end conv + GELU, then residual mixing blocks; returns every block output."""
+    """Front-end conv + GELU, then residual mixing blocks; every block output as (B*T, D) rows."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1:
-        raise ShapeError(f"encoder input must be 1-D, got shape {samples.shape}")
-    if samples.size < FRAME_STRIDE:
-        raise ShapeError(f"input of {samples.size} samples is shorter than one "
+    if samples.ndim != 2:
+        raise ShapeError(f"encoder input must be a (B, N) batch, got shape {samples.shape}")
+    if samples.shape[1] < FRAME_STRIDE:
+        raise ShapeError(f"input of {samples.shape[1]} samples is shorter than one "
                          f"frame of {FRAME_STRIDE}")
-    x = T.Tensor(samples.reshape(-1, 1))
-    h = T.gelu(T.conv1d(x, params[prefix + "frontend.kernel"], stride=FRAME_STRIDE))
+    kernel = params[prefix + "frontend.kernel"]
+    frames = T.conv1d(T.Tensor(samples[:, :, None]), kernel, stride=FRAME_STRIDE)
+    h = T.gelu(T.reshape(frames, (-1, kernel.values.shape[2])))
     outputs: list[T.Tensor] = []
     for k in range(1, n_blocks + 1):
         inner = T.gelu(T.linear(h, params[f"{prefix}block{k}.w1"], params[f"{prefix}block{k}.b1"]))
@@ -93,9 +98,9 @@ class TeacherSurrogate:
         return parameter_checksum(self.params)
 
 
-def teacher_forward(teacher: TeacherSurrogate, w: Waveform) -> dict[int, np.ndarray]:
-    """Layer index (1-based) -> frozen (T, D) feature map for the clean input."""
-    outputs = encoder_forward(w.samples, teacher.params, "", teacher.n_layers)
+def teacher_forward(teacher: TeacherSurrogate, samples: np.ndarray) -> dict[int, np.ndarray]:
+    """Layer index (1-based) -> frozen (B*T, D) feature map of a (B, N) clean batch."""
+    outputs = encoder_forward(samples, teacher.params, "", teacher.n_layers)
     return {k + 1: out.values for k, out in enumerate(outputs)}
 
 
@@ -195,25 +200,26 @@ def init_student_from_teacher(teacher: TeacherSurrogate, config: StudentConfig,
     return StudentModel(config, params)
 
 
-def _enhancement_forward(student: StudentModel, rep: T.Tensor, n_samples: int) -> T.Tensor:
+def _enhancement_forward(student: StudentModel, rep: T.Tensor, batch: int,
+                         n_samples: int) -> T.Tensor:
     p = student.params
     forward, backward = (T.RecurrentParams(p[f"enhancement.rnn.{d}.w_x"],
                                            p[f"enhancement.rnn.{d}.w_h"],
                                            p[f"enhancement.rnn.{d}.bias"])
                          for d in ("fwd", "bwd"))
-    h = T.bidir_recurrent(rep, forward, backward)
+    h = T.bidir_recurrent(T.reshape(rep, (batch, -1, rep.values.shape[1])), forward, backward)
     for i, stride in enumerate(DECONV_STRIDES, start=1):
         h = T.gelu(T.conv1d_transposed(h, p[f"enhancement.deconv{i}.kernel"], stride=stride))
-    flat = T.reshape(h, (-1,))
-    if flat.values.size < n_samples:
-        raise ShapeError(f"enhancement output {flat.values.size} shorter than input "
+    flat = T.reshape(h, (batch, -1))
+    if flat.values.shape[1] < n_samples:
+        raise ShapeError(f"enhancement output {flat.values.shape[1]} shorter than input "
                          f"{n_samples}")
-    return T.narrow(flat, 0, 0, n_samples)
+    return T.narrow(flat, 1, 0, n_samples)
 
 
-def student_forward(student: StudentModel, w: Waveform) -> StudentOutput:
-    """Predictions per distilled layer plus (optionally) the reconstructed waveform."""
-    outputs = encoder_forward(w.samples, student.params, "encoder.",
+def student_forward(student: StudentModel, samples: np.ndarray) -> StudentOutput:
+    """Per-layer predictions and (optionally) the reconstructed waveform of a (B, N) batch."""
+    outputs = encoder_forward(samples, student.params, "encoder.",
                               student.config.n_student_layers)
     rep = outputs[-1]
     predictions: dict[int, T.Tensor] = {}
@@ -223,5 +229,5 @@ def student_forward(student: StudentModel, w: Waveform) -> StudentOutput:
             predictions[l] = T.linear(rep, student.params[w_name], student.params[b_name])
     enhanced = None
     if student.has_enhancement():
-        enhanced = _enhancement_forward(student, rep, len(w))
+        enhanced = _enhancement_forward(student, rep, *np.shape(samples))
     return StudentOutput(representation=rep, predictions=predictions, enhanced=enhanced)

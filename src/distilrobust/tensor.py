@@ -5,14 +5,20 @@ requires gradients; `backward` walks the graph once per call and adds the
 resulting adjoints into the leaves' `.grad`, so repeated calls accumulate. Every op
 allocates fresh output buffers and never mutates its inputs.
 
-Sequence ops are single nodes with hand-written vjps: `bidir_recurrent` runs
-both directions of an LSTM over a whole (T, C) sequence in plain numpy loops
-and backpropagates through time in one vjp. The framed ops, `conv1d`,
+The ops that see time take a leading batch axis of equal-length utterances,
+and a single utterance is a batch of one: `conv1d` and `conv1d_transposed`
+map (B, N, C) to (B, T, C'), `bidir_recurrent` (B, T, C) to (B, T, 2H), and
+`stft_mag` (B, N) to (B, frames, bins). Every other op is row-wise or
+elementwise, so a batch goes through it as stacked (B*T, D) rows.
+
+Sequence ops are single nodes with hand-written vjps: `bidir_recurrent` steps
+both directions of the whole batch as one (2, B, H) state in a plain numpy
+loop and backpropagates through time in one vjp. The framed ops, `conv1d`,
 `conv1d_transposed` and `stft_mag`, share one strided framing view
-(`_frames`) and its overlap-add adjoint (`_overlap_add`): a convolution is
-one matmul over the frames and its transpose one overlap-add of a matmul, in
-both directions. `gradchecks` keeps the per-step composed recurrence as the
-reference of `bidir_recurrent`.
+(`_frames`) and its overlap-add adjoint (`_overlap_add`), each per utterance:
+a convolution is one stacked matmul over each utterance's frames and its
+transpose one overlap-add of a matmul, in both directions. `gradchecks` keeps the per-step
+composed recurrence as the reference of `bidir_recurrent`.
 """
 
 from __future__ import annotations
@@ -202,13 +208,14 @@ def gelu(x) -> Tensor:
     """GELU via the tanh approximation 0.5*x*(1 + tanh(c1*(x + c2*x^3)))."""
     x = as_tensor(x)
     v = x.values
+    # one chain each way, so numpy reuses a large map's temporaries in place
     inner = _GELU_C1 * (v + _GELU_C2 * v * v * v)
-    t = np.tanh(inner)
-    out = 0.5 * v * (1.0 + t)
+    t = np.tanh(inner, out=inner)
+    out = (t + 1.0) * v * 0.5
 
     def vjp(g):
         d_inner = _GELU_C1 * (1.0 + 3.0 * _GELU_C2 * v * v)
-        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * d_inner),)
+        return (g * (0.5 * ((1.0 - t * t) * v * d_inner + t + 1.0)),)
 
     return _node(out, (x,), "gelu", vjp)
 
@@ -240,16 +247,16 @@ def sum_all(x) -> Tensor:
 
 
 def l1_distance(a, b) -> Tensor:
-    """Sum of |a - b| over the last axis: (T, D) -> (T,), (N,) -> scalar."""
+    """Sum of |a - b| over the last axis: (..., D) -> (...), (N,) -> scalar."""
     a, b = as_tensor(a), as_tensor(b)
     _check_same_shape(a, b, "l1_distance")
-    if a.values.ndim not in (1, 2):
-        raise ShapeError(f"l1_distance supports 1-D/2-D, got {a.values.ndim}-D")
+    if a.values.ndim < 1:
+        raise ShapeError("l1_distance needs at least one axis")
     diff = a.values - b.values
     sgn = np.sign(diff)
 
     def vjp(g):
-        ga = g[:, None] * sgn if diff.ndim == 2 else g * sgn
+        ga = g[..., None] * sgn
         return ga, -ga
 
     return _node(np.sum(np.abs(diff), axis=-1), (a, b), "l1_distance", vjp)
@@ -366,48 +373,51 @@ def linear(x, w, b=None) -> Tensor:
 def _conv_checks(x: Tensor, k: Tensor, stride: int, op: str):
     if stride < 1:
         raise ParameterError(f"{op}: stride must be >= 1, got {stride}")
-    if x.values.ndim != 2 or k.values.ndim != 3:
-        raise ShapeError(f"{op}: need x (T, Cin) and kernel (kw, Cin, Cout), got "
+    if x.values.ndim != 3 or k.values.ndim != 3:
+        raise ShapeError(f"{op}: need x (B, T, Cin) and kernel (kw, Cin, Cout), got "
                          f"{x.values.shape} and {k.values.shape}")
-    if x.values.shape[1] != k.values.shape[1]:
-        raise ShapeError(f"{op}: channel mismatch {x.values.shape[1]} vs {k.values.shape[1]}")
+    if x.values.shape[2] != k.values.shape[1]:
+        raise ShapeError(f"{op}: channel mismatch {x.values.shape[2]} vs {k.values.shape[1]}")
 
 
 def _frames(a: np.ndarray, stride: int, width: int, count: int) -> np.ndarray:
-    """(count, width*C) rows of a (N, C) array; row t is a[t*stride : t*stride + width].
+    """(B, count, width*C) rows of a (B, N, C) batch; row [b, t] is a[b, t*stride:][:width].
 
-    With width == stride the rows tile the array and come back as a view; other
-    rows are copied, since matmul reads a strided view through its slow loop.
+    With width == stride the rows tile each utterance and come back as a view;
+    other rows are copied: matmul reads a strided view through its slow loop.
     """
-    c = a.shape[1]
-    rows = np.lib.stride_tricks.sliding_window_view(a.reshape(-1), width * c)
-    return np.ascontiguousarray(rows[:: stride * c][:count])
+    batch, _, c = a.shape
+    rows = np.lib.stride_tricks.sliding_window_view(a.reshape(batch, -1), width * c, axis=1)
+    return np.ascontiguousarray(rows[:, :: stride * c][:, :count])
 
 
 def _overlap_add(rows: np.ndarray, stride: int, n: int) -> np.ndarray:
-    """Adjoint of `_frames`: add (T, width, C) rows at offsets t*stride into (n, C).
+    """Adjoint of `_frames`: add (B, T, width, C) rows at offsets t*stride into (B, n, C).
 
     Each run of `stride` row positions is one slice-add into stride-row slots,
     and the rows past n are cut off.
     """
-    t, width, c = rows.shape
+    batch, t, width, c = rows.shape
     runs = range(0, width, stride)
-    out = np.zeros((max(n, (t + len(runs) - 1) * stride), c))
+    out = np.zeros((batch, max(n, (t + len(runs) - 1) * stride), c))
     for j in runs:
         taps = min(stride, width - j)
-        out[j : j + t * stride].reshape(t, stride, c)[:, :taps] += rows[:, j : j + taps]
-    return out[:n]
+        out[:, j : j + t * stride].reshape(batch, t, stride, c)[:, :, :taps] += \
+            rows[:, :, j : j + taps]
+    return out[:, :n]
 
 
 def conv1d(x, k, stride: int = 1) -> Tensor:
-    """Valid cross-correlation along time: (N, Cin) * (kw, Cin, Cout) -> (T, Cout).
+    """Valid cross-correlation along time: (B, N, Cin) * (kw, Cin, Cout) -> (B, T, Cout).
 
-    One matmul over the input's kw-sample frames; the vjp overlap-adds the
-    frames' adjoint back, and returns None for x when x needs no gradient.
+    One stacked matmul over each utterance's kw-sample frames; the vjp
+    overlap-adds the frames' adjoint back, and returns None for x when x needs
+    no gradient. The products stay per utterance, so a batch does not push a
+    front end's (T, kw) x (kw, D) product over BLAS's threading threshold.
     """
     x, k = as_tensor(x), as_tensor(k)
     _conv_checks(x, k, stride, "conv1d")
-    (n, c_in), (kw, _, c_out) = x.values.shape, k.values.shape
+    (batch, n, c_in), (kw, _, c_out) = x.values.shape, k.values.shape
     if n < kw:
         raise ShapeError(f"conv1d: input of {n} samples shorter than kernel {kw}")
     t_out = (n - kw) // stride + 1
@@ -415,31 +425,31 @@ def conv1d(x, k, stride: int = 1) -> Tensor:
     k_flat = k.values.reshape(kw * c_in, c_out)
 
     def vjp(g):
-        gk = (frames.T @ g).reshape(k.values.shape)
+        gk = (frames.transpose(0, 2, 1) @ g).sum(axis=0).reshape(k.values.shape)
         if not x.requires_grad:  # the front end's waveform: skip a whole-signal overlap-add
             return None, gk
-        return _overlap_add((g @ k_flat.T).reshape(t_out, kw, c_in), stride, n), gk
+        return _overlap_add((g @ k_flat.T).reshape(batch, t_out, kw, c_in), stride, n), gk
 
     return _node(frames @ k_flat, (x, k), "conv1d", vjp)
 
 
 def conv1d_transposed(x, k, stride: int = 1) -> Tensor:
-    """Transposed conv along time: (T, Cin) * (kw, Cin, Cout) -> ((T-1)*stride + kw, Cout).
+    """Transposed conv along time: (B, T, Cin) * (kw, Cin, Cout) -> (B, (T-1)*stride + kw, Cout).
 
     The adjoint of `conv1d`: one matmul gives every tap's contribution, which
     is overlap-added; the vjp frames the output gradient.
     """
     x, k = as_tensor(x), as_tensor(k)
     _conv_checks(x, k, stride, "conv1d_transposed")
-    (t_in, c_in), (kw, _, c_out) = x.values.shape, k.values.shape
+    (batch, t_in, c_in), (kw, _, c_out) = x.values.shape, k.values.shape
     n_out = (t_in - 1) * stride + kw
     k_wide = k.values.transpose(1, 0, 2).reshape(c_in, kw * c_out)
-    out = _overlap_add((x.values @ k_wide).reshape(t_in, kw, c_out), stride, n_out)
+    out = _overlap_add((x.values @ k_wide).reshape(batch, t_in, kw, c_out), stride, n_out)
 
     def vjp(g):
         g_frames = _frames(g, stride, kw, t_in)
-        gk = (x.values.T @ g_frames).reshape(c_in, kw, c_out).transpose(1, 0, 2)
-        return g_frames @ k_wide.T, gk
+        gk = (x.values.transpose(0, 2, 1) @ g_frames).sum(axis=0)
+        return g_frames @ k_wide.T, gk.reshape(c_in, kw, c_out).transpose(1, 0, 2)
 
     return _node(out, (x, k), "conv1d_transposed", vjp)
 
@@ -460,24 +470,27 @@ class RecurrentParams:
     bias: Tensor
 
 
-# One direction is a pair of plain numpy loops. `_lstm_run` takes the hoisted
-# input projection zx = x @ w_x + bias (T, 4H) and returns the states h_1..h_T
-# plus a tape; `_lstm_bptt` takes dL/dh_t for every t and returns the adjoint of
-# the pre-activations (T, 4H), which is the adjoint of both zx and the state
+# Both directions of a batch are one pair of plain numpy loops over a (2, B, H)
+# state, time-major. `_lstm_run` takes the hoisted input projections
+# zx = x @ w_x + bias (T, 2, B, 4H), the backward direction's on reversed time,
+# and the stacked state maps (2, H, 4H); it returns the states h_1..h_T plus a
+# tape. `_lstm_bptt` takes dL/dh_t for every t and returns the adjoint of the
+# pre-activations (T, 2, B, 4H), which is the adjoint of both zx and the state
 # projection h_{t-1} @ w_h, together with h_0..h_{T-1}.
 
 
-def _lstm_run(zx: np.ndarray, w_h: np.ndarray, hidden: int):
-    t_steps = zx.shape[0]
-    acts = np.empty((t_steps, 4, hidden))  # i, f, g = tanh(cell input), o
-    cells = np.zeros((t_steps + 1, hidden))  # c_0 = 0, then c_1..c_T
-    tanh_cells = np.empty((t_steps, hidden))
-    states = np.zeros((t_steps + 1, hidden))  # h_0 = 0, then h_1..h_T
+def _lstm_run(zx: np.ndarray, w_h: np.ndarray):
+    t_steps, _, batch, width = zx.shape
+    hidden = width // 4
+    acts = np.empty((t_steps, 2, batch, 4, hidden))  # i, f, g = tanh(cell input), o
+    cells = np.zeros((t_steps + 1, 2, batch, hidden))  # c_0 = 0, then c_1..c_T
+    tanh_cells = np.empty((t_steps, 2, batch, hidden))
+    states = np.zeros((t_steps + 1, 2, batch, hidden))  # h_0 = 0, then h_1..h_T
     for t in range(t_steps):
-        z = zx[t] + states[t] @ w_h
-        a = _sigmoid_values(z).reshape(4, hidden)
-        a[2] = np.tanh(z[2 * hidden : 3 * hidden])
-        i, f, g, o = a
+        z = (zx[t] + states[t] @ w_h).reshape(2, batch, 4, hidden)
+        a = _sigmoid_values(z)
+        a[:, :, 2] = np.tanh(z[:, :, 2])
+        i, f, g, o = (a[:, :, k] for k in range(4))
         cells[t + 1] = f * cells[t] + i * g
         tanh_cells[t] = np.tanh(cells[t + 1])
         states[t + 1] = o * tanh_cells[t]
@@ -487,40 +500,41 @@ def _lstm_run(zx: np.ndarray, w_h: np.ndarray, hidden: int):
 
 def _lstm_bptt(dh_out: np.ndarray, w_h: np.ndarray, tape):
     acts, cells, tanh_cells, states = tape
-    t_steps, _, hidden = acts.shape
-    i, f, g, o = (acts[:, k] for k in range(4))
+    t_steps, _, batch, _, hidden = acts.shape
+    i, f, g, o = (acts[:, :, :, k] for k in range(4))
     # dz per unit dc for the i, f, g pre-activations, and per unit dh for o and c
     dc_to_z = np.stack([g * i * (1.0 - i), cells[:-1] * f * (1.0 - f), i * (1.0 - g * g)],
-                       axis=1)
+                       axis=3)
     dh_to_zo = tanh_cells * o * (1.0 - o)
     dh_to_c = o * (1.0 - tanh_cells * tanh_cells)
-    dz = np.empty((t_steps, 4, hidden))
-    w_h_t = w_h.T
-    dh = np.zeros(hidden)
-    dc = np.zeros(hidden)
+    dz = np.empty(acts.shape)
+    w_h_t = w_h.transpose(0, 2, 1)
+    dh = np.zeros((2, batch, hidden))
+    dc = np.zeros((2, batch, hidden))
     for t in range(t_steps - 1, -1, -1):
         dh = dh + dh_out[t]
         dc = dc + dh * dh_to_c[t]
-        dz[t, :3] = dc * dc_to_z[t]
-        dz[t, 3] = dh * dh_to_zo[t]
+        dz[t, :, :, :3] = dc[:, :, None] * dc_to_z[t]
+        dz[t, :, :, 3] = dh * dh_to_zo[t]
         dc = dc * f[t]
-        dh = dz[t].reshape(-1) @ w_h_t
-    return dz.reshape(t_steps, 4 * hidden), states[:-1]
+        dh = dz[t].reshape(2, batch, 4 * hidden) @ w_h_t
+    return dz.reshape(t_steps, 2, batch, 4 * hidden), states[:-1]
 
 
 def bidir_recurrent(x, forward: RecurrentParams, backward: RecurrentParams) -> Tensor:
-    """Bidirectional LSTM over (T, C) rows -> (T, 2*hidden), as one graph node.
+    """Bidirectional LSTM over a (B, T, C) batch -> (B, T, 2*hidden), as one graph node.
 
     The hidden size H is the row count of `forward.w_h`; every weight of both
     directions is checked against it. Each direction projects all inputs at
-    once, x @ w_x + bias, then steps the state in a numpy loop; the vjp
-    backpropagates through time and forms the weight gradients with one matmul
-    each after its loop.
+    once, x @ w_x + bias; then both directions of every utterance step together
+    as one (2, B, H) state, one matmul per step. The vjp backpropagates through
+    time the same way and forms the weight gradients with one matmul each
+    after its loop.
     """
     x = as_tensor(x)
-    if x.values.ndim != 2:
-        raise ShapeError(f"bidir_recurrent needs (T, C), got {x.values.shape}")
-    t_steps, c_in = x.values.shape
+    if x.values.ndim != 3:
+        raise ShapeError(f"bidir_recurrent needs (B, T, C), got {x.values.shape}")
+    batch, t_steps, c_in = x.values.shape
     w_h_shape = forward.w_h.values.shape
     hidden = w_h_shape[0] if w_h_shape else 0
     if t_steps < 1:
@@ -534,23 +548,27 @@ def bidir_recurrent(x, forward: RecurrentParams, backward: RecurrentParams) -> T
                 raise ShapeError(f"bidir_recurrent: {name}.{field_} has shape {got}, "
                                  f"expected {want}")
 
-    inputs = (x.values, np.ascontiguousarray(x.values[::-1]))  # backward runs on reversed time
-    states, tapes = [], []
-    for p, rows in zip(directions, inputs):
-        h, tape = _lstm_run(rows @ p.w_x.values + p.bias.values, p.w_h.values, hidden)
-        states.append(h)
-        tapes.append(tape)
-    out = np.concatenate([states[0], states[1][::-1]], axis=1)
+    # time-major (T*B, C) rows; the backward direction runs on reversed time
+    steps = x.values.transpose(1, 0, 2)
+    inputs = [np.ascontiguousarray(s).reshape(-1, c_in) for s in (steps, steps[::-1])]
+    zx = np.stack([(rows @ p.w_x.values + p.bias.values).reshape(t_steps, batch, -1)
+                   for p, rows in zip(directions, inputs)], axis=1)
+    w_h = np.stack([p.w_h.values for p in directions])
+    h, tape = _lstm_run(zx, w_h)
+    out = np.concatenate([h[:, 0], h[::-1, 1]], axis=2).transpose(1, 0, 2).copy()
 
     def vjp(g):
+        g_steps = g.transpose(1, 0, 2)
+        dz, h_prev = _lstm_bptt(np.stack([g_steps[:, :, :hidden], g_steps[::-1, :, hidden:]],
+                                         axis=1), w_h, tape)
         grads = []
-        gx = np.zeros_like(x.values)
-        for p, rows, tape, dh_out, flip in zip(directions, inputs, tapes,
-                                               (g[:, :hidden], g[::-1, hidden:]), (1, -1)):
-            dz, h_prev = _lstm_bptt(dh_out, p.w_h.values, tape)
-            gx += (dz @ p.w_x.values.T)[::flip]
-            grads += [rows.T @ dz, h_prev.T @ dz, dz.sum(axis=0)]
-        return (gx, *grads)
+        gx = np.zeros((t_steps, batch, c_in))
+        for d, (p, rows) in enumerate(zip(directions, inputs)):
+            dz_d = dz[:, d].reshape(-1, 4 * hidden)
+            gx += (dz_d @ p.w_x.values.T).reshape(t_steps, batch, c_in)[:: 1 - 2 * d]
+            grads += [rows.T @ dz_d, h_prev[:, d].reshape(-1, hidden).T @ dz_d,
+                      dz_d.sum(axis=0)]
+        return (gx.transpose(1, 0, 2), *grads)
 
     parents = (x,) + tuple(t for p in directions for t in (p.w_x, p.w_h, p.bias))
     return _node(out, parents, "bidir_recurrent", vjp)
@@ -561,35 +579,35 @@ def bidir_recurrent(x, forward: RecurrentParams, backward: RecurrentParams) -> T
 
 
 def stft_mag(x, window: np.ndarray, hop: int, fft_size: int) -> Tensor:
-    """Magnitude STFT of a 1-D signal: (frames, fft_size//2 + 1).
+    """Magnitude STFT of each row of a (B, N) batch: (B, frames, fft_size//2 + 1).
 
     Frames start at multiples of hop, are windowed, zero-padded to fft_size,
     and transformed; only whole frames are taken.
     """
     x = as_tensor(x)
     window = np.asarray(window, dtype=np.float64)
-    if x.values.ndim != 1:
-        raise ShapeError(f"stft_mag needs a 1-D signal, got {x.values.shape}")
+    if x.values.ndim != 2:
+        raise ShapeError(f"stft_mag needs a (B, N) batch, got {x.values.shape}")
     win_len = window.size
     if hop < 1:
         raise ParameterError(f"stft_mag: hop must be >= 1, got {hop}")
     if fft_size < win_len:
         raise ParameterError(f"stft_mag: fft_size {fft_size} < window length {win_len}")
-    n = x.values.size
+    batch, n = x.values.shape
     if n < win_len:
         raise ShapeError(f"stft_mag: signal of {n} samples shorter than window {win_len}")
     n_frames = 1 + (n - win_len) // hop
-    segments = _frames(x.values[:, None], hop, win_len, n_frames) * window
-    spectrum = np.fft.rfft(segments, n=fft_size, axis=1)
+    segments = _frames(x.values[:, :, None], hop, win_len, n_frames) * window
+    spectrum = np.fft.rfft(segments, n=fft_size, axis=2)
     mag = np.abs(spectrum)
 
     def vjp(g):
         # d|z|/dz direction, guarded against exactly-zero bins
         ratio = spectrum / np.maximum(mag, 1e-300)
-        full = np.zeros((n_frames, fft_size), dtype=np.complex128)
-        full[:, : mag.shape[1]] = g * ratio
-        d_seg = fft_size * np.fft.ifft(full, axis=1).real[:, :win_len] * window
-        return (_overlap_add(d_seg[:, :, None], hop, n)[:, 0],)
+        full = np.zeros((batch, n_frames, fft_size), dtype=np.complex128)
+        full[:, :, : mag.shape[2]] = g * ratio
+        d_seg = fft_size * np.fft.ifft(full, axis=2).real[:, :, :win_len] * window
+        return (_overlap_add(d_seg[..., None], hop, n)[..., 0],)
 
     return _node(mag, (x,), "stft_mag", vjp)
 

@@ -347,6 +347,8 @@ class _BatchSampler:
         return self._perms[epoch]
 
     def indices(self, iteration: int) -> list[int]:
+        first_epoch = iteration * self.batch_size // self.n_utts  # keep what is still reachable
+        self._perms = {e: p for e, p in self._perms.items() if e >= first_epoch}
         out = []
         for j in range(self.batch_size):
             slot = iteration * self.batch_size + j
@@ -354,10 +356,10 @@ class _BatchSampler:
         return out
 
 
-def _metrics_record(iteration: int, lr: float, breakdown, plans, tau: float,
+def _metrics_record(iteration: int, lr: float, breakdown, pairs, tau: float,
                     threshold: float) -> dict:
     counts = {action.value: 0 for action in AugmentAction}
-    for plan in plans:
+    for _, plan in pairs:
         counts[plan.action.value] += 1
     return {
         "iter": iteration,
@@ -385,14 +387,6 @@ def _rewind_metrics(path: str, iteration: int):
                 raise DataError(f"{path}: unreadable metrics record ({exc})") from exc
             keep += len(line)
         fh.truncate(keep)
-
-
-def _mean_of(tensors: list[T.Tensor]) -> T.Tensor:
-    # enhancement losses are means over utterances of unequal length, so not stacked
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = T.add(total, t)
-    return T.scale(total, 1.0 / len(tensors))
 
 
 def _run_identity(cfg: TrainConfig) -> str:
@@ -477,16 +471,23 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                 raise DataError(f"iteration {iteration}, utterances {batch_ids}: {exc}") from exc
 
             T.zero_grads(params.values())
-            teacher_maps, predictions, enh_parts, plans = [], [], [], []
-            for clean, (augmented, plan) in zip(cleans, pairs):
-                plans.append(plan)
+            # one forward per length group: lengths in order of first appearance,
+            # utterances in batch order within each, nothing padded
+            groups: dict[int, list[int]] = {}
+            for j, clean in enumerate(cleans):
+                groups.setdefault(len(clean), []).append(j)
+            teacher_maps, predictions, enh_mean = [], [], None
+            for members in groups.values():
+                clean = np.stack([cleans[j].samples for j in members])
                 teacher_maps.append(teacher_forward(teacher, clean))
-                out = student_forward(student, augmented)
+                out = student_forward(student, np.stack([pairs[j][0].samples for j in members]))
                 predictions.append(out.predictions)
-                if cfg.enhancement_loss == "l1_wav":
-                    enh_parts.append(l1_wav(out.enhanced, clean.samples))
-                elif cfg.enhancement_loss == "l1_freq":
-                    enh_parts.append(l1_freq(out.enhanced, clean.samples, STFT))
+                if cfg.enhancement_loss != "none":
+                    # the group's mean over its utterances, weighted by its share of the batch
+                    enh = (l1_wav(out.enhanced, clean) if cfg.enhancement_loss == "l1_wav"
+                           else l1_freq(out.enhanced, clean, STFT))
+                    enh = T.scale(enh, len(members) / len(cleans))
+                    enh_mean = enh if enh_mean is None else T.add(enh_mean, enh)
 
             # the distillation loss sums over frames: one call sums the utterances
             layers = cfg.distill_layers
@@ -496,7 +497,6 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
             l1_mean = T.scale(summed.l1, 1.0 / len(cleans))
             cos_mean = T.scale(summed.cos, 1.0 / len(cleans))
             kd_parts = KDLossParts(total=T.add(l1_mean, cos_mean), l1=l1_mean, cos=cos_mean)
-            enh_mean = _mean_of(enh_parts) if enh_parts else None
             breakdown = combined_loss(kd_parts, enh_mean, cfg.lambda_weight)
 
             T.backward(breakdown.tensor)
@@ -504,7 +504,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             adamw_step(params, grads, moments, lr)
 
-            record = _metrics_record(iteration, lr, breakdown, plans, tau, threshold)
+            record = _metrics_record(iteration, lr, breakdown, pairs, tau, threshold)
             log.write(json.dumps(record, sort_keys=True) + "\n")
 
             done = iteration + 1

@@ -176,41 +176,41 @@ class TestDistillLoss:
 
 class TestWaveformLoss:
     def test_identity_zero(self):
-        x = np.random.default_rng(0).standard_normal(100)
+        x = np.random.default_rng(0).standard_normal((1, 100))
         assert l1_wav(T.as_tensor(x), T.as_tensor(x.copy())).item() == 0.0
 
     def test_constant_offset(self):
-        a = np.zeros(50)
-        b = np.full(50, 0.125)
+        a = np.zeros((1, 50))
+        b = np.full((1, 50), 0.125)
         assert l1_wav(T.as_tensor(a), T.as_tensor(b)).item() == 0.125
 
     def test_matches_numpy_mean(self):
         rng = np.random.default_rng(1)
-        a, b = rng.standard_normal(321), rng.standard_normal(321)
+        a, b = rng.standard_normal((1, 321)), rng.standard_normal((1, 321))
         got = l1_wav(T.as_tensor(a), T.as_tensor(b)).item()
         assert got == pytest.approx(float(np.mean(np.abs(a - b))), abs=1e-14)
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
-        a, b = rng.standard_normal(64), rng.standard_normal(64)
+        a, b = rng.standard_normal((1, 64)), rng.standard_normal((1, 64))
         assert l1_wav(T.as_tensor(a), T.as_tensor(b)).item() == \
             l1_wav(T.as_tensor(b), T.as_tensor(a)).item()
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            l1_wav(T.as_tensor(np.ones(10)), T.as_tensor(np.ones(11)))
+            l1_wav(T.as_tensor(np.ones((1, 10))), T.as_tensor(np.ones((1, 11))))
 
 
 class TestSpectralLoss:
     def test_identity_zero(self):
-        x = np.random.default_rng(3).standard_normal(1000)
+        x = np.random.default_rng(3).standard_normal((1, 1000))
         assert l1_freq(T.as_tensor(x), T.as_tensor(x.copy())).item() == 0.0
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(4)
         params = STFTParams(window_length=64, hop=32, fft_size=128)
         a, b = rng.standard_normal(400), rng.standard_normal(400)
-        got = l1_freq(T.as_tensor(a), T.as_tensor(b), params).item()
+        got = l1_freq(T.as_tensor(a[None]), T.as_tensor(b[None]), params).item()
 
         def mag(x):
             frames = []
@@ -224,13 +224,13 @@ class TestSpectralLoss:
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
-        a, b = rng.standard_normal(800), rng.standard_normal(800)
+        a, b = rng.standard_normal((1, 800)), rng.standard_normal((1, 800))
         assert l1_freq(T.as_tensor(a), T.as_tensor(b)).item() == \
             l1_freq(T.as_tensor(b), T.as_tensor(a)).item()
 
     def test_input_shorter_than_window_rejected(self):
         with pytest.raises(ShapeError):
-            l1_freq(T.as_tensor(np.ones(100)), T.as_tensor(np.ones(100)))
+            l1_freq(T.as_tensor(np.ones((1, 100))), T.as_tensor(np.ones((1, 100))))
 
     def test_stft_params_validation(self):
         with pytest.raises(ParameterError):
@@ -285,8 +285,8 @@ class TestCombinedLoss:
 
     def test_zero_lambda_blocks_enhancement_gradient(self):
         rng = np.random.default_rng(8)
-        enh_param = T.parameter(rng.standard_normal(16))
-        clean = T.as_tensor(rng.standard_normal(16))
+        enh_param = T.parameter(rng.standard_normal((1, 16)))
+        clean = T.as_tensor(rng.standard_normal((1, 16)))
         enh_term = l1_wav(enh_param, clean)
         kd_param = T.parameter(rng.standard_normal((2, 3)))
         teacher = {4: rng.standard_normal((2, 3))}

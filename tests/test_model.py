@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import distilrobust.tensor as T
-from distilrobust.audio import Waveform
 from distilrobust.errors import ConfigError, ShapeError
 from distilrobust.model import (
     DECONV_STRIDES,
@@ -30,8 +29,9 @@ def student_of(teacher, seed=1, **fields):
 
 @pytest.fixture(scope="module")
 def wave():
+    """One utterance as a batch of one."""
     rng = np.random.default_rng(8)
-    return Waveform(0.3 * rng.standard_normal(3200), 16000)
+    return 0.3 * rng.standard_normal((1, 3200))
 
 
 class TestTeacher:
@@ -71,7 +71,7 @@ class TestTeacher:
 
     def test_too_short_input_rejected(self, teacher):
         with pytest.raises(ShapeError):
-            teacher_forward(teacher, Waveform(np.ones(10), 16000))
+            teacher_forward(teacher, np.ones((1, 10)))
 
 
 class TestStudentInit:
@@ -156,10 +156,26 @@ class TestStudentForward:
         student = student_of(teacher, enhancement=True)
         for n in (3200, 4321, 6400):
             rng = np.random.default_rng(n)
-            w = Waveform(0.2 * rng.standard_normal(n), 16000)
-            out = student_forward(student, w)
+            out = student_forward(student, 0.2 * rng.standard_normal((1, n)))
             assert out.enhanced is not None
-            assert out.enhanced.values.shape == (n,)
+            assert out.enhanced.values.shape == (1, n)
+
+    def test_batch_rows_are_its_utterances(self, teacher):
+        # a (B, N) group gives each utterance's maps as consecutive (T, D) row blocks
+        student = student_of(teacher, enhancement=True)
+        batch = 0.3 * np.random.default_rng(9).standard_normal((3, 1600))
+        t_maps, out = teacher_forward(teacher, batch), student_forward(student, batch)
+        for b in range(3):
+            rows = slice(5 * b, 5 * b + 5)
+            alone = student_forward(student, batch[b : b + 1])
+            for l in t_maps:
+                np.testing.assert_allclose(t_maps[l][rows], teacher_forward(
+                    teacher, batch[b : b + 1])[l], rtol=0, atol=1e-12)
+            for l, pred in out.predictions.items():
+                np.testing.assert_allclose(pred.values[rows], alone.predictions[l].values,
+                                           rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.enhanced.values[b], alone.enhanced.values[0],
+                                       rtol=0, atol=1e-12)
 
     def test_enhancement_graph_shape(self, teacher, wave):
         # the waveform head must be seven stride-matched deconvolutions, each

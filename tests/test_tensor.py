@@ -76,7 +76,7 @@ class TestForwardValues:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((9, 2))
         k = rng.standard_normal((3, 2, 4))
-        got = T.conv1d(leaf(x), leaf(k), stride=2).values
+        got = T.conv1d(leaf(x[None]), leaf(k), stride=2).values[0]
         t_out = (9 - 3) // 2 + 1
         want = np.zeros((t_out, 4))
         for t in range(t_out):
@@ -85,15 +85,15 @@ class TestForwardValues:
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_conv1d_transposed_unit_kernel_identity(self):
-        x = leaf([[1.0], [2.0], [3.0]])
+        x = leaf([[[1.0], [2.0], [3.0]]])
         k = leaf(np.ones((1, 1, 1)))
-        got = T.conv1d_transposed(x, k, stride=1).values
+        got = T.conv1d_transposed(x, k, stride=1).values[0]
         np.testing.assert_array_equal(got, [[1.0], [2.0], [3.0]])
 
     def test_conv1d_transposed_stride_upsamples(self):
-        x = leaf([[1.0], [1.0]])
+        x = leaf([[[1.0], [1.0]]])
         k = leaf(np.ones((2, 1, 1)))  # kernel width 2, stride 2 -> length 4
-        got = T.conv1d_transposed(x, k, stride=2).values
+        got = T.conv1d_transposed(x, k, stride=2).values[0]
         assert got.shape == (4, 1)
         np.testing.assert_array_equal(got[:, 0], [1.0, 1.0, 1.0, 1.0])
 
@@ -110,7 +110,7 @@ class TestForwardValues:
         sr, n = 16000, 4000
         tone = np.sin(2 * np.pi * 1000.0 * np.arange(n) / sr)
         window = T.hann_window(400)
-        mag = T.stft_mag(leaf(tone), window, hop=160, fft_size=512).values
+        mag = T.stft_mag(leaf(tone[None]), window, hop=160, fft_size=512).values[0]
         # 1 kHz at fft 512 / 16 kHz falls in bin 32
         assert int(np.argmax(mag.mean(axis=0))) == 32
 
@@ -214,7 +214,7 @@ class TestBackward:
 class TestParameterValidation:
     def test_conv_stride_positive(self):
         with pytest.raises(ParameterError):
-            T.conv1d(leaf(np.ones((4, 1))), leaf(np.ones((2, 1, 1))), stride=0)
+            T.conv1d(leaf(np.ones((1, 4, 1))), leaf(np.ones((2, 1, 1))), stride=0)
 
     def test_narrow_bounds(self):
         with pytest.raises(ShapeError):
@@ -230,7 +230,7 @@ class TestParameterValidation:
 
     def test_stft_window_vs_fft(self):
         with pytest.raises(ParameterError):
-            T.stft_mag(leaf(np.ones(64)), T.hann_window(32), hop=8, fft_size=16)
+            T.stft_mag(leaf(np.ones((1, 64))), T.hann_window(32), hop=8, fft_size=16)
 
 
 class TestGradcheckHarness:
@@ -327,19 +327,19 @@ class TestBidirRecurrent:
                                   p(4 * hidden)) for _ in range(2)]
 
     def test_output_shape_concat(self):
-        x = leaf(np.random.default_rng(5).standard_normal((6, 3)))
+        x = leaf(np.random.default_rng(5).standard_normal((1, 6, 3)))
         out = T.bidir_recurrent(x, *self._params(3, 4))
-        assert out.shape == (6, 8)
+        assert out.shape == (1, 6, 8)
 
     def test_backward_direction_sees_future(self):
         # changing only the last frame must alter the first output row
         rng = np.random.default_rng(6)
-        base = rng.standard_normal((5, 2))
+        base = rng.standard_normal((1, 5, 2))
         params = self._params(2, 3, seed=7)
-        out_a = T.bidir_recurrent(leaf(base), *params).values
+        out_a = T.bidir_recurrent(leaf(base), *params).values[0]
         bumped = base.copy()
-        bumped[-1] += 1.0
-        out_b = T.bidir_recurrent(leaf(bumped), *params).values
+        bumped[0, -1] += 1.0
+        out_b = T.bidir_recurrent(leaf(bumped), *params).values[0]
         assert not np.allclose(out_a[0], out_b[0])
         # forward half of the first row ignores the future
         np.testing.assert_allclose(out_a[0, :3], out_b[0, :3], atol=1e-15)
@@ -403,7 +403,7 @@ class TestFusedMatchesReference:
 
         rng = np.random.default_rng(t_steps)
         hidden, c_in = 5, 4
-        arrays = [rng.standard_normal((t_steps, c_in))]
+        arrays = [rng.standard_normal((1, t_steps, c_in))]
         for _ in range(2):
             arrays += [0.5 * rng.standard_normal((c_in, 4 * hidden)),
                        0.5 * rng.standard_normal((hidden, 4 * hidden)),
@@ -416,7 +416,7 @@ class TestFusedMatchesReference:
 
         fused, fused_grads, _ = run(T.bidir_recurrent)
         composed, composed_grads, _ = run(composed_bidir_recurrent)
-        assert fused.shape == (t_steps, 2 * hidden)
+        assert fused.shape == (1, t_steps, 2 * hidden)
         np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
         assert len(fused_grads) == 7
         for got, want in zip(fused_grads, composed_grads):
@@ -424,16 +424,16 @@ class TestFusedMatchesReference:
 
     def test_bidir_recurrent_is_one_node(self):
         fwd, bwd = TestBidirRecurrent()._params(3, 4)
-        x = leaf(np.random.default_rng(1).standard_normal((6, 3)))
+        x = leaf(np.random.default_rng(1).standard_normal((1, 6, 3)))
         out = T.bidir_recurrent(x, fwd, bwd)
         assert out.op == "bidir_recurrent"
         assert out.parents == (x, fwd.w_x, fwd.w_h, fwd.bias, bwd.w_x, bwd.w_h, bwd.bias)
 
     def test_bidir_recurrent_rejects_bad_shapes(self):
-        x = leaf(np.ones((5, 3)))
+        x = leaf(np.ones((1, 5, 3)))
         fwd, bwd = TestBidirRecurrent()._params(3, 4)
         with pytest.raises(ShapeError, match="at least one frame"):
-            T.bidir_recurrent(leaf(np.ones((0, 3))), fwd, bwd)
+            T.bidir_recurrent(leaf(np.ones((1, 0, 3))), fwd, bwd)
         bwd.w_x = leaf(np.ones((2, 16)))
         with pytest.raises(ShapeError, match="backward.w_x"):
             T.bidir_recurrent(x, fwd, bwd)
@@ -455,8 +455,10 @@ class TestFusedMatchesReference:
         # conv1d input with a ragged tail the last frame does not reach
         x = rng.standard_normal((kw + 4 * stride + 1, c_in) if op is T.conv1d else (6, c_in))
         k = rng.standard_normal((kw, c_in, c_out))
-        out, (gx, gk), cotangent = _value_and_grads(lambda a, b: op(a, b, stride=stride), [x, k])
-        want_out, want_gx, want_gk = reference(x, k, stride, cotangent)
+        out, (gx, gk), cotangent = _value_and_grads(lambda a, b: op(a, b, stride=stride),
+                                                    [x[None], k])
+        want_out, want_gx, want_gk = reference(x, k, stride, cotangent[0])
+        out, gx = out[0], gx[0]
         for got, want in ((out, want_out), (gx, want_gx), (gk, want_gk)):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -464,8 +466,8 @@ class TestFusedMatchesReference:
     def test_conv1d_vjp_skips_gx_of_constant_input(self):
         # the student's front end convolves the constant waveform
         rng = np.random.default_rng(12)
-        x, k = rng.standard_normal((35, 1)), rng.standard_normal((8, 1, 3))
-        g = rng.standard_normal((4, 3))
+        x, k = rng.standard_normal((1, 35, 1)), rng.standard_normal((8, 1, 3))
+        g = rng.standard_normal((1, 4, 3))
         gx_leaf, gk_leaf = T.conv1d(leaf(x), leaf(k), stride=8)._vjp(g)
         gx, gk = T.conv1d(T.Tensor(x), leaf(k), stride=8)._vjp(g)
         assert gx is None and gx_leaf.shape == x.shape
@@ -478,8 +480,71 @@ class TestFusedMatchesReference:
         # a ragged tail the last frame does not reach
         x = rng.standard_normal(win + 5 * hop + max(1, hop // 2))
         out, (gx,), cotangent = _value_and_grads(
-            lambda a: T.stft_mag(a, window, hop=hop, fft_size=16), [x])
-        want_out, want_gx = _stft_mag_per_frame(x, window, hop, 16, cotangent)
+            lambda a: T.stft_mag(a, window, hop=hop, fft_size=16), [x[None]])
+        want_out, want_gx = _stft_mag_per_frame(x, window, hop, 16, cotangent[0])
+        out, gx = out[0], gx[0]
         for got, want in ((out, want_out), (gx, want_gx)):
             assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _lstm_arrays(rng, x_shape, hidden=3):
+    arrays = [rng.standard_normal(x_shape)]
+    for _ in range(2):
+        arrays += [0.5 * rng.standard_normal((x_shape[2], 4 * hidden)),
+                   0.5 * rng.standard_normal((hidden, 4 * hidden)),
+                   0.3 * rng.standard_normal(4 * hidden)]
+    return arrays
+
+
+def _lstm_of(op):
+    def fn(x, fwx, fwh, fb, bwx, bwh, bb):
+        return op(x, T.RecurrentParams(fwx, fwh, fb), T.RecurrentParams(bwx, bwh, bb))
+    return fn
+
+
+# op, and a draw of its inputs: the batch first, then the operands its rows
+# share; the conv1d input has a ragged tail its last frame does not reach
+BATCHED_OPS = {
+    "conv1d": (lambda x, k: T.conv1d(x, k, stride=3), lambda rng: [
+        rng.standard_normal((3, 17, 2)), rng.standard_normal((5, 2, 4))]),
+    "conv1d_transposed": (lambda x, k: T.conv1d_transposed(x, k, stride=2), lambda rng: [
+        rng.standard_normal((3, 6, 3)), rng.standard_normal((5, 3, 2))]),
+    "bidir_recurrent": (_lstm_of(T.bidir_recurrent),
+                        lambda rng: _lstm_arrays(rng, (3, 7, 4))),
+    "stft_mag": (lambda x: T.stft_mag(x, T.hann_window(10), hop=4, fft_size=16),
+                 lambda rng: [rng.standard_normal((3, 31))]),
+}
+
+
+class TestBatchAxis:
+    """Row b of a batched op is the op on utterance b alone, forward and vjp."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHED_OPS))
+    def test_rows_match_batch_of_one(self, name):
+        op, draw = BATCHED_OPS[name]
+        arrays = draw(np.random.default_rng(len(name)))
+        out, grads, cotangent = _value_and_grads(op, arrays)
+        summed = [np.zeros_like(a) for a in arrays[1:]]  # shared operands add up over rows
+        for b in range(arrays[0].shape[0]):
+            leaves = [leaf(arrays[0][b : b + 1])] + [leaf(a) for a in arrays[1:]]
+            row = op(*leaves)
+            T.backward(T.sum_all(T.mul(row, T.Tensor(cotangent[b : b + 1]))))
+            np.testing.assert_allclose(out[b], row.values[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grads[0][b], leaves[0].grad[0], rtol=0, atol=1e-12)
+            for total, p in zip(summed, leaves[1:]):
+                total += p.grad
+        for got, want in zip(grads[1:], summed):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_bidir_recurrent_batch_matches_composed(self):
+        from distilrobust.gradchecks import composed_bidir_recurrent
+
+        arrays = _lstm_arrays(np.random.default_rng(3), (4, 6, 2), hidden=5)
+        fused, fused_grads, _ = _value_and_grads(_lstm_of(T.bidir_recurrent), arrays)
+        composed, composed_grads, _ = _value_and_grads(_lstm_of(composed_bidir_recurrent),
+                                                       arrays)
+        assert fused.shape == (4, 6, 10)
+        np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+        for got, want in zip(fused_grads, composed_grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -1,6 +1,7 @@
 """Schedules, optimizer, config presets, training loop determinism, checkpoints."""
 
 import json
+import math
 import os
 import shutil
 import struct
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 import distilrobust.tensor as T
+import distilrobust.trainer as trainer_module
 from distilrobust.errors import ConfigError, DataError, NumericError, ShapeError
+from distilrobust.losses import KDLossParts, combined_loss, kd_loss_parts, l1_freq, l1_wav
 from distilrobust.trainer import (
+    STFT,
     PAPER_SCALE_RECIPE,
     AdamMoments,
     TrainConfig,
@@ -26,8 +30,9 @@ from distilrobust.trainer import (
     save_checkpoint,
     smoothed_loss,
     train,
+    _BatchSampler,
 )
-from distilrobust.model import student_forward
+from distilrobust.model import student_forward, teacher_forward
 from distilrobust.audio import Waveform
 
 from conftest import REMOVED_CONFIG_FIELDS, tiny_corpus
@@ -290,23 +295,44 @@ class TestTrainLoop:
         noise, rirs = banks
         cfg = tiny_config(tmp_path / "run", "A", batch_size=batch_size, total_iterations=1,
                           warmup_iterations=0)
-        cosine_nodes = []
-        backward = T.backward
-
-        def counting_backward(loss):
-            seen, stack, count = set(), [loss], 0
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    count += node.op == "cosine_sim_rows"
-                    stack.extend(node.parents)
-            cosine_nodes.append(count)
-            backward(loss)
-
-        monkeypatch.setattr(T, "backward", counting_backward)
+        ops, _ = _capture_iteration(monkeypatch)
         train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
-        assert cosine_nodes == [len(cfg.distill_layers)]
+        assert ops.count("cosine_sim_rows") == len(cfg.distill_layers)
+
+    @pytest.mark.parametrize("experiment,batch_size,lengths", [
+        ("C1", 2, (1600,)), ("C1", 4, (1600,)), ("C1", 4, (960, 1280)), ("C2", 3, (960, 1280))])
+    def test_one_forward_per_length_group(self, tmp_path, banks, monkeypatch, experiment,
+                                          batch_size, lengths):
+        noise, rirs = banks
+        cfg = tiny_config(tmp_path / "run", experiment, batch_size=batch_size,
+                          total_iterations=1, warmup_iterations=0)
+        ops, batch = _capture_iteration(monkeypatch)
+        train(cfg, corpus=mixed_corpus(lengths), noise_bank=noise, rir_bank=rirs)
+        groups = len({len(clean) for clean in batch["cleans"]})
+        assert (ops.count("bidir_recurrent"), ops.count("conv1d_transposed"),
+                ops.count("linear")) == (groups, 7 * groups,
+                                         groups * (2 * cfg.student_layers
+                                                   + len(cfg.distill_layers)))
+
+    @pytest.mark.parametrize("experiment,batch_size,lengths", [
+        ("C1", 4, (1600,)), ("C1", 5, (960, 1280)), ("C2", 4, (960, 1280))])
+    def test_length_groups_match_per_utterance_path(self, tmp_path, banks, monkeypatch,
+                                                    experiment, batch_size, lengths):
+        noise, rirs = banks
+        cfg = tiny_config(tmp_path / "run", experiment, batch_size=batch_size,
+                          total_iterations=1, warmup_iterations=0)
+        _, batch = _capture_iteration(monkeypatch)
+        train(cfg, corpus=mixed_corpus(lengths), noise_bank=noise, rir_bank=rirs)
+        if len(lengths) > 1:
+            assert len({len(clean) for clean in batch["cleans"]}) == 2
+        (record,) = load_metrics(os.path.join(cfg.out_dir, "metrics.jsonl"))
+        want, want_grads = per_utterance_reference(cfg, batch["cleans"], batch["noisy"])
+        for key in ("kd_l1", "kd_cos", "enh", "combined"):
+            assert abs(record[key] - getattr(want, key)) <= 1e-12 * abs(getattr(want, key))
+        assert set(batch["grads"]) == set(want_grads)
+        for name, got in batch["grads"].items():
+            assert np.max(np.abs(got - want_grads[name])) <= \
+                1e-12 * np.max(np.abs(want_grads[name])), name
 
     def test_lr_column_follows_schedule(self, tmp_path, banks):
         noise, rirs = banks
@@ -477,6 +503,85 @@ class TestTrainLoop:
             train(cfg, corpus=tiny_corpus())
 
 
+def mixed_corpus(lengths, n_utts=6):
+    """tiny_corpus with utterance i cut to lengths[i % len(lengths)] samples."""
+    return [(utt_id, Waveform(w.samples[: lengths[i % len(lengths)]], w.sample_rate_hz))
+            for i, (utt_id, w) in enumerate(tiny_corpus(n_utts))]
+
+
+def _capture_iteration(monkeypatch):
+    """Record the ops of each backward's graph, and the last batch's crops,
+    contaminated signals and parameter gradients."""
+    ops, batch = [], {}
+    backward, augment_batch, adamw_step = T.backward, trainer_module.augment_batch, \
+        trainer_module.adamw_step
+
+    def walking_backward(loss):
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops.append(node.op)
+                stack.extend(node.parents)
+        backward(loss)
+
+    def recording_augment(cleans, *args):
+        pairs = augment_batch(cleans, *args)
+        batch["cleans"] = [w.samples for w in cleans]
+        batch["noisy"] = [w.samples for w, _ in pairs]
+        return pairs
+
+    def recording_step(params, grads, *args):
+        batch["grads"] = {name: g.copy() for name, g in grads.items()}
+        adamw_step(params, grads, *args)
+
+    monkeypatch.setattr(T, "backward", walking_backward)
+    monkeypatch.setattr(trainer_module, "augment_batch", recording_augment)
+    monkeypatch.setattr(trainer_module, "adamw_step", recording_step)
+    return ops, batch
+
+
+def per_utterance_reference(cfg, cleans, noisy):
+    """One batch's loss and gradients utterance by utterance, each a batch of one, combined
+    as before length groups: the stacked frames in one distillation call scaled by 1/batch,
+    and the enhancement losses' mean as an add chain."""
+    student = build_student(cfg, build_teacher(cfg))
+    teacher = build_teacher(cfg)
+    maps, preds, enh = [], [], []
+    for clean, augmented in zip(cleans, noisy):
+        maps.append(teacher_forward(teacher, clean[None]))
+        out = student_forward(student, augmented[None])
+        preds.append(out.predictions)
+        if cfg.enhancement_loss == "l1_wav":
+            enh.append(l1_wav(out.enhanced, clean[None]))
+        elif cfg.enhancement_loss == "l1_freq":
+            enh.append(l1_freq(out.enhanced, clean[None], STFT))
+    layers = cfg.distill_layers
+    summed = kd_loss_parts({l: np.concatenate([m[l] for m in maps]) for l in layers},
+                           {l: T.concat([p[l] for p in preds]) for l in layers}, layers)
+    l1, cos = T.scale(summed.l1, 1.0 / len(cleans)), T.scale(summed.cos, 1.0 / len(cleans))
+    enh_mean = None
+    if enh:
+        enh_mean = enh[0]
+        for term in enh[1:]:
+            enh_mean = T.add(enh_mean, term)
+        enh_mean = T.scale(enh_mean, 1.0 / len(enh))
+    breakdown = combined_loss(KDLossParts(T.add(l1, cos), l1, cos), enh_mean, cfg.lambda_weight)
+    T.backward(breakdown.tensor)
+    return breakdown, {name: p.grad for name, p in student.params.items()}
+
+
+class TestBatchSampler:
+    @pytest.mark.parametrize("n_utts,batch_size", [(5, 3), (3, 8), (7, 7), (20, 24)])
+    def test_keeps_only_epochs_still_reachable(self, n_utts, batch_size):
+        sampler = _BatchSampler(n_utts, batch_size, master_seed=9)
+        for iteration in range(300):
+            assert sampler.indices(iteration) == \
+                _BatchSampler(n_utts, batch_size, master_seed=9).indices(iteration)
+            assert len(sampler._perms) <= math.ceil(batch_size / n_utts) + 1
+
+
 class TestCheckpoints:
     def test_round_trip_params_and_moments(self, tmp_path, banks):
         noise, rirs = banks
@@ -516,9 +621,9 @@ class TestCheckpoints:
         export_path = os.path.join(cfg.out_dir, "student.drtc")
         export_student(state, export_path)
         exported = load_exported(export_path)
-        w = tiny_corpus()[0][1]
-        full = student_forward(state.student, w)
-        slim = student_forward(exported, w)
+        samples = tiny_corpus()[0][1].samples[None]
+        full = student_forward(state.student, samples)
+        slim = student_forward(exported, samples)
         np.testing.assert_array_equal(slim.representation.values,
                                       full.representation.values)
         assert slim.predictions == {} and slim.enhanced is None
