@@ -209,7 +209,7 @@ def gelu(x) -> Tensor:
     x = as_tensor(x)
     v = x.values
     # one chain each way, so numpy reuses a large map's temporaries in place
-    inner = _GELU_C1 * (v + _GELU_C2 * v * v * v)
+    inner = np.asarray(_GELU_C1 * (v + _GELU_C2 * v * v * v))
     t = np.tanh(inner, out=inner)
     out = (t + 1.0) * v * 0.5
 
@@ -383,8 +383,9 @@ def _conv_checks(x: Tensor, k: Tensor, stride: int, op: str):
 def _frames(a: np.ndarray, stride: int, width: int, count: int) -> np.ndarray:
     """(B, count, width*C) rows of a (B, N, C) batch; row [b, t] is a[b, t*stride:][:width].
 
-    With width == stride the rows tile each utterance and come back as a view;
-    other rows are copied: matmul reads a strided view through its slow loop.
+    The rows come back as a view when width == stride and either B == 1 or each
+    utterance is exactly count frames (N == count*stride); other rows are copied:
+    matmul reads a strided view through its slow loop.
     """
     batch, _, c = a.shape
     rows = np.lib.stride_tricks.sliding_window_view(a.reshape(batch, -1), width * c, axis=1)

@@ -35,6 +35,7 @@ class TestForwardValues:
         assert T.gelu(x).values[0] == 0.0
         big = T.gelu(leaf([10.0])).values[0]
         assert big == pytest.approx(10.0, abs=1e-6)
+        assert float(T.gelu(leaf(10.0)).values) == big
 
     def test_tanh_and_log(self):
         assert T.tanh(leaf([0.0])).values[0] == 0.0
@@ -394,29 +395,36 @@ def _stft_mag_per_frame(x, window, hop, fft_size, g):
     return np.array(mags), gx
 
 
+def _lstm_arrays(rng, x_shape, hidden=3):
+    arrays = [rng.standard_normal(x_shape)]
+    for _ in range(2):
+        arrays += [0.5 * rng.standard_normal((x_shape[2], 4 * hidden)),
+                   0.5 * rng.standard_normal((hidden, 4 * hidden)),
+                   0.3 * rng.standard_normal(4 * hidden)]
+    return arrays
+
+
+def _lstm_of(op):
+    def fn(x, fwx, fwh, fb, bwx, bwh, bb):
+        return op(x, T.RecurrentParams(fwx, fwh, fb), T.RecurrentParams(bwx, bwh, bb))
+    return fn
+
+
 class TestFusedMatchesReference:
     """The fused recurrence and the loop-free convolutions against the paths they replace."""
 
-    @pytest.mark.parametrize("t_steps", [1, 2, 7, 50], ids=lambda t: f"{t}-lstm")
-    def test_bidir_recurrent_matches_composed(self, t_steps):
+    @pytest.mark.parametrize("batch,t_steps", [
+        pytest.param(1, t, id=f"{t}-lstm") for t in (1, 2, 7, 50)] + [
+        pytest.param(4, 6, id="4x6-lstm")])
+    def test_bidir_recurrent_matches_composed(self, batch, t_steps):
         from distilrobust.gradchecks import composed_bidir_recurrent
 
-        rng = np.random.default_rng(t_steps)
-        hidden, c_in = 5, 4
-        arrays = [rng.standard_normal((1, t_steps, c_in))]
-        for _ in range(2):
-            arrays += [0.5 * rng.standard_normal((c_in, 4 * hidden)),
-                       0.5 * rng.standard_normal((hidden, 4 * hidden)),
-                       0.3 * rng.standard_normal(4 * hidden)]
-
-        def run(op):
-            def fn(x, fwx, fwh, fb, bwx, bwh, bb):
-                return op(x, T.RecurrentParams(fwx, fwh, fb), T.RecurrentParams(bwx, bwh, bb))
-            return _value_and_grads(fn, arrays)
-
-        fused, fused_grads, _ = run(T.bidir_recurrent)
-        composed, composed_grads, _ = run(composed_bidir_recurrent)
-        assert fused.shape == (1, t_steps, 2 * hidden)
+        hidden = 5
+        arrays = _lstm_arrays(np.random.default_rng(t_steps), (batch, t_steps, 4), hidden)
+        fused, fused_grads, _ = _value_and_grads(_lstm_of(T.bidir_recurrent), arrays)
+        composed, composed_grads, _ = _value_and_grads(_lstm_of(composed_bidir_recurrent),
+                                                       arrays)
+        assert fused.shape == (batch, t_steps, 2 * hidden)
         np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
         assert len(fused_grads) == 7
         for got, want in zip(fused_grads, composed_grads):
@@ -488,21 +496,6 @@ class TestFusedMatchesReference:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def _lstm_arrays(rng, x_shape, hidden=3):
-    arrays = [rng.standard_normal(x_shape)]
-    for _ in range(2):
-        arrays += [0.5 * rng.standard_normal((x_shape[2], 4 * hidden)),
-                   0.5 * rng.standard_normal((hidden, 4 * hidden)),
-                   0.3 * rng.standard_normal(4 * hidden)]
-    return arrays
-
-
-def _lstm_of(op):
-    def fn(x, fwx, fwh, fb, bwx, bwh, bb):
-        return op(x, T.RecurrentParams(fwx, fwh, fb), T.RecurrentParams(bwx, bwh, bb))
-    return fn
-
-
 # op, and a draw of its inputs: the batch first, then the operands its rows
 # share; the conv1d input has a ragged tail its last frame does not reach
 BATCHED_OPS = {
@@ -537,14 +530,3 @@ class TestBatchAxis:
         for got, want in zip(grads[1:], summed):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_bidir_recurrent_batch_matches_composed(self):
-        from distilrobust.gradchecks import composed_bidir_recurrent
-
-        arrays = _lstm_arrays(np.random.default_rng(3), (4, 6, 2), hidden=5)
-        fused, fused_grads, _ = _value_and_grads(_lstm_of(T.bidir_recurrent), arrays)
-        composed, composed_grads, _ = _value_and_grads(_lstm_of(composed_bidir_recurrent),
-                                                       arrays)
-        assert fused.shape == (4, 6, 10)
-        np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
-        for got, want in zip(fused_grads, composed_grads):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

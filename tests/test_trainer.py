@@ -295,9 +295,9 @@ class TestTrainLoop:
         noise, rirs = banks
         cfg = tiny_config(tmp_path / "run", "A", batch_size=batch_size, total_iterations=1,
                           warmup_iterations=0)
-        ops, _ = _capture_iteration(monkeypatch)
+        graphs, _ = _capture_iteration(monkeypatch)
         train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
-        assert ops.count("cosine_sim_rows") == len(cfg.distill_layers)
+        assert [ops.count("cosine_sim_rows") for ops in graphs] == [len(cfg.distill_layers)]
 
     @pytest.mark.parametrize("experiment,batch_size,lengths", [
         ("C1", 2, (1600,)), ("C1", 4, (1600,)), ("C1", 4, (960, 1280)), ("C2", 3, (960, 1280))])
@@ -306,13 +306,13 @@ class TestTrainLoop:
         noise, rirs = banks
         cfg = tiny_config(tmp_path / "run", experiment, batch_size=batch_size,
                           total_iterations=1, warmup_iterations=0)
-        ops, batch = _capture_iteration(monkeypatch)
+        graphs, batch = _capture_iteration(monkeypatch)
         train(cfg, corpus=mixed_corpus(lengths), noise_bank=noise, rir_bank=rirs)
         groups = len({len(clean) for clean in batch["cleans"]})
-        assert (ops.count("bidir_recurrent"), ops.count("conv1d_transposed"),
-                ops.count("linear")) == (groups, 7 * groups,
-                                         groups * (2 * cfg.student_layers
-                                                   + len(cfg.distill_layers)))
+        assert [(ops.count("bidir_recurrent"), ops.count("conv1d_transposed"),
+                 ops.count("linear")) for ops in graphs] == \
+            [(groups, 7 * groups,
+              groups * (2 * cfg.student_layers + len(cfg.distill_layers)))]
 
     @pytest.mark.parametrize("experiment,batch_size,lengths", [
         ("C1", 4, (1600,)), ("C1", 5, (960, 1280)), ("C2", 4, (960, 1280))])
@@ -510,14 +510,15 @@ def mixed_corpus(lengths, n_utts=6):
 
 
 def _capture_iteration(monkeypatch):
-    """Record the ops of each backward's graph, and the last batch's crops,
-    contaminated signals and parameter gradients."""
-    ops, batch = [], {}
+    """Record one op list per backward call (one entry per graph node), and the last
+    batch's crops, contaminated signals and parameter gradients."""
+    graphs, batch = [], {}
     backward, augment_batch, adamw_step = T.backward, trainer_module.augment_batch, \
         trainer_module.adamw_step
 
     def walking_backward(loss):
-        seen, stack = set(), [loss]
+        seen, stack, ops = set(), [loss], []
+        graphs.append(ops)
         while stack:
             node = stack.pop()
             if id(node) not in seen:
@@ -539,7 +540,7 @@ def _capture_iteration(monkeypatch):
     monkeypatch.setattr(T, "backward", walking_backward)
     monkeypatch.setattr(trainer_module, "augment_batch", recording_augment)
     monkeypatch.setattr(trainer_module, "adamw_step", recording_step)
-    return ops, batch
+    return graphs, batch
 
 
 def per_utterance_reference(cfg, cleans, noisy):
