@@ -66,10 +66,8 @@ from .tensor import (
     backward,
     gradcheck,
     hann_window,
-    read_tensor_file,
     tensor_from_bytes,
     tensor_to_bytes,
-    write_tensor_file,
 )
 from .trainer import (
     AdamMoments,

@@ -1,5 +1,5 @@
-"""Command-line surface: offline contamination, training, standalone loss
-evaluation, gradient checking, and metrics plotting.
+"""Command-line surface: offline contamination, training, gradient checking,
+and metrics plotting.
 
 Exit codes are a stable scripting contract: 0 success, 1 validation or numeric
 failure, 2 I/O failure.
@@ -12,13 +12,10 @@ import json
 import os
 import sys
 
-from . import tensor as T
 from .augment import CurriculumState, augment_batch, load_manifest, load_noise_bank, load_rir_bank
 from .audio import read_wav, write_wav
-from .errors import DistilRobustError, ConfigError, DataError, UnsupportedWavError, WavFormatError
+from .errors import DistilRobustError, DataError, UnsupportedWavError, WavFormatError
 from .gradchecks import CHECKS, run_suite
-from .losses import combined_loss, kd_loss_parts
-from .model import DEFAULT_DISTILL_LAYERS
 from .trainer import TrainConfig, load_metrics, train
 
 EXIT_OK = 0
@@ -64,32 +61,6 @@ def cmd_train(args) -> int:
         cfg = TrainConfig.from_json(fh.read())
     state = train(cfg, resume_from=args.resume)
     print(f"completed {state.iteration} iterations; artifacts in {cfg.out_dir}")
-    return EXIT_OK
-
-
-def _read_features(directory: str, layers) -> dict:
-    maps = {}
-    for layer in layers:
-        path = os.path.join(directory, f"layer_{layer}.drtn")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"layer {layer}: missing features file {path}")
-        maps[layer] = T.read_tensor_file(path)
-    return maps
-
-
-def cmd_losses(args) -> int:
-    try:
-        layers = tuple(int(part) for part in args.layers.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"--layers must be comma-separated integers, got "
-                          f"{args.layers!r}") from exc
-    if not layers:
-        raise ConfigError("--layers must name at least one layer")
-    teacher_maps = _read_features(args.teacher_features, layers)
-    student_maps = _read_features(args.student_features, layers)
-    parts = kd_loss_parts(teacher_maps, student_maps, layers)
-    breakdown = combined_loss(parts, None, 0.0)
-    print(json.dumps(breakdown.to_dict(), sort_keys=True, indent=2))
     return EXIT_OK
 
 
@@ -166,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distilrobust",
         description="Robust distillation of speech representations: contamination, "
-                    "training, losses, gradient checks, and plots.")
+                    "training, gradient checks, and plots.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_aug = sub.add_parser("augment", help="contaminate a manifest of clean WAVs offline")
@@ -185,15 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="TrainConfig JSON file")
     p_train.add_argument("--resume", default=None, help="checkpoint to resume from")
     p_train.set_defaults(func=cmd_train)
-
-    p_loss = sub.add_parser("losses", help="evaluate the distillation loss on saved features")
-    p_loss.add_argument("--teacher-features", required=True,
-                        help="directory of layer_<L>.drtn tensors")
-    p_loss.add_argument("--student-features", required=True,
-                        help="directory of layer_<L>.drtn tensors")
-    p_loss.add_argument("--layers", default=",".join(map(str, DEFAULT_DISTILL_LAYERS)),
-                        help="comma-separated layer ids")
-    p_loss.set_defaults(func=cmd_losses)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference checks of the op set")
     group = p_grad.add_mutually_exclusive_group(required=True)

@@ -119,23 +119,11 @@ def l1_freq(enhanced, clean, stft_params: STFTParams | None = None) -> T.Tensor:
 class LossBreakdown:
     """One training step's loss values; `tensor` carries the differentiable total."""
 
-    kd_total: float
     kd_l1: float
     kd_cos: float
     enh: float | None
-    lambda_weight: float
     combined: float
     tensor: T.Tensor
-
-    def to_dict(self) -> dict:
-        return {
-            "kd_total": self.kd_total,
-            "kd_l1": self.kd_l1,
-            "kd_cos": self.kd_cos,
-            "enh": self.enh,
-            "lambda": self.lambda_weight,
-            "combined": self.combined,
-        }
 
 
 def combined_loss(kd: KDLossParts, enh=None, lambda_weight: float = 0.0) -> LossBreakdown:
@@ -154,6 +142,5 @@ def combined_loss(kd: KDLossParts, enh=None, lambda_weight: float = 0.0) -> Loss
             raise NumericError(f"enhancement loss is not finite: {enh_value}")
         combined = kd_total + lambda_weight * enh_value
         total = T.scale_add(1.0, kd.total, lambda_weight, enh_tensor)
-    return LossBreakdown(kd_total=kd_total, kd_l1=kd.l1.item(), kd_cos=kd.cos.item(),
-                         enh=enh_value, lambda_weight=lambda_weight, combined=combined,
-                         tensor=total)
+    return LossBreakdown(kd_l1=kd.l1.item(), kd_cos=kd.cos.item(), enh=enh_value,
+                         combined=combined, tensor=total)

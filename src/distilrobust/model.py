@@ -121,6 +121,9 @@ class StudentConfig:
         if not self.distill_layers or self.distill_layers[0] < 1:
             raise ConfigError(f"distill_layers must name one or more layers from 1 up, got "
                               f"{self.distill_layers}")
+        if len(set(self.distill_layers)) != len(self.distill_layers):
+            raise ConfigError(f"distill_layers must not repeat a layer, got "
+                              f"{self.distill_layers}")
 
 
 def check_fits_teacher(config: StudentConfig, teacher_layers: int):

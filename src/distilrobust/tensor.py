@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError, ParameterError, ShapeError
-from .fileio import atomic_write
 
 COSINE_EPS = 1e-8
 
@@ -689,7 +688,7 @@ def gradcheck(fn, inputs, h: float = 1e-5, tolerance: float = 1e-4) -> Gradcheck
 
 
 # ---------------------------------------------------------------------------
-# binary tensor files: magic "DRTN", u8 version, u8 rank, u64 dims, f64 row-major
+# binary tensor records: magic "DRTN", u8 version, u8 rank, u64 dims, f64 row-major
 
 DRTN_MAGIC = b"DRTN"
 DRTN_VERSION = 1
@@ -721,15 +720,3 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
         raise DataError("DRTN record truncated")
     values = np.frombuffer(buf[pos:end], dtype="<f8").reshape(dims).astype(np.float64)
     return values, end
-
-
-def write_tensor_file(path, values: np.ndarray):
-    with atomic_write(path) as fh:
-        fh.write(tensor_to_bytes(values))
-
-
-def read_tensor_file(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    values, _ = tensor_from_bytes(buf)
-    return values

@@ -269,7 +269,7 @@ class TrainState:
     iteration: int
     student: StudentModel
     moments: AdamMoments
-    teacher_checksum: str = ""
+    teacher_checksum: str
 
 
 def build_teacher(cfg: TrainConfig) -> TeacherSurrogate:
@@ -278,16 +278,6 @@ def build_teacher(cfg: TrainConfig) -> TeacherSurrogate:
 
 def build_student(cfg: TrainConfig, teacher: TeacherSurrogate) -> StudentModel:
     return init_student_from_teacher(teacher, cfg.student_config(), STUDENT_SEED)
-
-
-def _normalize_corpus(corpus) -> list[tuple[str, Waveform]]:
-    normalized = []
-    for i, item in enumerate(corpus):
-        if isinstance(item, tuple):
-            normalized.append((str(item[0]), item[1]))
-        else:
-            normalized.append((f"utt{i:04d}", item))
-    return normalized
 
 
 def _load_corpus(cfg: TrainConfig) -> list[tuple[str, Waveform]]:
@@ -404,7 +394,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
     interruption; resume from the matching checkpoint to finish the run.
     """
     cfg.validate()
-    corpus = _normalize_corpus(corpus) if corpus is not None else _load_corpus(cfg)
+    corpus = list(corpus) if corpus is not None else _load_corpus(cfg)
     if not corpus:
         raise DataError("training corpus is empty")
     _check_corpus(cfg, corpus)

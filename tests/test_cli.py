@@ -1,7 +1,9 @@
 """Command-line entry points: subcommands, exit codes, artifacts."""
 
+import argparse
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -11,10 +13,9 @@ import numpy as np
 import pytest
 
 import distilrobust
-import distilrobust.tensor as T
 from distilrobust.audio import RoomImpulseResponse, Waveform, read_wav, write_wav
-from distilrobust.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main, render_metrics_svg
-from distilrobust.losses import IDENTITY_COSINE_TERM
+from distilrobust.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main,
+                              render_metrics_svg)
 from distilrobust.trainer import TrainConfig, load_metrics
 
 from conftest import REMOVED_CONFIG_FIELDS, write_manifest
@@ -354,62 +355,6 @@ class TestTrainCommand:
         assert not (train_setup["out_dir"] / "metrics.jsonl").exists()
 
 
-@pytest.fixture()
-def feature_dirs(tmp_path):
-    rng = np.random.default_rng(12)
-    teacher_dir = tmp_path / "teacher"
-    student_dir = tmp_path / "student"
-    teacher_dir.mkdir()
-    student_dir.mkdir()
-    maps = {}
-    for layer in (4, 8, 12):
-        arr = rng.standard_normal((5, 6))
-        maps[layer] = arr
-        T.write_tensor_file(teacher_dir / f"layer_{layer}.drtn", arr)
-        T.write_tensor_file(student_dir / f"layer_{layer}.drtn", arr)
-    return {"teacher": teacher_dir, "student": student_dir, "maps": maps}
-
-
-class TestLossesCommand:
-    def test_identity_breakdown(self, feature_dirs, capsys):
-        code = run_cli("losses", "--teacher-features", feature_dirs["teacher"],
-                       "--student-features", feature_dirs["student"])
-        assert code == EXIT_OK
-        record = json.loads(capsys.readouterr().out)
-        assert record["kd_l1"] == pytest.approx(0.0, abs=0)
-        assert record["kd_cos"] == pytest.approx(5 * 3 * IDENTITY_COSINE_TERM, abs=1e-12)
-        assert record["combined"] == pytest.approx(record["kd_total"], abs=0)
-
-    def test_layer_subset(self, feature_dirs, capsys):
-        code = run_cli("losses", "--teacher-features", feature_dirs["teacher"],
-                       "--student-features", feature_dirs["student"],
-                       "--layers", "4,8")
-        assert code == EXIT_OK
-        record = json.loads(capsys.readouterr().out)
-        assert record["kd_cos"] == pytest.approx(5 * 2 * IDENTITY_COSINE_TERM, abs=1e-12)
-
-    def test_missing_layer_file_exits_2(self, feature_dirs, capsys):
-        os.remove(feature_dirs["student"] / "layer_8.drtn")
-        code = run_cli("losses", "--teacher-features", feature_dirs["teacher"],
-                       "--student-features", feature_dirs["student"])
-        assert code == EXIT_IO
-        assert "layer 8" in capsys.readouterr().err
-
-    def test_shape_mismatch_exits_1(self, feature_dirs, capsys):
-        T.write_tensor_file(feature_dirs["student"] / "layer_8.drtn",
-                            np.ones((5, 7)))
-        code = run_cli("losses", "--teacher-features", feature_dirs["teacher"],
-                       "--student-features", feature_dirs["student"])
-        assert code == EXIT_VALIDATION
-        assert "8" in capsys.readouterr().err
-
-    def test_bad_layers_argument_exits_1(self, feature_dirs, capsys):
-        code = run_cli("losses", "--teacher-features", feature_dirs["teacher"],
-                       "--student-features", feature_dirs["student"],
-                       "--layers", "4,abc")
-        assert code == EXIT_VALIDATION
-
-
 class TestGradcheckCommand:
     def test_single_op(self, capsys):
         assert run_cli("gradcheck", "--op", "linear") == EXIT_OK
@@ -482,3 +427,15 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_subcommands_match_readme(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"augment", "train", "gradcheck", "plot"}
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line\n\n```bash\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^distilrobust (\S+)", block, re.M)) == set(sub.choices)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("losses")
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err

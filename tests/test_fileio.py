@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import distilrobust.fileio as fileio
-import distilrobust.tensor as T
 from distilrobust.audio import Waveform, write_wav
 from distilrobust.trainer import TrainConfig, _write_container
 
@@ -30,16 +29,12 @@ def _write_wav(path, value):
     write_wav(Waveform(np.full(800, value), 16000), path)
 
 
-def _write_tensor(path, value):
-    T.write_tensor_file(path, np.full((4, 3), value))
-
-
 def _write_checkpoint(path, value):
     header = {"format": "drtc", "has_moments": False, "config": TrainConfig().to_dict()}
     _write_container(path, header, [("w", [np.full(5, value)])])
 
 
-@pytest.mark.parametrize("writer", [_write_wav, _write_tensor, _write_checkpoint])
+@pytest.mark.parametrize("writer", [_write_wav, _write_checkpoint])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     path = tmp_path / "artifact.bin"
     writer(path, 0.25)
@@ -64,5 +59,5 @@ def test_new_path_is_absent_after_failed_write(tmp_path, monkeypatch):
     monkeypatch.setattr(fileio, "open", lambda p, mode: _FailsMidway(real_open(p, mode)),
                         raising=False)
     with pytest.raises(OSError):
-        _write_tensor(tmp_path / "new.drtn", 1.0)
+        _write_checkpoint(tmp_path / "new.drtc", 1.0)
     assert list(tmp_path.iterdir()) == []

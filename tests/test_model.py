@@ -226,6 +226,7 @@ class TestStudentConfig:
         ({"n_student_layers": 0}, "mixing layer"),
         ({"distill_layers": ()}, "distill_layers"),
         ({"distill_layers": (0, 4)}, "distill_layers"),
+        ({"distill_layers": (4, 4)}, "repeat"),
     ])
     def test_geometry_rejected_on_construction(self, fields, message):
         with pytest.raises(ConfigError, match=message):

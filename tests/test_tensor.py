@@ -278,36 +278,28 @@ class TestDrtnFiles:
         payload = np.frombuffer(buf, dtype="<f8", offset=22)
         np.testing.assert_array_equal(payload, np.arange(6.0))
 
-    def test_round_trip_ranks(self, tmp_path):
+    def test_round_trip_ranks(self):
         rng = np.random.default_rng(4)
         for shape in [(), (5,), (3, 4), (2, 3, 4)]:
             arr = rng.standard_normal(shape)
-            path = tmp_path / "t.drtn"
-            T.write_tensor_file(path, arr)
-            back = T.read_tensor_file(path)
+            back, _ = T.tensor_from_bytes(T.tensor_to_bytes(arr))
             assert back.shape == tuple(shape)
             np.testing.assert_array_equal(back, arr)
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.drtn"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(DataError):
-            T.read_tensor_file(path)
+    def test_bad_magic(self):
+        with pytest.raises(DataError, match="not a DRTN"):
+            T.tensor_from_bytes(b"NOPE" + b"\x00" * 32)
 
-    def test_bad_version(self, tmp_path):
+    def test_bad_version(self):
         buf = bytearray(T.tensor_to_bytes(np.ones(2)))
         buf[4] = 9
-        path = tmp_path / "v.drtn"
-        path.write_bytes(bytes(buf))
-        with pytest.raises(DataError):
-            T.read_tensor_file(path)
+        with pytest.raises(DataError, match="version 9"):
+            T.tensor_from_bytes(bytes(buf))
 
-    def test_truncated_payload(self, tmp_path):
+    def test_truncated_payload(self):
         buf = T.tensor_to_bytes(np.ones(4))
-        path = tmp_path / "short.drtn"
-        path.write_bytes(buf[:-8])
-        with pytest.raises(DataError):
-            T.read_tensor_file(path)
+        with pytest.raises(DataError, match="truncated"):
+            T.tensor_from_bytes(buf[:-8])
 
     @settings(max_examples=30, deadline=None)
     @given(arr=hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=5),

@@ -260,6 +260,7 @@ class TestConfigSerialization:
         ({"distill_layers": ()}, "distill_layers"),
         ({"distill_layers": (4, 13)}, "distill layer 13"),
         ({"dim": 0}, "dim"),
+        ({"distill_layers": (4, 4)}, "repeat"),
     ])
     def test_student_geometry_checked(self, fields, message):
         with pytest.raises(ConfigError, match=message):
