@@ -14,7 +14,8 @@ import sys
 
 from .augment import CurriculumState, augment_batch, load_manifest, load_noise_bank, load_rir_bank
 from .audio import read_wav, write_wav
-from .errors import DistilRobustError, DataError, UnsupportedWavError, WavFormatError
+from .errors import DistilRobustError, DataError, WavFormatError
+from .fileio import atomic_write
 from .gradchecks import CHECKS, run_suite
 from .trainer import TrainConfig, load_metrics, train
 
@@ -47,11 +48,13 @@ def cmd_augment(args) -> int:
                           master_seed=args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
+    for (entry, _), (augmented, _) in zip(waves, pairs):
+        write_wav(augmented, os.path.join(args.out_dir, f"{entry.id}.wav"))
     plans_path = os.path.join(args.out_dir, "plans.jsonl")
-    with open(plans_path, "w", encoding="utf-8") as fh:
-        for (entry, _), (augmented, plan) in zip(waves, pairs):
-            write_wav(augmented, os.path.join(args.out_dir, f"{entry.id}.wav"))
-            fh.write(json.dumps({"id": entry.id, **plan.to_dict()}, sort_keys=True) + "\n")
+    with atomic_write(plans_path) as fh:
+        for (entry, _), (_, plan) in zip(waves, pairs):
+            line = json.dumps({"id": entry.id, **plan.to_dict()}, sort_keys=True)
+            fh.write(f"{line}\n".encode())
     print(f"wrote {len(pairs)} contaminated files and {plans_path}")
     return EXIT_OK
 
@@ -126,9 +129,8 @@ def cmd_plot(args) -> int:
     records = load_metrics(args.metrics)
     if not records:
         raise DataError(f"metrics log {args.metrics} is empty")
-    svg = render_metrics_svg(records)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    with atomic_write(args.out) as fh:
+        fh.write(render_metrics_svg(records).encode("utf-8"))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -177,7 +179,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WavFormatError, UnsupportedWavError) as exc:
+    except WavFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DistilRobustError as exc:

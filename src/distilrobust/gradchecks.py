@@ -137,17 +137,11 @@ def _check_stft_mag_ragged():
 def _check_bidir_lstm(x_shape=(1, 5, 3), tag="bidir_lstm"):
     rng = _rng(tag)
     hidden = 2
-    arrays = [rng.standard_normal(x_shape)]
-    for _ in range(2):  # forward then backward direction
-        arrays.append(rng.standard_normal((3, 4 * hidden)) * 0.5)
-        arrays.append(rng.standard_normal((hidden, 4 * hidden)) * 0.5)
-        arrays.append(rng.standard_normal(4 * hidden) * 0.1)
-
-    def fn(xt, fwx, fwh, fb, bwx, bwh, bb):
-        return T.bidir_recurrent(xt, T.RecurrentParams(fwx, fwh, fb),
-                                 T.RecurrentParams(bwx, bwh, bb))
-
-    return fn, arrays
+    x = rng.standard_normal(x_shape)
+    directions = [(rng.standard_normal((3, 4 * hidden)) * 0.5,
+                   rng.standard_normal((hidden, 4 * hidden)) * 0.5,
+                   rng.standard_normal(4 * hidden) * 0.1) for _ in range(2)]  # forward first
+    return T.bidir_recurrent, [x, *(np.stack(w) for w in zip(*directions))]
 
 
 # Composed reference of `tensor.bidir_recurrent`: the same LSTM built step by
@@ -156,16 +150,17 @@ def _check_bidir_lstm(x_shape=(1, 5, 3), tag="bidir_lstm"):
 # from the generic vjps alone.
 
 
-def _lstm_direction(x: T.Tensor, p: T.RecurrentParams, hidden: int,
+def _lstm_direction(x: T.Tensor, w_x: T.Tensor, w_h: T.Tensor, bias: T.Tensor,
                     reverse: bool) -> list[T.Tensor]:
     batch, t_steps, c_in = x.values.shape
+    hidden = w_h.values.shape[0]
     h = T.Tensor(np.zeros((batch, hidden)))
     c = T.Tensor(np.zeros((batch, hidden)))
     order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
     outputs: list[T.Tensor | None] = [None] * t_steps
     for t in order:
         x_t = T.reshape(T.narrow(x, 1, t, 1), (batch, c_in))
-        z = T.add(T.linear(x_t, p.w_x, p.bias), T.linear(h, p.w_h))
+        z = T.add(T.linear(x_t, w_x, bias), T.linear(h, w_h))
         i_g = T.sigmoid(T.narrow(z, 1, 0, hidden))
         f_g = T.sigmoid(T.narrow(z, 1, hidden, hidden))
         c_g = T.tanh(T.narrow(z, 1, 2 * hidden, hidden))
@@ -176,13 +171,14 @@ def _lstm_direction(x: T.Tensor, p: T.RecurrentParams, hidden: int,
     return outputs  # type: ignore[return-value]
 
 
-def composed_bidir_recurrent(x, forward: T.RecurrentParams,
-                             backward: T.RecurrentParams) -> T.Tensor:
+def composed_bidir_recurrent(x, w_x, w_h, bias) -> T.Tensor:
     """What `tensor.bidir_recurrent` computes, as a per-step graph of generic ops."""
     x = T.as_tensor(x)
-    batch, hidden = x.values.shape[0], forward.w_h.values.shape[0]
-    fwd = _lstm_direction(x, forward, hidden, reverse=False)
-    bwd = _lstm_direction(x, backward, hidden, reverse=True)
+    weights = [T.as_tensor(w) for w in (w_x, w_h, bias)]
+    fwd, bwd = (_lstm_direction(x, *(T.reshape(T.narrow(w, 0, d, 1), w.values.shape[1:])
+                                     for w in weights), reverse=d == 1)
+                for d in range(2))
+    batch, hidden = x.values.shape[0], weights[1].values.shape[1]
     return T.concat([T.reshape(T.concat([f, b], axis=1), (batch, 1, 2 * hidden))
                      for f, b in zip(fwd, bwd)], axis=1)
 

@@ -169,11 +169,10 @@ def _deconv_channel_plan(first_in: int, n_layers: int) -> list[tuple[int, int]]:
 
 def _init_enhancement(rng: np.random.Generator, dim: int) -> dict[str, np.ndarray]:
     """A bidirectional LSTM `dim` wide, then the deconvolution stack."""
-    arrays: dict[str, np.ndarray] = {}
-    for direction in ("fwd", "bwd"):  # LSTM gates packed in 4 * dim columns
-        arrays[f"enhancement.rnn.{direction}.w_x"] = _init(rng, (dim, 4 * dim), dim)
-        arrays[f"enhancement.rnn.{direction}.w_h"] = _init(rng, (dim, 4 * dim), dim)
-        arrays[f"enhancement.rnn.{direction}.bias"] = np.zeros(4 * dim)
+    # LSTM gates packed in 4 * dim columns; drawn [direction, (w_x, w_h)], forward first
+    lstm = _init(rng, (2, 2, dim, 4 * dim), dim)
+    arrays = {"enhancement.rnn.w_x": lstm[:, 0], "enhancement.rnn.w_h": lstm[:, 1],
+              "enhancement.rnn.bias": np.zeros((2, 4 * dim))}
     for i, ((c_in, c_out), stride) in enumerate(
             zip(_deconv_channel_plan(2 * dim, len(DECONV_STRIDES)), DECONV_STRIDES), start=1):
         kw = 2 * stride
@@ -206,11 +205,9 @@ def init_student_from_teacher(teacher: TeacherSurrogate, config: StudentConfig,
 def _enhancement_forward(student: StudentModel, rep: T.Tensor, batch: int,
                          n_samples: int) -> T.Tensor:
     p = student.params
-    forward, backward = (T.RecurrentParams(p[f"enhancement.rnn.{d}.w_x"],
-                                           p[f"enhancement.rnn.{d}.w_h"],
-                                           p[f"enhancement.rnn.{d}.bias"])
-                         for d in ("fwd", "bwd"))
-    h = T.bidir_recurrent(T.reshape(rep, (batch, -1, rep.values.shape[1])), forward, backward)
+    h = T.bidir_recurrent(T.reshape(rep, (batch, -1, rep.values.shape[1])),
+                          p["enhancement.rnn.w_x"], p["enhancement.rnn.w_h"],
+                          p["enhancement.rnn.bias"])
     for i, stride in enumerate(DECONV_STRIDES, start=1):
         h = T.gelu(T.conv1d_transposed(h, p[f"enhancement.deconv{i}.kernel"], stride=stride))
     flat = T.reshape(h, (batch, -1))

@@ -11,14 +11,14 @@ map (B, N, C) to (B, T, C'), `bidir_recurrent` (B, T, C) to (B, T, 2H), and
 `stft_mag` (B, N) to (B, frames, bins). Every other op is row-wise or
 elementwise, so a batch goes through it as stacked (B*T, D) rows.
 
-Sequence ops are single nodes with hand-written vjps: `bidir_recurrent` steps
-both directions of the whole batch as one (2, B, H) state in a plain numpy
-loop and backpropagates through time in one vjp. The framed ops, `conv1d`,
-`conv1d_transposed` and `stft_mag`, share one strided framing view
-(`_frames`) and its overlap-add adjoint (`_overlap_add`), each per utterance:
-a convolution is one stacked matmul over each utterance's frames and its
-transpose one overlap-add of a matmul, in both directions. `gradchecks` keeps the per-step
-composed recurrence as the reference of `bidir_recurrent`.
+Sequence ops are single nodes with hand-written vjps: `bidir_recurrent` stacks
+both directions on a leading axis, in each weight and in its (2, B, H) state,
+steps them in a plain numpy loop and backpropagates through time in one vjp.
+The framed ops, `conv1d`, `conv1d_transposed` and `stft_mag`, share one strided
+framing view (`_frames`) and its overlap-add adjoint (`_overlap_add`), each per
+utterance: a convolution is one stacked matmul over each utterance's frames and
+its transpose one overlap-add of a matmul, in both directions. `gradchecks`
+keeps the per-step composed recurrence as the reference of `bidir_recurrent`.
 """
 
 from __future__ import annotations
@@ -458,18 +458,6 @@ def conv1d_transposed(x, k, stride: int = 1) -> Tensor:
 # bidirectional LSTM
 
 
-@dataclass
-class RecurrentParams:
-    """One direction of an LSTM layer: input map (C, 4H), state map (H, 4H), bias (4H,).
-
-    The gates are packed (input, forget, cell, output) along the last axis.
-    """
-
-    w_x: Tensor
-    w_h: Tensor
-    bias: Tensor
-
-
 # Both directions of a batch are one pair of plain numpy loops over a (2, B, H)
 # state, time-major. `_lstm_run` takes the hoisted input projections
 # zx = x @ w_x + bias (T, 2, B, 4H), the backward direction's on reversed time,
@@ -521,57 +509,49 @@ def _lstm_bptt(dh_out: np.ndarray, w_h: np.ndarray, tape):
     return dz.reshape(t_steps, 2, batch, 4 * hidden), states[:-1]
 
 
-def bidir_recurrent(x, forward: RecurrentParams, backward: RecurrentParams) -> Tensor:
+def bidir_recurrent(x, w_x, w_h, bias) -> Tensor:
     """Bidirectional LSTM over a (B, T, C) batch -> (B, T, 2*hidden), as one graph node.
 
-    The hidden size H is the row count of `forward.w_h`; every weight of both
-    directions is checked against it. Each direction projects all inputs at
-    once, x @ w_x + bias; then both directions of every utterance step together
-    as one (2, B, H) state, one matmul per step. The vjp backpropagates through
-    time the same way and forms the weight gradients with one matmul each
-    after its loop.
+    Each weight stacks both directions on its leading axis, forward first:
+    input map w_x (2, C, 4H), state map w_h (2, H, 4H) and bias (2, 4H), with
+    the gates packed (input, forget, cell, output) along the last axis. H is
+    `w_h.shape[1]`. Both directions project all inputs in one batched matmul,
+    x @ w_x + bias; then they step together as one (2, B, H) state, one matmul
+    per step. The vjp backpropagates through time the same way and forms each
+    weight gradient with one batched matmul after its loop.
     """
-    x = as_tensor(x)
+    x, w_x, w_h, bias = (as_tensor(t) for t in (x, w_x, w_h, bias))
     if x.values.ndim != 3:
         raise ShapeError(f"bidir_recurrent needs (B, T, C), got {x.values.shape}")
     batch, t_steps, c_in = x.values.shape
-    w_h_shape = forward.w_h.values.shape
-    hidden = w_h_shape[0] if w_h_shape else 0
     if t_steps < 1:
         raise ShapeError("bidir_recurrent needs at least one frame")
-    directions = (forward, backward)
-    for name, p in zip(("forward", "backward"), directions):
-        for field_, want in (("w_x", (c_in, 4 * hidden)),
-                             ("w_h", (hidden, 4 * hidden)), ("bias", (4 * hidden,))):
-            got = getattr(p, field_).values.shape
-            if got != want:
-                raise ShapeError(f"bidir_recurrent: {name}.{field_} has shape {got}, "
-                                 f"expected {want}")
+    hidden = w_h.values.shape[1] if w_h.values.ndim > 1 else 0
+    for name, p, want in (("w_x", w_x, (2, c_in, 4 * hidden)),
+                          ("w_h", w_h, (2, hidden, 4 * hidden)), ("bias", bias, (2, 4 * hidden))):
+        if p.values.shape != want:
+            raise ShapeError(f"bidir_recurrent: {name} has shape {p.values.shape}, "
+                             f"expected {want}")
 
-    # time-major (T*B, C) rows; the backward direction runs on reversed time
+    # time-major (2, T*B, C) rows; the backward direction runs on reversed time
     steps = x.values.transpose(1, 0, 2)
-    inputs = [np.ascontiguousarray(s).reshape(-1, c_in) for s in (steps, steps[::-1])]
-    zx = np.stack([(rows @ p.w_x.values + p.bias.values).reshape(t_steps, batch, -1)
-                   for p, rows in zip(directions, inputs)], axis=1)
-    w_h = np.stack([p.w_h.values for p in directions])
-    h, tape = _lstm_run(zx, w_h)
+    rows = np.stack([steps, steps[::-1]]).reshape(2, -1, c_in)
+    zx = (rows @ w_x.values + bias.values[:, None]).reshape(2, t_steps, batch, -1)
+    h, tape = _lstm_run(zx.transpose(1, 0, 2, 3), w_h.values)
     out = np.concatenate([h[:, 0], h[::-1, 1]], axis=2).transpose(1, 0, 2).copy()
 
     def vjp(g):
         g_steps = g.transpose(1, 0, 2)
         dz, h_prev = _lstm_bptt(np.stack([g_steps[:, :, :hidden], g_steps[::-1, :, hidden:]],
-                                         axis=1), w_h, tape)
-        grads = []
-        gx = np.zeros((t_steps, batch, c_in))
-        for d, (p, rows) in enumerate(zip(directions, inputs)):
-            dz_d = dz[:, d].reshape(-1, 4 * hidden)
-            gx += (dz_d @ p.w_x.values.T).reshape(t_steps, batch, c_in)[:: 1 - 2 * d]
-            grads += [rows.T @ dz_d, h_prev[:, d].reshape(-1, hidden).T @ dz_d,
-                      dz_d.sum(axis=0)]
-        return (gx.transpose(1, 0, 2), *grads)
+                                         axis=1), w_h.values, tape)
+        # direction-major (2, T*B, .) rows, as `rows`
+        dz = dz.transpose(1, 0, 2, 3).reshape(2, -1, 4 * hidden)
+        h_prev = h_prev.transpose(1, 0, 2, 3).reshape(2, -1, hidden)
+        gx = (dz @ w_x.values.transpose(0, 2, 1)).reshape(2, t_steps, batch, c_in)
+        return ((gx[0] + gx[1, ::-1]).transpose(1, 0, 2), rows.transpose(0, 2, 1) @ dz,
+                h_prev.transpose(0, 2, 1) @ dz, dz.sum(axis=1))
 
-    parents = (x,) + tuple(t for p in directions for t in (p.w_x, p.w_h, p.bias))
-    return _node(out, parents, "bidir_recurrent", vjp)
+    return _node(out, (x, w_x, w_h, bias), "bidir_recurrent", vjp)
 
 
 # ---------------------------------------------------------------------------

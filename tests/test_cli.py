@@ -16,7 +16,7 @@ import distilrobust
 from distilrobust.audio import RoomImpulseResponse, Waveform, read_wav, write_wav
 from distilrobust.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main,
                               render_metrics_svg)
-from distilrobust.trainer import TrainConfig, load_metrics
+from distilrobust.trainer import TrainConfig, _write_container, load_checkpoint, load_metrics
 
 from conftest import REMOVED_CONFIG_FIELDS, write_manifest
 
@@ -328,6 +328,34 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         assert message in one_error_line(capsys)
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_checkpoint_with_per_direction_lstm_exits_1(self, train_setup, capsys):
+        # a C1 checkpoint whose LSTM weights are stored one direction per block
+        record = json.loads(train_setup["cfg_path"].read_text())
+        record.update(experiment="C1", curriculum=True, enhancement_loss="l1_wav",
+                      lambda_weight=10.0)
+        train_setup["cfg_path"].write_text(json.dumps(record))
+        assert run_cli("train", "--config", train_setup["cfg_path"]) == EXIT_OK
+        capsys.readouterr()
+        ckpt = str(train_setup["out_dir"] / "ckpt_000002.drtc")
+        state = load_checkpoint(ckpt)
+        header = {"format": "drtc", "has_moments": True, "iteration": state.iteration,
+                  "adam_step": state.moments.step, "teacher_checksum": state.teacher_checksum,
+                  "config": state.config.to_dict()}
+        blocks = []
+        for name, p in sorted(state.student.params.items()):
+            tensors = [p.values, state.moments.m[name], state.moments.v[name]]
+            if not name.startswith("enhancement.rnn."):
+                blocks.append((name, tensors))
+                continue
+            for d, direction in enumerate(("fwd", "bwd")):
+                blocks.append((name.replace(".rnn.", f".rnn.{direction}."),
+                               [t[d] for t in tensors]))
+        assert len(blocks) == len(state.student.params) + 3
+        _write_container(ckpt, header, blocks)
+        code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
+        assert code == EXIT_VALIDATION
+        assert "stored parameters do not match the config's student" in one_error_line(capsys)
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run_cli("train", "--config", tmp_path / "gone.json") == EXIT_IO

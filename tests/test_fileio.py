@@ -1,9 +1,15 @@
 """Every artifact writer replaces its file whole: a failed write leaves the old file."""
 
+import argparse
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 import distilrobust.fileio as fileio
+from distilrobust import cli
 from distilrobust.audio import Waveform, write_wav
 from distilrobust.trainer import TrainConfig, _write_container
 
@@ -34,7 +40,18 @@ def _write_checkpoint(path, value):
     _write_container(path, header, [("w", [np.full(5, value)])])
 
 
-@pytest.mark.parametrize("writer", [_write_wav, _write_checkpoint])
+def _write_plot(path, value):
+    # the metrics log lives outside the directory the test lists
+    with tempfile.TemporaryDirectory() as tmp:
+        metrics = os.path.join(tmp, "metrics.jsonl")
+        with open(metrics, "w", encoding="utf-8") as fh:
+            for i in range(2):
+                fh.write(json.dumps({"iter": i, "lr": 1e-3, "combined": value * (i + 1),
+                                     "tau": 0.0, "reverb_threshold": 0.5}) + "\n")
+        cli.cmd_plot(argparse.Namespace(metrics=metrics, out=str(path)))
+
+
+@pytest.mark.parametrize("writer", [_write_wav, _write_checkpoint, _write_plot])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     path = tmp_path / "artifact.bin"
     writer(path, 0.25)
@@ -61,3 +78,30 @@ def test_new_path_is_absent_after_failed_write(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         _write_checkpoint(tmp_path / "new.drtc", 1.0)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_plans_write_keeps_previous_plans(disk_assets, tmp_path, monkeypatch):
+    out = tmp_path / "aug"
+
+    def augment(seed):
+        return cli.cmd_augment(argparse.Namespace(
+            manifest=disk_assets["speech"], noise_bank=disk_assets["noise"],
+            rir_bank=disk_assets["rir"], iterations=1000, iter=400, seed=seed,
+            out_dir=str(out)))
+
+    assert augment(3) == cli.EXIT_OK
+    plans = out / "plans.jsonl"
+    previous = plans.read_bytes()
+
+    real_open = open
+    monkeypatch.setattr(fileio, "open", lambda p, mode: (
+        _FailsMidway(real_open(p, mode)) if p.endswith("plans.jsonl.tmp") else real_open(p, mode)),
+        raising=False)
+    with pytest.raises(OSError, match="device full"):
+        augment(4)
+    assert plans.read_bytes() == previous
+    assert not (out / "plans.jsonl.tmp").exists()
+
+    monkeypatch.undo()
+    assert augment(4) == cli.EXIT_OK
+    assert plans.read_bytes() != previous

@@ -93,7 +93,7 @@ class TestStudentInit:
         assert student.has_enhancement()
         for i in range(1, 8):
             assert f"enhancement.deconv{i}.kernel" in student.params
-        assert "enhancement.rnn.fwd.w_x" in student.params
+        assert "enhancement.rnn.w_x" in student.params
 
     def test_deconv_strides_must_multiply_to_stride(self):
         assert np.prod(DECONV_STRIDES) == FRAME_STRIDE
@@ -104,8 +104,8 @@ class TestStudentInit:
     def test_width_and_frame_come_from_teacher(self, teacher):
         student = student_of(teacher, enhancement=True)
         assert student.params["encoder.frontend.kernel"].values.shape == (FRAME_STRIDE, 1, 16)
-        for direction in ("fwd", "bwd"):  # the LSTM is as wide as the teacher
-            assert student.params[f"enhancement.rnn.{direction}.w_h"].values.shape == (16, 64)
+        # the LSTM is as wide as the teacher, its two directions stacked
+        assert student.params["enhancement.rnn.w_h"].values.shape == (2, 16, 64)
 
     def test_everything_trainable(self, teacher):
         student = student_of(teacher, enhancement=True)

@@ -316,8 +316,7 @@ class TestBidirRecurrent:
         rng = np.random.default_rng(seed)
         def p(shape):
             return T.parameter(0.3 * rng.standard_normal(shape))
-        return [T.RecurrentParams(p((d_in, 4 * hidden)), p((hidden, 4 * hidden)),
-                                  p(4 * hidden)) for _ in range(2)]
+        return [p((2, d_in, 4 * hidden)), p((2, hidden, 4 * hidden)), p((2, 4 * hidden))]
 
     def test_output_shape_concat(self):
         x = leaf(np.random.default_rng(5).standard_normal((1, 6, 3)))
@@ -388,18 +387,11 @@ def _stft_mag_per_frame(x, window, hop, fft_size, g):
 
 
 def _lstm_arrays(rng, x_shape, hidden=3):
-    arrays = [rng.standard_normal(x_shape)]
-    for _ in range(2):
-        arrays += [0.5 * rng.standard_normal((x_shape[2], 4 * hidden)),
+    x = rng.standard_normal(x_shape)
+    directions = [(0.5 * rng.standard_normal((x_shape[2], 4 * hidden)),
                    0.5 * rng.standard_normal((hidden, 4 * hidden)),
-                   0.3 * rng.standard_normal(4 * hidden)]
-    return arrays
-
-
-def _lstm_of(op):
-    def fn(x, fwx, fwh, fb, bwx, bwh, bb):
-        return op(x, T.RecurrentParams(fwx, fwh, fb), T.RecurrentParams(bwx, bwh, bb))
-    return fn
+                   0.3 * rng.standard_normal(4 * hidden)) for _ in range(2)]  # forward first
+    return [x, *(np.stack(w) for w in zip(*directions))]
 
 
 class TestFusedMatchesReference:
@@ -413,38 +405,44 @@ class TestFusedMatchesReference:
 
         hidden = 5
         arrays = _lstm_arrays(np.random.default_rng(t_steps), (batch, t_steps, 4), hidden)
-        fused, fused_grads, _ = _value_and_grads(_lstm_of(T.bidir_recurrent), arrays)
-        composed, composed_grads, _ = _value_and_grads(_lstm_of(composed_bidir_recurrent),
-                                                       arrays)
+        fused, fused_grads, _ = _value_and_grads(T.bidir_recurrent, arrays)
+        composed, composed_grads, _ = _value_and_grads(composed_bidir_recurrent, arrays)
         assert fused.shape == (batch, t_steps, 2 * hidden)
         np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
-        assert len(fused_grads) == 7
+        assert len(fused_grads) == 4
         for got, want in zip(fused_grads, composed_grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_bidir_recurrent_is_one_node(self):
-        fwd, bwd = TestBidirRecurrent()._params(3, 4)
+        w_x, w_h, bias = TestBidirRecurrent()._params(3, 4)
         x = leaf(np.random.default_rng(1).standard_normal((1, 6, 3)))
-        out = T.bidir_recurrent(x, fwd, bwd)
+        out = T.bidir_recurrent(x, w_x, w_h, bias)
         assert out.op == "bidir_recurrent"
-        assert out.parents == (x, fwd.w_x, fwd.w_h, fwd.bias, bwd.w_x, bwd.w_h, bwd.bias)
+        assert out.parents == (x, w_x, w_h, bias)
 
     def test_bidir_recurrent_rejects_bad_shapes(self):
         x = leaf(np.ones((1, 5, 3)))
-        fwd, bwd = TestBidirRecurrent()._params(3, 4)
+        w_x, w_h, bias = TestBidirRecurrent()._params(3, 4)
         with pytest.raises(ShapeError, match="at least one frame"):
-            T.bidir_recurrent(leaf(np.ones((1, 0, 3))), fwd, bwd)
-        bwd.w_x = leaf(np.ones((2, 16)))
-        with pytest.raises(ShapeError, match="backward.w_x"):
-            T.bidir_recurrent(x, fwd, bwd)
-        # the hidden size comes from forward.w_h, so a 3-gate state map is refused
-        fwd.w_h = leaf(np.ones((4, 12)))
+            T.bidir_recurrent(leaf(np.ones((1, 0, 3))), w_x, w_h, bias)
+        with pytest.raises(ShapeError, match="w_x"):
+            T.bidir_recurrent(x, leaf(np.ones((2, 2, 16))), w_h, bias)
+        # the hidden size comes from w_h, so a 3-gate state map is refused
         with pytest.raises(ShapeError,
-                           match=r"forward.w_h has shape \(4, 12\), expected \(4, 16\)"):
-            T.bidir_recurrent(x, fwd, bwd)
-        fwd.w_h = leaf(np.ones(()))
-        with pytest.raises(ShapeError, match="forward.w_x"):
-            T.bidir_recurrent(x, fwd, bwd)
+                           match=r"w_h has shape \(2, 4, 12\), expected \(2, 4, 16\)"):
+            T.bidir_recurrent(x, w_x, leaf(np.ones((2, 4, 12))), bias)
+        with pytest.raises(ShapeError, match="w_x"):
+            T.bidir_recurrent(x, w_x, leaf(np.ones(())), bias)
+        # a direction axis of 1, and a bias without one
+        with pytest.raises(ShapeError,
+                           match=r"w_h has shape \(1, 4, 16\), expected \(2, 4, 16\)"):
+            T.bidir_recurrent(x, w_x, leaf(w_h.values[:1]), bias)
+        with pytest.raises(ShapeError, match=r"bias has shape \(16,\), expected \(2, 16\)"):
+            T.bidir_recurrent(x, w_x, w_h, leaf(bias.values[0]))
+        # a state map 5 wide makes every other weight the wrong width
+        with pytest.raises(ShapeError,
+                           match=r"w_x has shape \(2, 3, 16\), expected \(2, 3, 20\)"):
+            T.bidir_recurrent(x, w_x, leaf(np.ones((2, 5, 20))), bias)
 
     @pytest.mark.parametrize("kw,stride", [(3, 2), (4, 2), (3, 1), (2, 5), (320, 320)])
     @pytest.mark.parametrize("op,reference", [(T.conv1d, _conv1d_per_tap),
@@ -495,7 +493,7 @@ BATCHED_OPS = {
         rng.standard_normal((3, 17, 2)), rng.standard_normal((5, 2, 4))]),
     "conv1d_transposed": (lambda x, k: T.conv1d_transposed(x, k, stride=2), lambda rng: [
         rng.standard_normal((3, 6, 3)), rng.standard_normal((5, 3, 2))]),
-    "bidir_recurrent": (_lstm_of(T.bidir_recurrent),
+    "bidir_recurrent": (T.bidir_recurrent,
                         lambda rng: _lstm_arrays(rng, (3, 7, 4))),
     "stft_mag": (lambda x: T.stft_mag(x, T.hann_window(10), hop=4, fft_size=16),
                  lambda rng: [rng.standard_normal((3, 31))]),

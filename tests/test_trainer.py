@@ -12,6 +12,7 @@ import pytest
 import distilrobust.tensor as T
 import distilrobust.trainer as trainer_module
 from distilrobust.errors import ConfigError, DataError, NumericError, ShapeError
+from distilrobust.gradchecks import CHECKS
 from distilrobust.losses import KDLossParts, combined_loss, kd_loss_parts, l1_freq, l1_wav
 from distilrobust.trainer import (
     STFT,
@@ -335,6 +336,21 @@ class TestTrainLoop:
             assert np.max(np.abs(got - want_grads[name])) <= \
                 1e-12 * np.max(np.abs(want_grads[name])), name
 
+    def test_every_trained_op_is_gradchecked(self, tmp_path, banks, monkeypatch):
+        noise, rirs = banks
+        graphs, _ = _capture_iteration(monkeypatch)
+        for experiment in ("C1", "C2"):
+            cfg = tiny_config(tmp_path / experiment, experiment, total_iterations=1,
+                              warmup_iterations=0)
+            train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        trained = set().union(*graphs) - {None}
+        checked = set()
+        for make in CHECKS.values():
+            fn, arrays = make()
+            checked.update(_graph_ops(fn(*[T.parameter(a) for a in arrays])))
+        assert {"bidir_recurrent", "stft_mag"} <= trained
+        assert trained <= checked, trained - checked
+
     def test_lr_column_follows_schedule(self, tmp_path, banks):
         noise, rirs = banks
         cfg = tiny_config(tmp_path / "run", "A")
@@ -510,6 +526,18 @@ def mixed_corpus(lengths, n_utts=6):
             for i, (utt_id, w) in enumerate(tiny_corpus(n_utts))]
 
 
+def _graph_ops(loss):
+    """The op tag of every node reachable from loss, one entry per node."""
+    seen, stack, ops = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node.op)
+            stack.extend(node.parents)
+    return ops
+
+
 def _capture_iteration(monkeypatch):
     """Record one op list per backward call (one entry per graph node), and the last
     batch's crops, contaminated signals and parameter gradients."""
@@ -518,14 +546,7 @@ def _capture_iteration(monkeypatch):
         trainer_module.adamw_step
 
     def walking_backward(loss):
-        seen, stack, ops = set(), [loss], []
-        graphs.append(ops)
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                ops.append(node.op)
-                stack.extend(node.parents)
+        graphs.append(_graph_ops(loss))
         backward(loss)
 
     def recording_augment(cleans, *args):
