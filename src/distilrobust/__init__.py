@@ -52,7 +52,6 @@ from .losses import (
     l1_wav,
 )
 from .model import (
-    StudentConfig,
     StudentModel,
     StudentOutput,
     TeacherSurrogate,

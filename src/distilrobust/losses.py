@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, NumericError, ParameterError, ShapeError
-from .model import DEFAULT_DISTILL_LAYERS
+from .model import DISTILL_LAYERS
 
 # value of one cosine term when student matches teacher exactly: -ln(sigmoid(1))
 IDENTITY_COSINE_TERM = math.log(1.0 + math.exp(-1.0))
@@ -59,7 +59,7 @@ class KDLossParts:
     cos: T.Tensor
 
 
-def kd_loss_parts(teacher_maps, student_maps, layers=DEFAULT_DISTILL_LAYERS) -> KDLossParts:
+def kd_loss_parts(teacher_maps, student_maps, layers=DISTILL_LAYERS) -> KDLossParts:
     layers = tuple(layers)
     if not layers:
         raise ConfigError("distillation needs at least one layer")
@@ -85,7 +85,7 @@ def kd_loss_parts(teacher_maps, student_maps, layers=DEFAULT_DISTILL_LAYERS) -> 
     return KDLossParts(total=T.add(l1_total, cos_total), l1=l1_total, cos=cos_total)
 
 
-def kd_loss(teacher_maps, student_maps, layers=DEFAULT_DISTILL_LAYERS) -> T.Tensor:
+def kd_loss(teacher_maps, student_maps, layers=DISTILL_LAYERS) -> T.Tensor:
     return kd_loss_parts(teacher_maps, student_maps, layers).total
 
 

@@ -3,9 +3,12 @@ waveform-reconstruction head (bidirectional LSTM + seven transposed
 convolutions, each followed by GELU).
 
 The teacher is a seeded random-weight network that stands in for a large
-pretrained encoder: 12 residual mixing blocks over strided-conv frames. The
-student shares the same geometry at reduced depth and is initialized by
-copying the teacher's front-end and first blocks.
+pretrained encoder: TEACHER_LAYERS (12) residual mixing blocks over
+strided-conv frames. The student is DistilHuBERT's: the teacher's front-end
+and first STUDENT_LAYERS (2) blocks, copied, with one prediction head per
+teacher layer in DISTILL_LAYERS (4, 8, 12). The depths are fixed, as the
+frame stride and the deconvolution strides are; only the width is a config
+field.
 
 Every forward takes a length group: a (B, N) batch of equal-length
 utterances, one of which is `samples[None]`. Frame-level maps come back as
@@ -25,9 +28,9 @@ from . import tensor as T
 from .errors import ConfigError, ShapeError
 
 DEFAULT_DIM = 32
-DEFAULT_TEACHER_LAYERS = 12
-DEFAULT_STUDENT_LAYERS = 2
-DEFAULT_DISTILL_LAYERS = (4, 8, 12)
+TEACHER_LAYERS = 12
+STUDENT_LAYERS = 2
+DISTILL_LAYERS = (4, 8, 12)  # the teacher layers the student's heads predict
 FRAME_STRIDE = 320  # 20 ms frames at 16 kHz
 DECONV_STRIDES = (2, 2, 2, 2, 2, 2, 5)  # seven upsamplings back to one frame
 BLOCK_WIDTH_MULTIPLIER = 2  # a mixing block's inner width is 2 * dim
@@ -71,21 +74,16 @@ def encoder_forward(samples: np.ndarray, params: dict[str, T.Tensor], prefix: st
 class TeacherSurrogate:
     """Frozen, seeded feature extractor with one (T, D) map per layer."""
 
-    def __init__(self, n_layers: int = DEFAULT_TEACHER_LAYERS, dim: int = DEFAULT_DIM,
-                 seed: int = 0):
-        if n_layers < 1:
-            raise ConfigError(f"teacher needs at least one layer, got {n_layers}")
+    def __init__(self, dim: int = DEFAULT_DIM, seed: int = 0):
         if dim < 1:
             raise ConfigError(f"dim must be positive, got {dim}")
-        self.n_layers = n_layers
         self.dim = dim
-        self.seed = seed
         rng = np.random.default_rng(seed)
         hidden = dim * BLOCK_WIDTH_MULTIPLIER
         arrays: dict[str, np.ndarray] = {
             "frontend.kernel": _init(rng, (FRAME_STRIDE, 1, dim), FRAME_STRIDE),
         }
-        for k in range(1, n_layers + 1):
+        for k in range(1, TEACHER_LAYERS + 1):
             arrays[f"block{k}.w1"] = _init(rng, (dim, hidden), dim)
             arrays[f"block{k}.b1"] = np.zeros(hidden)
             arrays[f"block{k}.w2"] = _init(rng, (hidden, dim), hidden)
@@ -100,40 +98,8 @@ class TeacherSurrogate:
 
 def teacher_forward(teacher: TeacherSurrogate, samples: np.ndarray) -> dict[int, np.ndarray]:
     """Layer index (1-based) -> frozen (B*T, D) feature map of a (B, N) clean batch."""
-    outputs = encoder_forward(samples, teacher.params, "", teacher.n_layers)
+    outputs = encoder_forward(samples, teacher.params, "", TEACHER_LAYERS)
     return {k + 1: out.values for k, out in enumerate(outputs)}
-
-
-@dataclass(frozen=True)
-class StudentConfig:
-    """Student depth and heads; its width is the teacher's and its frame is FRAME_STRIDE."""
-
-    n_student_layers: int = DEFAULT_STUDENT_LAYERS
-    distill_layers: tuple[int, ...] = DEFAULT_DISTILL_LAYERS
-    enhancement: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "distill_layers",
-                           tuple(sorted(int(l) for l in self.distill_layers)))
-        if self.n_student_layers < 1:
-            raise ConfigError(f"student needs at least one mixing layer, got "
-                              f"{self.n_student_layers}")
-        if not self.distill_layers or self.distill_layers[0] < 1:
-            raise ConfigError(f"distill_layers must name one or more layers from 1 up, got "
-                              f"{self.distill_layers}")
-        if len(set(self.distill_layers)) != len(self.distill_layers):
-            raise ConfigError(f"distill_layers must not repeat a layer, got "
-                              f"{self.distill_layers}")
-
-
-def check_fits_teacher(config: StudentConfig, teacher_layers: int):
-    """Raise ConfigError unless the student's depth and distilled layers fit the teacher's."""
-    if config.n_student_layers > teacher_layers:
-        raise ConfigError(f"student depth {config.n_student_layers} exceeds teacher depth "
-                          f"{teacher_layers}")
-    if config.distill_layers[-1] > teacher_layers:
-        raise ConfigError(f"distill layer {config.distill_layers[-1]} outside teacher range "
-                          f"[1, {teacher_layers}]")
 
 
 @dataclass
@@ -146,8 +112,7 @@ class StudentOutput:
 class StudentModel:
     """Trainable encoder (teacher-shaped prefix) plus prediction/enhancement heads."""
 
-    def __init__(self, config: StudentConfig, params: dict[str, T.Tensor]):
-        self.config = config
+    def __init__(self, params: dict[str, T.Tensor]):
         self.params = params
 
     def has_enhancement(self) -> bool:
@@ -180,26 +145,24 @@ def _init_enhancement(rng: np.random.Generator, dim: int) -> dict[str, np.ndarra
     return arrays
 
 
-def init_student_from_teacher(teacher: TeacherSurrogate, config: StudentConfig,
+def init_student_from_teacher(teacher: TeacherSurrogate, enhancement: bool,
                               seed: int) -> StudentModel:
     """Copy the teacher's front-end and first blocks; heads start seeded-random."""
-    check_fits_teacher(config, teacher.n_layers)
-
     params: dict[str, T.Tensor] = {}
     copied = ["frontend.kernel"]
-    for k in range(1, config.n_student_layers + 1):
+    for k in range(1, STUDENT_LAYERS + 1):
         copied += [f"block{k}.w1", f"block{k}.b1", f"block{k}.w2", f"block{k}.b2"]
     for name in copied:
         params["encoder." + name] = T.parameter(np.array(teacher.params[name].values, copy=True))
 
     rng = np.random.default_rng(seed)
-    for l in config.distill_layers:
+    for l in DISTILL_LAYERS:
         params[f"head.{l}.w"] = T.parameter(_init(rng, (teacher.dim, teacher.dim), teacher.dim))
         params[f"head.{l}.b"] = T.parameter(np.zeros(teacher.dim))
-    if config.enhancement:
+    if enhancement:
         for name, arr in _init_enhancement(rng, teacher.dim).items():
             params[name] = T.parameter(arr)
-    return StudentModel(config, params)
+    return StudentModel(params)
 
 
 def _enhancement_forward(student: StudentModel, rep: T.Tensor, batch: int,
@@ -210,20 +173,16 @@ def _enhancement_forward(student: StudentModel, rep: T.Tensor, batch: int,
                           p["enhancement.rnn.bias"])
     for i, stride in enumerate(DECONV_STRIDES, start=1):
         h = T.gelu(T.conv1d_transposed(h, p[f"enhancement.deconv{i}.kernel"], stride=stride))
-    flat = T.reshape(h, (batch, -1))
-    if flat.values.shape[1] < n_samples:
-        raise ShapeError(f"enhancement output {flat.values.shape[1]} shorter than input "
-                         f"{n_samples}")
-    return T.narrow(flat, 1, 0, n_samples)
+    # 320 * (n_samples // 320) + 635 samples come out, always more than n_samples
+    return T.narrow(T.reshape(h, (batch, -1)), 1, 0, n_samples)
 
 
 def student_forward(student: StudentModel, samples: np.ndarray) -> StudentOutput:
     """Per-layer predictions and (optionally) the reconstructed waveform of a (B, N) batch."""
-    outputs = encoder_forward(samples, student.params, "encoder.",
-                              student.config.n_student_layers)
+    outputs = encoder_forward(samples, student.params, "encoder.", STUDENT_LAYERS)
     rep = outputs[-1]
     predictions: dict[int, T.Tensor] = {}
-    for l in student.config.distill_layers:
+    for l in DISTILL_LAYERS:
         w_name, b_name = f"head.{l}.w", f"head.{l}.b"
         if w_name in student.params:
             predictions[l] = T.linear(rep, student.params[w_name], student.params[b_name])

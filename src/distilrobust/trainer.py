@@ -43,14 +43,10 @@ from .fileio import atomic_write
 from .losses import KDLossParts, STFTParams, combined_loss, kd_loss_parts, l1_freq, l1_wav
 from .model import (
     DEFAULT_DIM,
-    DEFAULT_DISTILL_LAYERS,
-    DEFAULT_STUDENT_LAYERS,
-    DEFAULT_TEACHER_LAYERS,
+    DISTILL_LAYERS,
     FRAME_STRIDE,
-    StudentConfig,
     StudentModel,
     TeacherSurrogate,
-    check_fits_teacher,
     init_student_from_teacher,
     parameter_checksum,
     student_forward,
@@ -89,11 +85,8 @@ class TrainConfig:
     lambda_weight: float = 0.0
     enhancement_loss: str = "none"
     curriculum: bool = False
-    distill_layers: tuple[int, ...] = DEFAULT_DISTILL_LAYERS
     master_seed: int = 0
-    teacher_layers: int = DEFAULT_TEACHER_LAYERS
     dim: int = DEFAULT_DIM
-    student_layers: int = DEFAULT_STUDENT_LAYERS
     crop_samples: int = 16000
     checkpoint_every: int = 100
     out_dir: str = "runs/out"
@@ -104,7 +97,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.warmup_iterations is None:
             self.warmup_iterations = round(0.07 * self.total_iterations)
-        self.distill_layers = tuple(int(l) for l in self.distill_layers)
 
     @classmethod
     def preset(cls, experiment: str, **overrides) -> "TrainConfig":
@@ -133,7 +125,6 @@ class TrainConfig:
                               f"[0, total_iterations)")
         if self.dim < 1:
             raise ConfigError(f"dim must be positive, got {self.dim}")
-        check_fits_teacher(self.student_config(), self.teacher_layers)
         if self.crop_samples < FRAME_STRIDE:
             raise ConfigError(f"crop_samples {self.crop_samples} shorter than one frame "
                               f"of {FRAME_STRIDE}")
@@ -144,15 +135,14 @@ class TrainConfig:
             raise ConfigError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
 
     def to_dict(self) -> dict:
-        record = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            record[f.name] = list(value) if isinstance(value, tuple) else value
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
         record["reference_recipe"] = dict(PAPER_SCALE_RECIPE)
         return record
 
     @classmethod
     def from_dict(cls, record: dict) -> "TrainConfig":
+        if not isinstance(record, dict):
+            raise ConfigError(f"config must be a JSON object, got {record!r}")
         record = dict(record)
         record.pop("reference_recipe", None)
         known = {f.name: f for f in fields(cls)}
@@ -177,30 +167,20 @@ class TrainConfig:
             record = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ConfigError("config JSON must be an object")
         return cls.from_dict(record)
-
-    def student_config(self) -> StudentConfig:
-        """The student geometry this config trains, checked on construction."""
-        return StudentConfig(n_student_layers=self.student_layers,
-                             distill_layers=self.distill_layers,
-                             enhancement=self.enhancement_loss != "none")
 
 
 def _has_json_type(value, hint) -> bool:
     """Whether a decoded JSON value fits a TrainConfig annotation.
 
-    An int is not a bool here, a float may be written as an int, a tuple
-    arrives as a list of ints, and null fits only an optional field.
+    An int is not a bool here, a float may be written as an int, and null
+    fits only an optional field.
     """
     args = typing.get_args(hint)
     if value is None:
         return type(None) in args
     if type(None) in args:
         (hint,) = (a for a in args if a is not type(None))
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_has_json_type(v, int) for v in value)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if hint is float:
@@ -273,11 +253,11 @@ class TrainState:
 
 
 def build_teacher(cfg: TrainConfig) -> TeacherSurrogate:
-    return TeacherSurrogate(n_layers=cfg.teacher_layers, dim=cfg.dim, seed=TEACHER_SEED)
+    return TeacherSurrogate(dim=cfg.dim, seed=TEACHER_SEED)
 
 
 def build_student(cfg: TrainConfig, teacher: TeacherSurrogate) -> StudentModel:
-    return init_student_from_teacher(teacher, cfg.student_config(), STUDENT_SEED)
+    return init_student_from_teacher(teacher, cfg.enhancement_loss != "none", STUDENT_SEED)
 
 
 def _load_corpus(cfg: TrainConfig) -> list[tuple[str, Waveform]]:
@@ -480,10 +460,9 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                     enh_mean = enh if enh_mean is None else T.add(enh_mean, enh)
 
             # the distillation loss sums over frames: one call sums the utterances
-            layers = cfg.distill_layers
             summed = kd_loss_parts(
-                {l: np.concatenate([maps[l] for maps in teacher_maps]) for l in layers},
-                {l: T.concat([preds[l] for preds in predictions]) for l in layers}, layers)
+                {l: np.concatenate([maps[l] for maps in teacher_maps]) for l in DISTILL_LAYERS},
+                {l: T.concat([preds[l] for preds in predictions]) for l in DISTILL_LAYERS})
             l1_mean = T.scale(summed.l1, 1.0 / len(cleans))
             cos_mean = T.scale(summed.cos, 1.0 / len(cleans))
             kd_parts = KDLossParts(total=T.add(l1_mean, cos_mean), l1=l1_mean, cos=cos_mean)
@@ -610,7 +589,7 @@ def load_checkpoint(path: str) -> TrainState:
                           v={name: tensors[2] for name, tensors in blocks.items()},
                           step=header["adam_step"])
     return TrainState(config=cfg, iteration=header["iteration"],
-                      student=StudentModel(cfg.student_config(), params), moments=moments,
+                      student=StudentModel(params), moments=moments,
                       teacher_checksum=header["teacher_checksum"])
 
 
@@ -632,8 +611,7 @@ def export_student(state: TrainState, path: str):
 
 def load_exported(path: str) -> StudentModel:
     _, cfg, blocks = _read_container(path, moments=False)
-    return StudentModel(cfg.student_config(),
-                        {name: T.Tensor(tensors[0]) for name, tensors in blocks.items()})
+    return StudentModel({name: T.Tensor(tensors[0]) for name, tensors in blocks.items()})
 
 
 # ---------------------------------------------------------------------------

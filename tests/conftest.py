@@ -15,7 +15,8 @@ REMOVED_CONFIG_FIELDS = [
     ("cell_type", "lstm"), ("hidden_multiplier", 2), ("frame_stride", 320),
     ("deconv_strides", [2, 2, 2, 2, 2, 2, 5]), ("enh_hidden", None), ("stft_window", 400),
     ("stft_hop", 160), ("stft_fft", 512), ("teacher_seed", 100), ("student_seed", 1),
-    ("grad_clip", None), ("dropout", None),
+    ("grad_clip", None), ("dropout", None), ("teacher_layers", 12), ("student_layers", 2),
+    ("distill_layers", [4, 8, 12]),
 ]
 
 

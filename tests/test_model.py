@@ -8,8 +8,6 @@ from distilrobust.errors import ConfigError, ShapeError
 from distilrobust.model import (
     DECONV_STRIDES,
     FRAME_STRIDE,
-    StudentConfig,
-    check_fits_teacher,
     TeacherSurrogate,
     init_student_from_teacher,
     parameter_checksum,
@@ -20,11 +18,11 @@ from distilrobust.model import (
 
 @pytest.fixture(scope="module")
 def teacher():
-    return TeacherSurrogate(dim=16, n_layers=12, seed=100)
+    return TeacherSurrogate(dim=16, seed=100)
 
 
-def student_of(teacher, seed=1, **fields):
-    return init_student_from_teacher(teacher, StudentConfig(**fields), seed)
+def student_of(teacher, seed=1, enhancement=False):
+    return init_student_from_teacher(teacher, enhancement, seed)
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +47,8 @@ class TestTeacher:
             np.testing.assert_array_equal(a[l], b[l])
 
     def test_seed_changes_weights(self, wave):
-        t1 = TeacherSurrogate(dim=16, n_layers=4, seed=1)
-        t2 = TeacherSurrogate(dim=16, n_layers=4, seed=2)
+        t1 = TeacherSurrogate(dim=16, seed=1)
+        t2 = TeacherSurrogate(dim=16, seed=2)
         a = teacher_forward(t1, wave)[4]
         b = teacher_forward(t2, wave)[4]
         assert not np.allclose(a, b)
@@ -62,7 +60,7 @@ class TestTeacher:
 
     def test_checksum_stable_and_sensitive(self, teacher):
         assert teacher.checksum() == teacher.checksum()
-        other = TeacherSurrogate(dim=16, n_layers=12, seed=101)
+        other = TeacherSurrogate(dim=16, seed=101)
         assert other.checksum() != teacher.checksum()
 
     def test_nonpositive_dim_rejected(self):
@@ -76,13 +74,13 @@ class TestTeacher:
 
 class TestStudentInit:
     def test_prefix_copied_bit_for_bit(self, teacher):
-        student = student_of(teacher, n_student_layers=2)
+        student = student_of(teacher)
         for name in ("frontend.kernel", "block1.w1", "block1.b1", "block2.w2"):
             np.testing.assert_array_equal(student.params["encoder." + name].values,
                                           teacher.params[name].values)
 
     def test_heads_created_per_distill_layer(self, teacher):
-        student = student_of(teacher, distill_layers=(4, 8, 12))
+        student = student_of(teacher)
         for l in (4, 8, 12):
             assert f"head.{l}.w" in student.params
             assert f"head.{l}.b" in student.params
@@ -111,18 +109,6 @@ class TestStudentInit:
         student = student_of(teacher, enhancement=True)
         assert all(p.requires_grad for p in student.params.values())
 
-    def test_zero_depth_rejected(self, teacher):
-        with pytest.raises(ConfigError):
-            student_of(teacher, n_student_layers=0)
-
-    def test_excess_depth_rejected(self, teacher):
-        with pytest.raises(ConfigError):
-            student_of(teacher, n_student_layers=13)
-
-    def test_distill_layer_out_of_range(self, teacher):
-        with pytest.raises(ConfigError):
-            student_of(teacher, distill_layers=(4, 13))
-
     def test_seed_controls_head_init(self, teacher):
         a = student_of(teacher, seed=1)
         b = student_of(teacher, seed=1)
@@ -144,7 +130,7 @@ class TestStudentForward:
     def test_copied_prefix_reproduces_teacher_layer(self, teacher, wave):
         # blocks 1..2 are bitwise copies, so the student representation on the
         # clean input must match teacher layer 2 exactly
-        student = student_of(teacher, n_student_layers=2)
+        student = student_of(teacher)
         rep = student_forward(student, wave).representation.values
         t2 = teacher_forward(teacher, wave)[2]
         np.testing.assert_array_equal(rep, t2)
@@ -154,7 +140,9 @@ class TestStudentForward:
 
     def test_enhanced_output_matches_input_length(self, teacher):
         student = student_of(teacher, enhancement=True)
-        for n in (3200, 4321, 6400):
+        # from one frame (320) up to just past two (641): the deconvolution stack
+        # always returns more samples than it is given, and the head cuts them
+        for n in (320, 639, 640, 641, 3200, 4321, 6400):
             rng = np.random.default_rng(n)
             out = student_forward(student, 0.2 * rng.standard_normal((1, n)))
             assert out.enhanced is not None
@@ -203,7 +191,7 @@ class TestStudentForward:
         student = student_of(teacher)
         stripped = {name: p for name, p in student.params.items()
                     if not name.startswith("head.")}
-        bare = type(student)(student.config, stripped)
+        bare = type(student)(stripped)
         out = student_forward(bare, wave)
         assert out.predictions == {}
 
@@ -220,25 +208,3 @@ class TestChecksums:
         shuffled = dict(reversed(list(student.params.items())))
         assert parameter_checksum(shuffled) == student.checksum()
 
-
-class TestStudentConfig:
-    @pytest.mark.parametrize("fields, message", [
-        ({"n_student_layers": 0}, "mixing layer"),
-        ({"distill_layers": ()}, "distill_layers"),
-        ({"distill_layers": (0, 4)}, "distill_layers"),
-        ({"distill_layers": (4, 4)}, "repeat"),
-    ])
-    def test_geometry_rejected_on_construction(self, fields, message):
-        with pytest.raises(ConfigError, match=message):
-            StudentConfig(**fields)
-
-    def test_geometry_normalized(self):
-        cfg = StudentConfig(distill_layers=[12, 4, 8])
-        assert cfg.distill_layers == (4, 8, 12)
-
-    def test_fit_checked_against_teacher_depth(self):
-        check_fits_teacher(StudentConfig(n_student_layers=4, distill_layers=(2, 4)), 4)
-        with pytest.raises(ConfigError, match="depth"):
-            check_fits_teacher(StudentConfig(n_student_layers=5, distill_layers=(4,)), 4)
-        with pytest.raises(ConfigError, match="distill layer 5"):
-            check_fits_teacher(StudentConfig(n_student_layers=2, distill_layers=(2, 5)), 4)

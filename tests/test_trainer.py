@@ -5,6 +5,7 @@ import math
 import os
 import shutil
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,17 +34,21 @@ from distilrobust.trainer import (
     train,
     _BatchSampler,
 )
-from distilrobust.model import student_forward, teacher_forward
+from distilrobust.model import (
+    DISTILL_LAYERS,
+    STUDENT_LAYERS,
+    TEACHER_LAYERS,
+    student_forward,
+    teacher_forward,
+)
 from distilrobust.audio import Waveform
 
 from conftest import REMOVED_CONFIG_FIELDS, tiny_corpus
 
 
 def tiny_config(tmp_dir, experiment="A", **overrides):
-    base = dict(total_iterations=6, batch_size=2, dim=8, teacher_layers=4,
-                student_layers=2, distill_layers=(2, 4), crop_samples=1600,
-                checkpoint_every=3, lr_peak=1e-3, warmup_iterations=2,
-                out_dir=str(tmp_dir), master_seed=5)
+    base = dict(total_iterations=6, batch_size=2, dim=8, crop_samples=1600, checkpoint_every=3,
+                lr_peak=1e-3, warmup_iterations=2, out_dir=str(tmp_dir), master_seed=5)
     base.update(overrides)
     return TrainConfig.preset(experiment, **base)
 
@@ -232,7 +237,6 @@ class TestConfigSerialization:
     @pytest.mark.parametrize("key, value", [
         ("batch_size", "8"), ("batch_size", True), ("batch_size", 8.0), ("batch_size", None),
         ("lr_peak", "1e-3"), ("lr_peak", True), ("curriculum", "no"), ("curriculum", 0),
-        ("distill_layers", 4), ("distill_layers", [4, "8"]), ("distill_layers", [4, True]),
         ("out_dir", 3), ("warmup_iterations", "none"),
     ])
     def test_wrong_json_type_rejected(self, key, value):
@@ -242,7 +246,7 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize("key, value", [
         ("lr_peak", 1), ("lambda_weight", 0), ("warmup_iterations", None),
-        ("data_manifest", None), ("distill_layers", [4, 8]),
+        ("data_manifest", None),
     ])
     def test_json_types_accepted(self, key, value):
         TrainConfig.from_dict(dict(TrainConfig.preset("A").to_dict(), **{key: value}))
@@ -255,22 +259,50 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match="warmup"):
             TrainConfig.preset("A", total_iterations=10, warmup_iterations=10)
 
-    @pytest.mark.parametrize("fields, message", [
-        ({"student_layers": 0}, "mixing layer"),
-        ({"student_layers": 13}, "exceeds teacher depth 12"),
-        ({"distill_layers": ()}, "distill_layers"),
-        ({"distill_layers": (4, 13)}, "distill layer 13"),
-        ({"dim": 0}, "dim"),
-        ({"distill_layers": (4, 4)}, "repeat"),
-    ])
-    def test_student_geometry_checked(self, fields, message):
-        with pytest.raises(ConfigError, match=message):
-            TrainConfig.preset("A", **fields)
+    def test_student_geometry_checked(self):
+        with pytest.raises(ConfigError, match="dim must be positive, got 0"):
+            TrainConfig.preset("A", dim=0)
 
     def test_student_config_follows_enhancement_loss(self):
-        assert not TrainConfig.preset("B").student_config().enhancement
-        student = TrainConfig.preset("C2", student_layers=3).student_config()
-        assert (student.enhancement, student.n_student_layers) == (True, 3)
+        for experiment, enhancement in (("A", False), ("B", False), ("C1", True), ("C2", True)):
+            cfg = TrainConfig.preset(experiment, dim=8)
+            assert build_student(cfg, build_teacher(cfg)).has_enhancement() == enhancement
+
+    def test_config_is_a_json_object(self):
+        for record in ("abc", 5, None, [1]):
+            with pytest.raises(ConfigError, match="config must be a JSON object"):
+                TrainConfig.from_dict(record)
+        with pytest.raises(ConfigError, match="config must be a JSON object, got 'abc'"):
+            TrainConfig.from_json('"abc"')
+
+
+class TestGeometry:
+    """The depths are constants: a 12-layer teacher, a 2-layer student, heads for 4, 8, 12."""
+
+    @staticmethod
+    def blocks(n):
+        return {f"block{k}.{p}" for k in range(1, n + 1) for p in ("w1", "b1", "w2", "b2")}
+
+    def test_constants(self):
+        assert (TEACHER_LAYERS, STUDENT_LAYERS, DISTILL_LAYERS) == (12, 2, (4, 8, 12))
+        assert len(fields(TrainConfig)) == 16
+
+    def test_teacher_parameter_names(self):
+        teacher = build_teacher(TrainConfig.preset("A", dim=8))
+        assert set(teacher.params) == {"frontend.kernel"} | self.blocks(12)
+        assert len(teacher.params) == 49
+
+    @pytest.mark.parametrize("experiment, count", [("A", 15), ("C1", 25)])
+    def test_student_parameter_names(self, experiment, count):
+        cfg = TrainConfig.preset(experiment, dim=8)
+        names = {"encoder." + name for name in {"frontend.kernel"} | self.blocks(2)}
+        names |= {f"head.{l}.{p}" for l in (4, 8, 12) for p in ("w", "b")}
+        if experiment == "C1":
+            names |= {"enhancement.rnn.w_x", "enhancement.rnn.w_h", "enhancement.rnn.bias"}
+            names |= {f"enhancement.deconv{i}.kernel" for i in range(1, 8)}
+        params = build_student(cfg, build_teacher(cfg)).params
+        assert set(params) == names
+        assert len(params) == count
 
 
 class TestTrainLoop:
@@ -299,7 +331,7 @@ class TestTrainLoop:
                           warmup_iterations=0)
         graphs, _ = _capture_iteration(monkeypatch)
         train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
-        assert [ops.count("cosine_sim_rows") for ops in graphs] == [len(cfg.distill_layers)]
+        assert [ops.count("cosine_sim_rows") for ops in graphs] == [len(DISTILL_LAYERS)]
 
     @pytest.mark.parametrize("experiment,batch_size,lengths", [
         ("C1", 2, (1600,)), ("C1", 4, (1600,)), ("C1", 4, (960, 1280)), ("C2", 3, (960, 1280))])
@@ -314,7 +346,7 @@ class TestTrainLoop:
         assert [(ops.count("bidir_recurrent"), ops.count("conv1d_transposed"),
                  ops.count("linear")) for ops in graphs] == \
             [(groups, 7 * groups,
-              groups * (2 * cfg.student_layers + len(cfg.distill_layers)))]
+              groups * (2 * STUDENT_LAYERS + len(DISTILL_LAYERS)))]
 
     @pytest.mark.parametrize("experiment,batch_size,lengths", [
         ("C1", 4, (1600,)), ("C1", 5, (960, 1280)), ("C2", 4, (960, 1280))])
@@ -580,9 +612,8 @@ def per_utterance_reference(cfg, cleans, noisy):
             enh.append(l1_wav(out.enhanced, clean[None]))
         elif cfg.enhancement_loss == "l1_freq":
             enh.append(l1_freq(out.enhanced, clean[None], STFT))
-    layers = cfg.distill_layers
-    summed = kd_loss_parts({l: np.concatenate([m[l] for m in maps]) for l in layers},
-                           {l: T.concat([p[l] for p in preds]) for l in layers}, layers)
+    summed = kd_loss_parts({l: np.concatenate([m[l] for m in maps]) for l in DISTILL_LAYERS},
+                           {l: T.concat([p[l] for p in preds]) for l in DISTILL_LAYERS})
     l1, cos = T.scale(summed.l1, 1.0 / len(cleans)), T.scale(summed.cos, 1.0 / len(cleans))
     enh_mean = None
     if enh:
@@ -663,8 +694,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("exported", [False, True])
     def test_every_truncation_rejected(self, tmp_path, banks, exported):
         noise, rirs = banks
-        cfg = tiny_config(tmp_path / "run", "C1", total_iterations=3, teacher_layers=2,
-                          student_layers=1, distill_layers=(2,), dim=2)
+        cfg = tiny_config(tmp_path / "run", "C1", total_iterations=3, dim=2)
         state = train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
         path = tmp_path / "run" / "ckpt_final.drtc"
         load = load_checkpoint
@@ -698,13 +728,13 @@ class TestCheckpoints:
         noise, rirs = banks
         state = train(tiny_config(tmp_path / "run", "A"), corpus=tiny_corpus(),
                       noise_bank=noise, rir_bank=rirs)
-        head = state.student.params["head.2.b"]
+        head = state.student.params["head.4.b"]
         head.values = np.zeros(head.values.size + 1)
         for moments in (state.moments.m, state.moments.v):
-            moments["head.2.b"] = head.values
+            moments["head.4.b"] = head.values
         path = str(tmp_path / "wrong.drtc")
         save_checkpoint(state, path)
-        with pytest.raises(DataError, match="head.2.b"):
+        with pytest.raises(DataError, match="head.4.b"):
             load_checkpoint(path)
 
     def test_corrupt_container_rejected(self, tmp_path):
