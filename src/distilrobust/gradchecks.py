@@ -51,17 +51,15 @@ def _check_linear():
 
 
 def _check_conv1d(x_shape=(1, 9, 2), tag="conv1d"):
-    # the batched check's last frame stops short of the input's last sample
+    # 3-sample frames; the batched check's input has a ragged tail past its last frame
     rng = _rng(tag)
-    return (lambda x, k: T.conv1d(x, k, stride=2)), [rng.standard_normal(x_shape),
-                                                     rng.standard_normal((3, 2, 4))]
+    return T.conv1d, [rng.standard_normal(x_shape), rng.standard_normal((3, 2, 4))]
 
 
 def _check_conv1d_transposed(x_shape=(1, 4, 3), kw=4, tag="deconv"):
-    # the batched check's kernel is not a multiple of the stride: a ragged last frame
+    # stride kw / 2; the batched check's is the last deconvolution layer's, 5
     rng = _rng(tag)
-    return (lambda x, k: T.conv1d_transposed(x, k, stride=2)), [rng.standard_normal(x_shape),
-                                                                rng.standard_normal((kw, 3, 2))]
+    return T.conv1d_transposed, [rng.standard_normal(x_shape), rng.standard_normal((kw, 3, 2))]
 
 
 def _check_gelu():
@@ -187,7 +185,7 @@ def _check_composition():
     rng = _rng("composition")
 
     def fn(x, k, w, b):
-        return T.linear(T.gelu(T.reshape(T.conv1d(x, k, stride=1), (-1, 3))), w, b)
+        return T.linear(T.gelu(T.reshape(T.conv1d(x, k), (-1, 3))), w, b)
 
     return fn, [rng.standard_normal((1, 6, 2)), rng.standard_normal((3, 2, 3)),
                 rng.standard_normal((3, 4)), rng.standard_normal(4)]
@@ -234,7 +232,7 @@ def _check_encoder_head():
 
     def fn(kernel, w1, b1, w2, b2, hw, hb):
         x = T.Tensor(x_const.reshape(1, -1, 1))
-        h = T.gelu(T.reshape(T.conv1d(x, kernel, stride=stride), (-1, dim)))
+        h = T.gelu(T.reshape(T.conv1d(x, kernel), (-1, dim)))
         h = T.add(h, T.linear(T.gelu(T.linear(h, w1, b1)), w2, b2))
         return T.linear(h, hw, hb)
 
@@ -252,7 +250,7 @@ CHECKS = {
     "conv1d": _check_conv1d,
     "conv1d_batched": lambda: _check_conv1d((2, 10, 2), "conv1d_batched"),
     "conv1d_transposed": _check_conv1d_transposed,
-    "conv1d_transposed_batched": lambda: _check_conv1d_transposed((2, 4, 3), 3, "deconv_batched"),
+    "conv1d_transposed_batched": lambda: _check_conv1d_transposed((2, 4, 3), 10, "deconv_batched"),
     "gelu": _check_gelu,
     "sigmoid": _check_sigmoid,
     "tanh": _check_tanh,
@@ -284,6 +282,8 @@ def run_suite(names=None, perturb: str | None = None, tolerance: float = 1e-4):
     see, as a negative control of the comparison machinery itself.
     """
     selected = list(CHECKS) if names is None else list(names)
+    if perturb is not None and perturb not in selected:
+        raise ParameterError(f"cannot perturb {perturb!r}: it is not a selected gradcheck")
     results = []
     for name in selected:
         if name not in CHECKS:

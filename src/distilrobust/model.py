@@ -60,7 +60,7 @@ def encoder_forward(samples: np.ndarray, params: dict[str, T.Tensor], prefix: st
         raise ShapeError(f"input of {samples.shape[1]} samples is shorter than one "
                          f"frame of {FRAME_STRIDE}")
     kernel = params[prefix + "frontend.kernel"]
-    frames = T.conv1d(T.Tensor(samples[:, :, None]), kernel, stride=FRAME_STRIDE)
+    frames = T.conv1d(T.Tensor(samples[:, :, None]), kernel)
     h = T.gelu(T.reshape(frames, (-1, kernel.values.shape[2])))
     outputs: list[T.Tensor] = []
     for k in range(1, n_blocks + 1):
@@ -171,8 +171,8 @@ def _enhancement_forward(student: StudentModel, rep: T.Tensor, batch: int,
     h = T.bidir_recurrent(T.reshape(rep, (batch, -1, rep.values.shape[1])),
                           p["enhancement.rnn.w_x"], p["enhancement.rnn.w_h"],
                           p["enhancement.rnn.bias"])
-    for i, stride in enumerate(DECONV_STRIDES, start=1):
-        h = T.gelu(T.conv1d_transposed(h, p[f"enhancement.deconv{i}.kernel"], stride=stride))
+    for i in range(1, len(DECONV_STRIDES) + 1):
+        h = T.gelu(T.conv1d_transposed(h, p[f"enhancement.deconv{i}.kernel"]))
     # 320 * (n_samples // 320) + 635 samples come out, always more than n_samples
     return T.narrow(T.reshape(h, (batch, -1)), 1, 0, n_samples)
 

@@ -14,10 +14,12 @@ elementwise, so a batch goes through it as stacked (B*T, D) rows.
 Sequence ops are single nodes with hand-written vjps: `bidir_recurrent` stacks
 both directions on a leading axis, in each weight and in its (2, B, H) state,
 steps them in a plain numpy loop and backpropagates through time in one vjp.
-The framed ops, `conv1d`, `conv1d_transposed` and `stft_mag`, share one strided
-framing view (`_frames`) and its overlap-add adjoint (`_overlap_add`), each per
-utterance: a convolution is one stacked matmul over each utterance's frames and
-its transpose one overlap-add of a matmul, in both directions. `gradchecks`
+The convolutions take their stride from the kernel, the model's only
+geometry: `conv1d`'s kernel width is its stride, so its frames are a reshape
+of the input and the op is one stacked matmul per utterance; a
+`conv1d_transposed` kernel is two stride-wide halves, whose products are two
+contiguous slices of the output added together. `stft_mag` frames with a
+strided window view and its vjp overlap-adds the frames' adjoint. `gradchecks`
 keeps the per-step composed recurrence as the reference of `bidir_recurrent`.
 """
 
@@ -317,19 +319,15 @@ def concat(parts, axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     ndim = parts[0].values.ndim
-    if axis >= ndim or any(p.values.ndim != ndim for p in parts):
+    if not -ndim <= axis < ndim or any(p.values.ndim != ndim for p in parts):
         raise ShapeError("concat operands must share rank and contain the axis; got "
                          f"shapes {[p.values.shape for p in parts]} axis {axis}")
+    axis %= ndim
     out = np.concatenate([p.values for p in parts], axis=axis)
-    sizes = [p.values.shape[axis] for p in parts]
+    ends = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
 
     def vjp(g):
-        grads, pos = [], 0
-        for size in sizes:
-            sl = (slice(pos, pos + size),) if axis == 0 else (slice(None), slice(pos, pos + size))
-            grads.append(g[sl])
-            pos += size
-        return tuple(grads)
+        return tuple(np.split(g, ends, axis=axis))
 
     return _node(out, tuple(parts), "concat", vjp)
 
@@ -369,9 +367,7 @@ def linear(x, w, b=None) -> Tensor:
     return _node(out, parents, "linear", vjp)
 
 
-def _conv_checks(x: Tensor, k: Tensor, stride: int, op: str):
-    if stride < 1:
-        raise ParameterError(f"{op}: stride must be >= 1, got {stride}")
+def _conv_checks(x: Tensor, k: Tensor, op: str):
     if x.values.ndim != 3 or k.values.ndim != 3:
         raise ShapeError(f"{op}: need x (B, T, Cin) and kernel (kw, Cin, Cout), got "
                          f"{x.values.shape} and {k.values.shape}")
@@ -379,79 +375,65 @@ def _conv_checks(x: Tensor, k: Tensor, stride: int, op: str):
         raise ShapeError(f"{op}: channel mismatch {x.values.shape[2]} vs {k.values.shape[1]}")
 
 
-def _frames(a: np.ndarray, stride: int, width: int, count: int) -> np.ndarray:
-    """(B, count, width*C) rows of a (B, N, C) batch; row [b, t] is a[b, t*stride:][:width].
+def conv1d(x, k) -> Tensor:
+    """Framed conv along time: (B, N, Cin) * (kw, Cin, Cout) -> (B, N // kw, Cout).
 
-    The rows come back as a view when width == stride and either B == 1 or each
-    utterance is exactly count frames (N == count*stride); other rows are copied:
-    matmul reads a strided view through its slow loop.
-    """
-    batch, _, c = a.shape
-    rows = np.lib.stride_tricks.sliding_window_view(a.reshape(batch, -1), width * c, axis=1)
-    return np.ascontiguousarray(rows[:, :: stride * c][:, :count])
-
-
-def _overlap_add(rows: np.ndarray, stride: int, n: int) -> np.ndarray:
-    """Adjoint of `_frames`: add (B, T, width, C) rows at offsets t*stride into (B, n, C).
-
-    Each run of `stride` row positions is one slice-add into stride-row slots,
-    and the rows past n are cut off.
-    """
-    batch, t, width, c = rows.shape
-    runs = range(0, width, stride)
-    out = np.zeros((batch, max(n, (t + len(runs) - 1) * stride), c))
-    for j in runs:
-        taps = min(stride, width - j)
-        out[:, j : j + t * stride].reshape(batch, t, stride, c)[:, :, :taps] += \
-            rows[:, :, j : j + taps]
-    return out[:, :n]
-
-
-def conv1d(x, k, stride: int = 1) -> Tensor:
-    """Valid cross-correlation along time: (B, N, Cin) * (kw, Cin, Cout) -> (B, T, Cout).
-
-    One stacked matmul over each utterance's kw-sample frames; the vjp
-    overlap-adds the frames' adjoint back, and returns None for x when x needs
-    no gradient. The products stay per utterance, so a batch does not push a
-    front end's (T, kw) x (kw, D) product over BLAS's threading threshold.
+    The kernel width is the stride, so the frames are a reshape of the input and
+    samples past the last whole frame are not read. One stacked matmul per
+    utterance keeps a front end's (T, kw) x (kw, D) product under BLAS's
+    threading threshold; the vjp returns None for an x that needs no gradient.
     """
     x, k = as_tensor(x), as_tensor(k)
-    _conv_checks(x, k, stride, "conv1d")
+    _conv_checks(x, k, "conv1d")
     (batch, n, c_in), (kw, _, c_out) = x.values.shape, k.values.shape
     if n < kw:
         raise ShapeError(f"conv1d: input of {n} samples shorter than kernel {kw}")
-    t_out = (n - kw) // stride + 1
-    frames = _frames(x.values, stride, kw, t_out)
+    t_out = n // kw
+    frames = x.values[:, : t_out * kw].reshape(batch, t_out, kw * c_in)
     k_flat = k.values.reshape(kw * c_in, c_out)
 
     def vjp(g):
         gk = (frames.transpose(0, 2, 1) @ g).sum(axis=0).reshape(k.values.shape)
-        if not x.requires_grad:  # the front end's waveform: skip a whole-signal overlap-add
+        if not x.requires_grad:  # the front end's waveform: skip a whole-signal adjoint
             return None, gk
-        return _overlap_add((g @ k_flat.T).reshape(batch, t_out, kw, c_in), stride, n), gk
+        gx = np.zeros(x.values.shape)
+        gx[:, : t_out * kw] = (g @ k_flat.T).reshape(batch, t_out * kw, c_in)
+        return gx, gk
 
     return _node(frames @ k_flat, (x, k), "conv1d", vjp)
 
 
-def conv1d_transposed(x, k, stride: int = 1) -> Tensor:
-    """Transposed conv along time: (B, T, Cin) * (kw, Cin, Cout) -> (B, (T-1)*stride + kw, Cout).
+def conv1d_transposed(x, k) -> Tensor:
+    """Transposed conv along time: (B, T, Cin) * (2s, Cin, Cout) -> (B, (T+1)*s, Cout).
 
-    The adjoint of `conv1d`: one matmul gives every tap's contribution, which
-    is overlap-added; the vjp frames the output gradient.
+    The kernel is two halves, K1 = k[:s] and K2 = k[s:], and s is the stride.
+    Read as T+1 blocks of s samples, the output is x @ K1 at blocks 0..T-1 plus
+    x @ K2 at blocks 1..T: two contiguous slices of each utterance's samples.
+    The vjp reads the output gradient as the same two slices, g1 and g2, with
+    gx = g1 @ K1' + g2 @ K2'.
     """
     x, k = as_tensor(x), as_tensor(k)
-    _conv_checks(x, k, stride, "conv1d_transposed")
+    _conv_checks(x, k, "conv1d_transposed")
     (batch, t_in, c_in), (kw, _, c_out) = x.values.shape, k.values.shape
-    n_out = (t_in - 1) * stride + kw
-    k_wide = k.values.transpose(1, 0, 2).reshape(c_in, kw * c_out)
-    out = _overlap_add((x.values @ k_wide).reshape(batch, t_in, kw, c_out), stride, n_out)
+    if kw % 2:
+        raise ShapeError(f"conv1d_transposed: kernel width {kw} is odd; it must be "
+                         f"two stride-wide halves")
+    s = kw // 2
+    half = s * c_out  # the values of one block
+    k1, k2 = (k.values[j : j + s].transpose(1, 0, 2).reshape(c_in, half) for j in (0, s))
+    out = np.empty((batch, (t_in + 1) * half))
+    out[:, :-half] = (x.values @ k1).reshape(batch, -1)
+    out[:, -half:] = 0.0
+    out[:, half:] += (x.values @ k2).reshape(batch, -1)
 
     def vjp(g):
-        g_frames = _frames(g, stride, kw, t_in)
-        gk = (x.values.transpose(0, 2, 1) @ g_frames).sum(axis=0)
-        return g_frames @ k_wide.T, gk.reshape(c_in, kw, c_out).transpose(1, 0, 2)
+        flat = g.reshape(batch, -1)
+        g1, g2 = (flat[:, j : j + t_in * half].reshape(batch, t_in, half) for j in (0, half))
+        x_t = x.values.transpose(0, 2, 1)
+        gk = np.concatenate([(x_t @ g1).sum(axis=0), (x_t @ g2).sum(axis=0)], axis=1)
+        return g1 @ k1.T + g2 @ k2.T, gk.reshape(c_in, kw, c_out).transpose(1, 0, 2)
 
-    return _node(out, (x, k), "conv1d_transposed", vjp)
+    return _node(out.reshape(batch, -1, c_out), (x, k), "conv1d_transposed", vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +558,9 @@ def stft_mag(x, window: np.ndarray, hop: int, fft_size: int) -> Tensor:
     batch, n = x.values.shape
     if n < win_len:
         raise ShapeError(f"stft_mag: signal of {n} samples shorter than window {win_len}")
-    n_frames = 1 + (n - win_len) // hop
-    segments = _frames(x.values[:, :, None], hop, win_len, n_frames) * window
+    frames = np.lib.stride_tricks.sliding_window_view(x.values, win_len, axis=1)[:, ::hop]
+    segments = frames * window  # a copy: (B, 1 + (n - win_len) // hop, win_len)
+    n_frames = segments.shape[1]
     spectrum = np.fft.rfft(segments, n=fft_size, axis=2)
     mag = np.abs(spectrum)
 
@@ -587,7 +570,15 @@ def stft_mag(x, window: np.ndarray, hop: int, fft_size: int) -> Tensor:
         full = np.zeros((batch, n_frames, fft_size), dtype=np.complex128)
         full[:, :, : mag.shape[2]] = g * ratio
         d_seg = fft_size * np.fft.ifft(full, axis=2).real[:, :, :win_len] * window
-        return (_overlap_add(d_seg[..., None], hop, n)[..., 0],)
+        # overlap-add: each run of `hop` window positions is one slice-add into
+        # hop-wide slots, and the slots past n are cut off
+        runs = range(0, win_len, hop)
+        gx = np.zeros((batch, max(n, (n_frames + len(runs) - 1) * hop)))
+        for j in runs:
+            taps = min(hop, win_len - j)
+            gx[:, j : j + n_frames * hop].reshape(batch, n_frames, hop)[:, :, :taps] += \
+                d_seg[:, :, j : j + taps]
+        return (gx[:, :n],)
 
     return _node(mag, (x,), "stft_mag", vjp)
 

@@ -402,6 +402,15 @@ class TestGradcheckCommand:
             EXIT_VALIDATION
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("perturb", ["nosuchcheck", "mul"])
+    def test_perturb_of_unselected_check_exits_1(self, capsys, perturb):
+        # a negative control that perturbs nothing must not pass
+        assert run_cli("gradcheck", "--op", "add", "--perturb", perturb) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot perturb {perturb!r}: "
+                                f"it is not a selected gradcheck\n")
+
 
 class TestPlotCommand:
     def test_renders_svg(self, train_setup, tmp_path, capsys):

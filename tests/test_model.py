@@ -105,6 +105,14 @@ class TestStudentInit:
         # the LSTM is as wide as the teacher, its two directions stacked
         assert student.params["enhancement.rnn.w_h"].values.shape == (2, 16, 64)
 
+    def test_kernel_widths_are_the_strides(self, teacher):
+        # the convolutions read their stride from these widths: the front end's
+        # is its width, each deconvolution's half its width
+        student = student_of(teacher, enhancement=True)
+        assert teacher.params["frontend.kernel"].values.shape == (FRAME_STRIDE, 1, 16)
+        for i, stride in enumerate(DECONV_STRIDES, start=1):
+            assert student.params[f"enhancement.deconv{i}.kernel"].values.shape[0] == 2 * stride
+
     def test_everything_trainable(self, teacher):
         student = student_of(teacher, enhancement=True)
         assert all(p.requires_grad for p in student.params.values())

@@ -1,5 +1,6 @@
 """Reverse-mode autodiff engine: op semantics, backward accumulation, DRTN files."""
 
+import inspect
 import math
 import struct
 
@@ -74,29 +75,30 @@ class TestForwardValues:
         np.testing.assert_allclose(got, x @ w + b, atol=1e-15)
 
     def test_conv1d_matches_direct(self):
+        # 3-sample frames; the 10th sample is a ragged tail no frame reads
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((9, 2))
+        x = rng.standard_normal((10, 2))
         k = rng.standard_normal((3, 2, 4))
-        got = T.conv1d(leaf(x[None]), leaf(k), stride=2).values[0]
-        t_out = (9 - 3) // 2 + 1
-        want = np.zeros((t_out, 4))
-        for t in range(t_out):
+        got = T.conv1d(leaf(x[None]), leaf(k)).values[0]
+        want = np.zeros((3, 4))
+        for t in range(3):
             for j in range(3):
-                want[t] += x[t * 2 + j] @ k[j]
+                want[t] += x[t * 3 + j] @ k[j]
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_conv1d_transposed_unit_kernel_identity(self):
+        # halves [1] and [0] at stride 1: the input, then one zero block
         x = leaf([[[1.0], [2.0], [3.0]]])
-        k = leaf(np.ones((1, 1, 1)))
-        got = T.conv1d_transposed(x, k, stride=1).values[0]
-        np.testing.assert_array_equal(got, [[1.0], [2.0], [3.0]])
+        k = leaf([[[1.0]], [[0.0]]])
+        got = T.conv1d_transposed(x, k).values[0]
+        np.testing.assert_array_equal(got, [[1.0], [2.0], [3.0], [0.0]])
 
     def test_conv1d_transposed_stride_upsamples(self):
-        x = leaf([[[1.0], [1.0]]])
-        k = leaf(np.ones((2, 1, 1)))  # kernel width 2, stride 2 -> length 4
-        got = T.conv1d_transposed(x, k, stride=2).values[0]
-        assert got.shape == (4, 1)
-        np.testing.assert_array_equal(got[:, 0], [1.0, 1.0, 1.0, 1.0])
+        x = leaf([[[1.0], [2.0]]])
+        k = leaf(np.ones((4, 1, 1)))  # kernel width 4, stride 2 -> (2 + 1) * 2 samples
+        got = T.conv1d_transposed(x, k).values[0]
+        assert got.shape == (6, 1)
+        np.testing.assert_array_equal(got[:, 0], [1.0, 1.0, 3.0, 3.0, 2.0, 2.0])
 
     def test_narrow_concat_reshape(self):
         x = leaf(np.arange(12.0).reshape(3, 4))
@@ -160,6 +162,15 @@ class TestBackward:
         assert inner.grad is None
         np.testing.assert_array_equal(x.grad, [6.0, -12.0])
 
+    @pytest.mark.parametrize("axis", [2, -1])
+    def test_concat_grad_on_last_axis(self, axis):
+        rng = np.random.default_rng(4)
+        a, b = leaf(rng.standard_normal((2, 3, 4))), leaf(rng.standard_normal((2, 3, 5)))
+        w = rng.standard_normal((2, 3, 9))
+        T.backward(T.sum_all(T.mul(T.concat([a, b], axis=axis), T.Tensor(w))))
+        np.testing.assert_array_equal(a.grad, w[:, :, :4])
+        np.testing.assert_array_equal(b.grad, w[:, :, 4:])
+
     def test_backward_requires_scalar(self):
         x = leaf([1.0, 2.0])
         with pytest.raises(ShapeError):
@@ -213,9 +224,22 @@ class TestBackward:
 
 
 class TestParameterValidation:
-    def test_conv_stride_positive(self):
-        with pytest.raises(ParameterError):
-            T.conv1d(leaf(np.ones((1, 4, 1))), leaf(np.ones((2, 1, 1))), stride=0)
+    @pytest.mark.parametrize("op", [T.conv1d, T.conv1d_transposed])
+    def test_conv_takes_stride_from_kernel(self, op):
+        assert list(inspect.signature(op).parameters) == ["x", "k"]
+
+    def test_conv_transposed_odd_kernel_refused(self):
+        with pytest.raises(ShapeError, match="kernel width 3 is odd"):
+            T.conv1d_transposed(leaf(np.ones((1, 4, 1))), leaf(np.ones((3, 1, 1))))
+
+    def test_conv_input_shorter_than_kernel_refused(self):
+        with pytest.raises(ShapeError, match="input of 3 samples shorter than kernel 4"):
+            T.conv1d(leaf(np.ones((1, 3, 1))), leaf(np.ones((4, 1, 1))))
+
+    @pytest.mark.parametrize("op", [T.conv1d, T.conv1d_transposed])
+    def test_conv_channel_mismatch_refused(self, op):
+        with pytest.raises(ShapeError, match="channel mismatch 2 vs 3"):
+            op(leaf(np.ones((1, 8, 2))), leaf(np.ones((4, 3, 1))))
 
     def test_narrow_bounds(self):
         with pytest.raises(ShapeError):
@@ -224,6 +248,11 @@ class TestParameterValidation:
     def test_concat_rank_mismatch(self):
         with pytest.raises(ShapeError):
             T.concat([leaf(np.ones((2, 2))), leaf(np.ones(2))], axis=0)
+
+    @pytest.mark.parametrize("axis", [3, -4])
+    def test_concat_axis_out_of_range(self, axis):
+        with pytest.raises(ShapeError, match=f"axis {axis}"):
+            T.concat([leaf(np.ones((2, 3, 4))), leaf(np.ones((2, 3, 4)))], axis=axis)
 
     def test_linear_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -444,17 +473,19 @@ class TestFusedMatchesReference:
                            match=r"w_x has shape \(2, 3, 16\), expected \(2, 3, 20\)"):
             T.bidir_recurrent(x, w_x, leaf(np.ones((2, 5, 20))), bias)
 
-    @pytest.mark.parametrize("kw,stride", [(3, 2), (4, 2), (3, 1), (2, 5), (320, 320)])
-    @pytest.mark.parametrize("op,reference", [(T.conv1d, _conv1d_per_tap),
-                                              (T.conv1d_transposed, _conv1d_transposed_per_tap)])
-    def test_conv_matches_per_tap_loop(self, op, reference, kw, stride):
+    # the model's geometry: conv1d's stride is its kernel width (320 at the
+    # front end), conv1d_transposed's is half its kernel width (2 and 5)
+    @pytest.mark.parametrize("op,reference,kw", [
+        *[(T.conv1d, _conv1d_per_tap, kw) for kw in (2, 3, 4, 320)],
+        *[(T.conv1d_transposed, _conv1d_transposed_per_tap, kw) for kw in (2, 4, 10)]])
+    def test_conv_matches_per_tap_loop(self, op, reference, kw):
+        stride = kw if op is T.conv1d else kw // 2
         rng = np.random.default_rng(kw * 100 + stride)
         c_in, c_out = 3, 2
         # conv1d input with a ragged tail the last frame does not reach
         x = rng.standard_normal((kw + 4 * stride + 1, c_in) if op is T.conv1d else (6, c_in))
         k = rng.standard_normal((kw, c_in, c_out))
-        out, (gx, gk), cotangent = _value_and_grads(lambda a, b: op(a, b, stride=stride),
-                                                    [x[None], k])
+        out, (gx, gk), cotangent = _value_and_grads(op, [x[None], k])
         want_out, want_gx, want_gk = reference(x, k, stride, cotangent[0])
         out, gx = out[0], gx[0]
         for got, want in ((out, want_out), (gx, want_gx), (gk, want_gk)):
@@ -466,8 +497,8 @@ class TestFusedMatchesReference:
         rng = np.random.default_rng(12)
         x, k = rng.standard_normal((1, 35, 1)), rng.standard_normal((8, 1, 3))
         g = rng.standard_normal((1, 4, 3))
-        gx_leaf, gk_leaf = T.conv1d(leaf(x), leaf(k), stride=8)._vjp(g)
-        gx, gk = T.conv1d(T.Tensor(x), leaf(k), stride=8)._vjp(g)
+        gx_leaf, gk_leaf = T.conv1d(leaf(x), leaf(k))._vjp(g)
+        gx, gk = T.conv1d(T.Tensor(x), leaf(k))._vjp(g)
         assert gx is None and gx_leaf.shape == x.shape
         assert gk.tobytes() == gk_leaf.tobytes()
 
@@ -489,10 +520,10 @@ class TestFusedMatchesReference:
 # op, and a draw of its inputs: the batch first, then the operands its rows
 # share; the conv1d input has a ragged tail its last frame does not reach
 BATCHED_OPS = {
-    "conv1d": (lambda x, k: T.conv1d(x, k, stride=3), lambda rng: [
+    "conv1d": (T.conv1d, lambda rng: [
         rng.standard_normal((3, 17, 2)), rng.standard_normal((5, 2, 4))]),
-    "conv1d_transposed": (lambda x, k: T.conv1d_transposed(x, k, stride=2), lambda rng: [
-        rng.standard_normal((3, 6, 3)), rng.standard_normal((5, 3, 2))]),
+    "conv1d_transposed": (T.conv1d_transposed, lambda rng: [
+        rng.standard_normal((3, 6, 3)), rng.standard_normal((10, 3, 2))]),
     "bidir_recurrent": (T.bidir_recurrent,
                         lambda rng: _lstm_arrays(rng, (3, 7, 4))),
     "stft_mag": (lambda x: T.stft_mag(x, T.hann_window(10), hop=4, fft_size=16),
