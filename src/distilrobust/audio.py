@@ -156,6 +156,8 @@ def read_wav(path) -> Waveform:
 
 def write_wav(w: Waveform, path):
     """Write mono PCM16; samples outside [-1, 1] are clamped."""
+    if 2 * w.sample_rate_hz > 0xFFFFFFFF:
+        raise ParameterError(f"sample rate {w.sample_rate_hz} Hz overflows a WAV byte rate")
     clamped = np.clip(w.samples, -1.0, 1.0)
     quantized = np.clip(np.rint(clamped * PCM16_SCALE), -32768, 32767).astype("<i2")
     body = quantized.tobytes()

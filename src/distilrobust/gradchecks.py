@@ -12,6 +12,7 @@ from . import tensor as T
 from .augment import stable_hash
 from .errors import ParameterError
 from .losses import STFTParams, kd_loss, l1_freq, l1_wav
+from .model import DISTILL_LAYERS
 
 
 def _rng(tag: str) -> np.random.Generator:
@@ -191,24 +192,19 @@ def _check_composition():
                 rng.standard_normal((3, 4)), rng.standard_normal(4)]
 
 
-def _check_kd_loss():
-    student, teacher = _separated_pair(_rng("kd"), (3, 4))
-    return (lambda s: kd_loss({7: teacher}, {7: s}, layers=(7,))), [student]
+def _check_kd_loss(frames=(3,), tag="kd"):
+    # a map per distilled layer, kept off the |.| kink; with several frame counts, the
+    # trainer's graph: each layer's predictions of several utterances stacked into one map
+    rng = _rng(tag)
+    pairs = [[_separated_pair(rng, (n, 4)) for n in frames] for _ in DISTILL_LAYERS]
+    teacher = {l: np.concatenate([h for _, h in utts]) for l, utts in zip(DISTILL_LAYERS, pairs)}
 
+    def fn(*students):
+        k = len(frames)
+        maps = [T.concat(list(students[i : i + k])) for i in range(0, len(students), k)]
+        return kd_loss(teacher, dict(zip(DISTILL_LAYERS, maps)))
 
-def _check_kd_loss_stacked():
-    # the trainer's graph: each layer's predictions of two utterances (3 and 5
-    # frames) stacked into one map, kept off the |.| kink
-    rng = _rng("kd_stacked")
-    pairs = [_separated_pair(rng, (frames, 4)) for _ in range(2) for frames in (3, 5)]
-    teacher = {4: np.concatenate([pairs[0][1], pairs[1][1]]),
-               8: np.concatenate([pairs[2][1], pairs[3][1]])}
-
-    def fn(a_short, a_long, b_short, b_long):
-        student = {4: T.concat([a_short, a_long]), 8: T.concat([b_short, b_long])}
-        return kd_loss(teacher, student, layers=(4, 8))
-
-    return fn, [student for student, _ in pairs]
+    return fn, [student for utts in pairs for student, _ in utts]
 
 
 def _check_l1_wav():
@@ -268,7 +264,7 @@ CHECKS = {
     "bidir_lstm_batched": lambda: _check_bidir_lstm((3, 4, 3), "bidir_lstm_batched"),
     "composition_conv_gelu_linear": _check_composition,
     "kd_loss": _check_kd_loss,
-    "kd_loss_stacked": _check_kd_loss_stacked,
+    "kd_loss_stacked": lambda: _check_kd_loss((3, 5), "kd_stacked"),
     "l1_wav": _check_l1_wav,
     "l1_freq": _check_l1_freq,
     "encoder_head": _check_encoder_head,

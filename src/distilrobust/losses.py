@@ -1,20 +1,22 @@
 """Layer-wise distillation loss, waveform/spectral reconstruction losses, and
 their weighted multi-task combination.
 
-The distillation term sums, over the distilled layers and every frame, a
-width-normalized L1 distance plus a log-sigmoid cosine term:
+The distillation term sums, over the layers `model.DISTILL_LAYERS` and every
+frame, a width-normalized L1 distance plus a log-sigmoid cosine term:
 
     sum_l sum_t [ (1/D) * ||h_t - s_t||_1  -  log sigmoid(cos(h_t, s_t)) ]
 
-It is a sum, not a mean, so stacking utterances' frames sums their losses;
-the trainer relies on this to take one call over a batch.
+`kd_loss_parts` keeps each layer's two terms and their sums over the layers,
+which `combined_loss` adds to the weighted enhancement loss. It is a sum, not a
+mean, so stacking utterances' frames sums their losses; the trainer relies on
+this to take one call over a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -52,41 +54,35 @@ def _hann_cached(length: int) -> np.ndarray:
 
 @dataclass
 class KDLossParts:
-    """Distillation loss with its two addends kept separately (all graph tensors)."""
+    """Distillation loss terms (all graph tensors): `layers[l]` is layer l's (l1, cos)
+    summed over frames, and `l1` and `cos` add those in DISTILL_LAYERS order."""
 
-    total: T.Tensor
+    layers: dict[int, tuple[T.Tensor, T.Tensor]]
     l1: T.Tensor
     cos: T.Tensor
 
 
-def kd_loss_parts(teacher_maps, student_maps, layers=DISTILL_LAYERS) -> KDLossParts:
-    layers = tuple(layers)
-    if not layers:
-        raise ConfigError("distillation needs at least one layer")
-    l1_total: T.Tensor | None = None
-    cos_total: T.Tensor | None = None
-    for l in layers:
-        if l not in teacher_maps:
-            raise ConfigError(f"layer {l} missing from teacher features")
-        if l not in student_maps:
-            raise ConfigError(f"layer {l} missing from student features")
-        h = T.as_tensor(teacher_maps[l])
-        s = T.as_tensor(student_maps[l])
+def kd_loss_parts(teacher_maps, student_maps) -> KDLossParts:
+    layers: dict[int, tuple[T.Tensor, T.Tensor]] = {}
+    for l in DISTILL_LAYERS:
+        if l not in teacher_maps or l not in student_maps:
+            side = "student" if l in teacher_maps else "teacher"
+            raise ConfigError(f"layer {l} missing from {side} features")
+        h, s = T.as_tensor(teacher_maps[l]), T.as_tensor(student_maps[l])
         if h.values.ndim != 2:
             raise ShapeError(f"layer {l}: features must be (T, D), got {h.values.shape}")
         if h.values.shape != s.values.shape:
             raise ShapeError(f"layer {l}: teacher {h.values.shape} vs student "
                              f"{s.values.shape}")
-        width = h.values.shape[1]
-        l1_term = T.scale(T.sum_all(T.l1_distance(s, h)), 1.0 / width)
-        cos_term = T.scale(T.sum_all(T.log(T.sigmoid(T.cosine_sim_rows(s, h)))), -1.0)
-        l1_total = l1_term if l1_total is None else T.add(l1_total, l1_term)
-        cos_total = cos_term if cos_total is None else T.add(cos_total, cos_term)
-    return KDLossParts(total=T.add(l1_total, cos_total), l1=l1_total, cos=cos_total)
+        layers[l] = (T.scale(T.sum_all(T.l1_distance(s, h)), 1.0 / h.values.shape[1]),
+                     T.scale(T.sum_all(T.log(T.sigmoid(T.cosine_sim_rows(s, h)))), -1.0))
+    return KDLossParts(layers, l1=reduce(T.add, (l1 for l1, _ in layers.values())),
+                       cos=reduce(T.add, (cos for _, cos in layers.values())))
 
 
-def kd_loss(teacher_maps, student_maps, layers=DISTILL_LAYERS) -> T.Tensor:
-    return kd_loss_parts(teacher_maps, student_maps, layers).total
+def kd_loss(teacher_maps, student_maps) -> T.Tensor:
+    parts = kd_loss_parts(teacher_maps, student_maps)
+    return T.add(parts.l1, parts.cos)
 
 
 def _as_signal_batches(enhanced, clean, op: str) -> tuple[T.Tensor, T.Tensor]:
@@ -126,21 +122,22 @@ class LossBreakdown:
     tensor: T.Tensor
 
 
-def combined_loss(kd: KDLossParts, enh=None, lambda_weight: float = 0.0) -> LossBreakdown:
-    """kd.total + lambda * enh, with the distillation addends reported separately."""
+def combined_loss(kd_l1, kd_cos, enh=None, lambda_weight: float = 0.0) -> LossBreakdown:
+    """kd_l1 + kd_cos + lambda * enh, with the distillation addends reported separately."""
     lambda_weight = float(lambda_weight)
     if lambda_weight < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lambda_weight}")
-    kd_total = kd.total.item()
+    kd = T.add(kd_l1, kd_cos)
+    kd_total = kd.item()
     if not math.isfinite(kd_total):
         raise NumericError(f"distillation loss is not finite: {kd_total}")
-    enh_value, combined, total = None, kd_total, kd.total
+    enh_value, combined, total = None, kd_total, kd
     if enh is not None:
         enh_tensor = T.as_tensor(enh)
         enh_value = enh_tensor.item()
         if not math.isfinite(enh_value):
             raise NumericError(f"enhancement loss is not finite: {enh_value}")
         combined = kd_total + lambda_weight * enh_value
-        total = T.scale_add(1.0, kd.total, lambda_weight, enh_tensor)
-    return LossBreakdown(kd_l1=kd.l1.item(), kd_cos=kd.cos.item(), enh=enh_value,
+        total = T.scale_add(1.0, kd, lambda_weight, enh_tensor)
+    return LossBreakdown(kd_l1=kd_l1.item(), kd_cos=kd_cos.item(), enh=enh_value,
                          combined=combined, tensor=total)

@@ -40,7 +40,7 @@ from .errors import (
     ShapeError,
 )
 from .fileio import atomic_write
-from .losses import KDLossParts, STFTParams, combined_loss, kd_loss_parts, l1_freq, l1_wav
+from .losses import STFTParams, combined_loss, kd_loss_parts, l1_freq, l1_wav
 from .model import (
     DEFAULT_DIM,
     DISTILL_LAYERS,
@@ -460,13 +460,12 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                     enh_mean = enh if enh_mean is None else T.add(enh_mean, enh)
 
             # the distillation loss sums over frames: one call sums the utterances
-            summed = kd_loss_parts(
+            kd = kd_loss_parts(
                 {l: np.concatenate([maps[l] for maps in teacher_maps]) for l in DISTILL_LAYERS},
                 {l: T.concat([preds[l] for preds in predictions]) for l in DISTILL_LAYERS})
-            l1_mean = T.scale(summed.l1, 1.0 / len(cleans))
-            cos_mean = T.scale(summed.cos, 1.0 / len(cleans))
-            kd_parts = KDLossParts(total=T.add(l1_mean, cos_mean), l1=l1_mean, cos=cos_mean)
-            breakdown = combined_loss(kd_parts, enh_mean, cfg.lambda_weight)
+            breakdown = combined_loss(T.scale(kd.l1, 1.0 / len(cleans)),
+                                      T.scale(kd.cos, 1.0 / len(cleans)), enh_mean,
+                                      cfg.lambda_weight)
 
             T.backward(breakdown.tensor)
             lr = lr_at(iteration + 1, cfg)
@@ -534,6 +533,9 @@ def _read_container(path: str, moments: bool) -> tuple[dict, TrainConfig, dict]:
         for key in ("iteration", "adam_step") if stored_moments else ():
             if type(header.get(key)) is not int:  # a bool is not a count
                 raise DataError(f"header {key!r} must be an integer, got {header.get(key)!r}")
+        if stored_moments and not 0 <= header["iteration"] == header["adam_step"]:
+            raise DataError(f"header needs one Adam step per iteration from 0, got "
+                            f"iteration {header['iteration']} and adam_step {header['adam_step']}")
         if stored_moments and not isinstance(header.get("teacher_checksum"), str):
             raise DataError(f"header 'teacher_checksum' must be a string, got "
                             f"{header.get('teacher_checksum')!r}")

@@ -27,7 +27,7 @@ from distilrobust.augment import (
 )
 from distilrobust.errors import ConfigError
 from distilrobust.gradchecks import run_suite
-from distilrobust.losses import kd_loss_parts
+from distilrobust.losses import kd_loss
 from distilrobust.trainer import (
     TrainConfig,
     build_teacher,
@@ -156,13 +156,13 @@ def test_criterion_1_distillation_loss_oracle():
             width = int(rng.integers(1, 9))
             teacher_maps[l] = rng.standard_normal((frames, width))
             student_maps[l] = rng.standard_normal((frames, width))
-        got = kd_loss_parts(teacher_maps, student_maps, layers).total.item()
+        got = kd_loss(teacher_maps, student_maps).item()
         want = scalar_loop_oracle(teacher_maps, student_maps, layers)
         worst = max(worst, abs(got - want))
 
     frames = 5
     identical = {l: rng.standard_normal((frames, 8)) for l in layers}
-    identity_got = kd_loss_parts(identical, identical, layers).total.item()
+    identity_got = kd_loss(identical, identical).item()
     identity_want = frames * len(layers) * math.log1p(math.exp(-1.0))
     identity_diff = abs(identity_got - identity_want)
     elapsed = time.perf_counter() - t0

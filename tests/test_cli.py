@@ -14,6 +14,7 @@ import pytest
 
 import distilrobust
 from distilrobust.audio import RoomImpulseResponse, Waveform, read_wav, write_wav
+from distilrobust.augment import AugmentAction, CurriculumState, sample_plan, utterance_seed
 from distilrobust.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main,
                               render_metrics_svg)
 from distilrobust.trainer import TrainConfig, _write_container, load_checkpoint, load_metrics
@@ -119,6 +120,31 @@ class TestAugmentCommand:
                        "--seed", 0, "--out-dir", tmp_path / "x")
         assert code == EXIT_IO
         assert "fmt chunk too short" in one_error_line(capsys)
+
+    def test_sample_rate_beyond_wav_byte_rate_exits_1(self, disk_assets, tmp_path, capsys):
+        # a PCM16 file may declare any u32 rate, but 2 x 3e9 bytes/s does not fit the
+        # byte-rate field augment must write; the seed gives a clean plan, which only copies
+        rate = 3_000_000_000
+        fmt = struct.pack("<IHHIIHH", 16, 1, 1, rate, 0, 2, 16)
+        body = struct.pack("<4h", 1000, -1000, 500, 0)
+        chunks = b"fmt " + fmt + b"data" + struct.pack("<I", len(body)) + body
+        (tmp_path / "fast.wav").write_bytes(
+            b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        manifest = write_manifest(tmp_path / "fast.jsonl",
+                                  [{"id": "fast", "path": "fast.wav", "kind": "speech"}])
+        state = CurriculumState(0, 10)
+        n_noise, n_rir = len(disk_assets["noise_rows"]), len(disk_assets["rir_rows"])
+        seed = next(s for s in range(100) if sample_plan(
+            state, n_noise, n_rir, utterance_seed(s, 0, 0)).action is AugmentAction.A1_CLEAN)
+        out = tmp_path / "x"
+        code = run_cli("augment", "--manifest", manifest,
+                       "--noise-bank", disk_assets["noise"],
+                       "--rir-bank", disk_assets["rir"],
+                       "--iterations", 10, "--iter", 0,
+                       "--seed", seed, "--out-dir", out)
+        assert code == EXIT_VALIDATION
+        assert f"sample rate {rate} Hz overflows a WAV byte rate" in one_error_line(capsys)
+        assert not [p.name for p in out.iterdir() if p.name.startswith("fast")]
 
     @pytest.mark.parametrize("line, message", [
         ("5", ":1: record must be a JSON object"),
@@ -317,6 +343,23 @@ class TestTrainCommand:
         line = one_error_line(capsys)
         assert "unreadable checkpoint container" in line
         assert f"header '{key}' must be an integer, got {value!r}" in line
+
+    @pytest.mark.parametrize("iteration, adam_step", [(-3, 2), (-3, -3), (2, 0)],
+                             ids=["negative_iteration", "both_negative", "adam_step_behind"])
+    def test_checkpoint_with_inconsistent_counters_exits_1(self, train_setup, capsys,
+                                                           iteration, adam_step):
+        # train writes adam_step == iteration; a resume from anything else would rewind
+        # the log past its start or continue under another Adam bias correction
+        ckpt = checkpoint_with_header(train_setup, capsys, lambda header: header.update(
+            iteration=iteration, adam_step=adam_step))
+        metrics = train_setup["out_dir"] / "metrics.jsonl"
+        before = metrics.read_bytes()
+        code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
+        assert code == EXIT_VALIDATION
+        line = one_error_line(capsys)
+        assert "unreadable checkpoint container: header needs one Adam step per iteration " \
+            f"from 0, got iteration {iteration} and adam_step {adam_step}" in line
+        assert metrics.read_bytes() == before
 
     @pytest.mark.parametrize("edit, message", [
         (lambda header: header.update(teacher_checksum="0" * 64),

@@ -11,7 +11,6 @@ import distilrobust.tensor as T
 from distilrobust.errors import ConfigError, NumericError, ParameterError, ShapeError
 from distilrobust.losses import (
     IDENTITY_COSINE_TERM,
-    KDLossParts,
     STFTParams,
     combined_loss,
     kd_loss,
@@ -19,6 +18,7 @@ from distilrobust.losses import (
     l1_freq,
     l1_wav,
 )
+from distilrobust.model import DISTILL_LAYERS
 
 
 def scalar_loop_reference(teacher_maps, student_maps, layers):
@@ -71,19 +71,44 @@ class TestDistillLoss:
     def test_orthogonal_rows_add_log2(self):
         # equal-norm orthogonal rows: cosine 0 -> cos term ln 2, l1 term 2/width
         frames, width = 4, 2
-        teacher = {4: np.tile([1.0, 0.0], (frames, 1))}
-        student = {4: np.tile([0.0, 1.0], (frames, 1))}
-        got = kd_loss(teacher, student, layers=(4,)).item()
-        want = frames * (2.0 / width + math.log(2.0))
+        teacher = {l: np.tile([1.0, 0.0], (frames, 1)) for l in DISTILL_LAYERS}
+        student = {l: np.tile([0.0, 1.0], (frames, 1)) for l in DISTILL_LAYERS}
+        got = kd_loss(teacher, student).item()
+        want = len(DISTILL_LAYERS) * frames * (2.0 / width + math.log(2.0))
         assert abs(got - want) <= 1e-12
 
     def test_parts_sum_to_total(self):
         rng = np.random.default_rng(2)
-        teacher, student = random_maps(rng, (4, 8), 3, 4)
-        parts = kd_loss_parts(teacher, student, layers=(4, 8))
-        assert isinstance(parts, KDLossParts)
-        assert parts.total.item() == pytest.approx(
+        teacher, student = random_maps(rng, DISTILL_LAYERS, 3, 4)
+        parts = kd_loss_parts(teacher, student)
+        assert kd_loss(teacher, student).item() == pytest.approx(
             parts.l1.item() + parts.cos.item(), abs=1e-12)
+
+    def test_layer_terms_match_scalar_loop(self):
+        rng = np.random.default_rng(10)
+        teacher, student = random_maps(rng, DISTILL_LAYERS, 4, 5)
+        parts = kd_loss_parts(teacher, student)
+        assert list(parts.layers) == list(DISTILL_LAYERS)
+        for l, (l1, cos) in parts.layers.items():
+            want = scalar_loop_reference(teacher, student, (l,))
+            assert abs(l1.item() + cos.item() - want) <= 1e-12, l
+
+    def test_totals_are_left_to_right_sums_of_layer_terms(self):
+        rng = np.random.default_rng(11)
+        parts = kd_loss_parts(*random_maps(rng, DISTILL_LAYERS, 6, 7))
+        for index, total in ((0, parts.l1), (1, parts.cos)):
+            a, b, c = (parts.layers[l][index].values for l in DISTILL_LAYERS)
+            assert total.values.tobytes() == ((a + b) + c).tobytes()
+
+    def test_layer_term_gradient_reaches_only_its_map(self):
+        rng = np.random.default_rng(12)
+        teacher, student = random_maps(rng, DISTILL_LAYERS, 3, 4)
+        leaves = {l: T.parameter(student[l]) for l in DISTILL_LAYERS}
+        parts = kd_loss_parts(teacher, leaves)
+        T.backward(T.add(*parts.layers[4]))
+        assert leaves[4].grad is not None and np.any(leaves[4].grad != 0)
+        for l in DISTILL_LAYERS[1:]:
+            assert leaves[l].grad is None
 
     def test_per_frame_cosine_terms_bounded(self):
         rng = np.random.default_rng(3)
@@ -96,70 +121,70 @@ class TestDistillLoss:
 
     def test_frame_permutation_invariance(self):
         rng = np.random.default_rng(4)
-        teacher, student = random_maps(rng, (4,), 6, 3)
+        teacher, student = random_maps(rng, DISTILL_LAYERS, 6, 3)
         perm = rng.permutation(6)
-        permuted_t = {4: teacher[4][perm]}
-        permuted_s = {4: student[4][perm]}
-        a = kd_loss(teacher, student, layers=(4,)).item()
-        b = kd_loss(permuted_t, permuted_s, layers=(4,)).item()
+        permuted_t = {l: teacher[l][perm] for l in DISTILL_LAYERS}
+        permuted_s = {l: student[l][perm] for l in DISTILL_LAYERS}
+        a = kd_loss(teacher, student).item()
+        b = kd_loss(permuted_t, permuted_s).item()
         assert abs(a - b) <= 1e-12
 
     def test_sum_not_mean_over_frames(self):
         rng = np.random.default_rng(5)
-        teacher, student = random_maps(rng, (4,), 3, 4)
-        doubled_t = {4: np.vstack([teacher[4], teacher[4]])}
-        doubled_s = {4: np.vstack([student[4], student[4]])}
-        single = kd_loss(teacher, student, layers=(4,)).item()
-        double = kd_loss(doubled_t, doubled_s, layers=(4,)).item()
+        teacher, student = random_maps(rng, DISTILL_LAYERS, 3, 4)
+        doubled_t = {l: np.vstack([teacher[l], teacher[l]]) for l in DISTILL_LAYERS}
+        doubled_s = {l: np.vstack([student[l], student[l]]) for l in DISTILL_LAYERS}
+        single = kd_loss(teacher, student).item()
+        double = kd_loss(doubled_t, doubled_s).item()
         assert double == pytest.approx(2.0 * single, rel=1e-12)
 
     def test_stacked_utterances_sum(self):
         # the trainer's batch call: each layer's frames of several utterances stacked
         rng = np.random.default_rng(9)
-        layers = (4, 8)
+        layers = DISTILL_LAYERS
         utterances = [random_maps(rng, layers, frames, 5) for frames in (3, 5)]
         leaves = [{l: T.parameter(student[l]) for l in layers} for _, student in utterances]
-        separate = [kd_loss_parts(teacher, own, layers)
-                    for (teacher, _), own in zip(utterances, leaves)]
+        separate = [kd_loss_parts(teacher, own) for (teacher, _), own in zip(utterances, leaves)]
         stacked_leaves = [{l: T.parameter(student[l]) for l in layers}
                           for _, student in utterances]
         stacked = kd_loss_parts(
             {l: np.concatenate([teacher[l] for teacher, _ in utterances]) for l in layers},
-            {l: T.concat([own[l] for own in stacked_leaves]) for l in layers}, layers)
-        for part in ("l1", "cos", "total"):
+            {l: T.concat([own[l] for own in stacked_leaves]) for l in layers})
+        for part in ("l1", "cos"):
             want = sum(getattr(parts, part).item() for parts in separate)
             assert abs(getattr(stacked, part).item() - want) <= 1e-12, part
         for parts in separate:
-            T.backward(parts.total)
-        T.backward(stacked.total)
+            T.backward(T.add(parts.l1, parts.cos))
+        T.backward(T.add(stacked.l1, stacked.cos))
         for own, stacked_own in zip(leaves, stacked_leaves):
             for l in layers:
                 assert stacked_own[l].grad.tobytes() == own[l].grad.tobytes()
 
     def test_missing_layer_named(self):
-        teacher = {4: np.ones((2, 2))}
-        student = {4: np.ones((2, 2))}
-        with pytest.raises(ConfigError, match="8"):
-            kd_loss(teacher, student, layers=(4, 8))
+        maps = {l: np.ones((2, 2)) for l in DISTILL_LAYERS}
+        partial = {4: np.ones((2, 2)), 12: np.ones((2, 2))}
+        with pytest.raises(ConfigError, match="layer 8 missing from student"):
+            kd_loss(maps, partial)
+        with pytest.raises(ConfigError, match="layer 8 missing from teacher"):
+            kd_loss(partial, maps)
 
     def test_shape_mismatch_named(self):
-        teacher = {4: np.ones((2, 3))}
-        student = {4: np.ones((2, 4))}
-        with pytest.raises(ShapeError, match="4"):
-            kd_loss(teacher, student, layers=(4,))
-
-    def test_empty_layers_rejected(self):
-        with pytest.raises(ConfigError):
-            kd_loss({}, {}, layers=())
+        teacher = {l: np.ones((2, 3)) for l in DISTILL_LAYERS}
+        student = {**teacher, 8: np.ones((2, 4))}
+        with pytest.raises(ShapeError, match="layer 8: teacher"):
+            kd_loss(teacher, student)
+        flat = {**teacher, 12: np.ones(3)}
+        with pytest.raises(ShapeError, match=r"layer 12: features must be \(T, D\)"):
+            kd_loss(flat, flat)
 
     def test_gradients_flow_to_student_only_when_teacher_constant(self):
         rng = np.random.default_rng(7)
-        teacher = {4: rng.standard_normal((3, 4))}
-        student_param = T.parameter(rng.standard_normal((3, 4)))
-        loss = kd_loss(teacher, {4: student_param}, layers=(4,))
-        T.backward(loss)
-        assert student_param.grad is not None
-        assert np.isfinite(student_param.grad).all()
+        teacher, student = random_maps(rng, DISTILL_LAYERS, 3, 4)
+        leaves = {l: T.parameter(student[l]) for l in DISTILL_LAYERS}
+        T.backward(kd_loss(teacher, leaves))
+        for leaf in leaves.values():
+            assert leaf.grad is not None
+            assert np.isfinite(leaf.grad).all()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 31))
@@ -167,10 +192,10 @@ class TestDistillLoss:
         rng = np.random.default_rng(seed)
         frames = int(rng.integers(1, 5))
         width = int(rng.integers(1, 8))
-        teacher, student = random_maps(rng, (4,), frames, width,
+        teacher, student = random_maps(rng, DISTILL_LAYERS, frames, width,
                                        spread=float(rng.uniform(0, 3)))
-        got = kd_loss(teacher, student, layers=(4,)).item()
-        want = scalar_loop_reference(teacher, student, (4,))
+        got = kd_loss(teacher, student).item()
+        want = scalar_loop_reference(teacher, student, DISTILL_LAYERS)
         assert abs(got - want) <= 1e-12
 
 
@@ -241,21 +266,14 @@ class TestSpectralLoss:
             STFTParams(window_length=400, hop=160, fft_size=256)
 
 
-def addends(l1, cos):
-    """KDLossParts of two given addends, summed as kd_loss_parts sums them."""
-    l1, cos = T.as_tensor(np.asarray(l1)), T.as_tensor(np.asarray(cos))
-    return KDLossParts(total=T.add(l1, cos), l1=l1, cos=cos)
-
-
 class TestCombinedLoss:
     def test_weighted_sum_example(self):
-        enh = T.as_tensor(np.asarray(0.5))
-        breakdown = combined_loss(addends(0.75, 0.25), enh, 10.0)
+        breakdown = combined_loss(T.Tensor(0.75), T.Tensor(0.25), T.Tensor(0.5), 10.0)
         assert breakdown.combined == 6.0
         assert breakdown.tensor.item() == 6.0
 
     def test_no_enhancement_passthrough(self):
-        breakdown = combined_loss(addends(3.0, 0.25), None, 0.0)
+        breakdown = combined_loss(T.Tensor(3.0), T.Tensor(0.25), None, 0.0)
         assert breakdown.combined == 3.25
         assert (breakdown.kd_l1, breakdown.kd_cos) == (3.0, 0.25)
         assert breakdown.enh is None
@@ -267,16 +285,15 @@ class TestCombinedLoss:
             kd_val = l1_val + cos_val
             enh_val = float(rng.uniform(0, 10))
             lam = float(rng.uniform(0, 20))
-            breakdown = combined_loss(addends(l1_val, cos_val),
-                                      T.as_tensor(np.asarray(enh_val)), lam)
+            breakdown = combined_loss(T.Tensor(l1_val), T.Tensor(cos_val), T.Tensor(enh_val),
+                                      lam)
             assert breakdown.combined == kd_val + lam * enh_val
 
     def test_parts_breakdown_dict(self):
         rng = np.random.default_rng(7)
-        teacher, student = random_maps(rng, (4,), 2, 3)
-        parts = kd_loss_parts(teacher, student, layers=(4,))
-        enh = T.as_tensor(np.asarray(0.25))
-        breakdown = combined_loss(parts, enh, 2.0)
+        teacher, student = random_maps(rng, DISTILL_LAYERS, 2, 3)
+        parts = kd_loss_parts(teacher, student)
+        breakdown = combined_loss(parts.l1, parts.cos, T.Tensor(0.25), 2.0)
         assert breakdown.enh == 0.25
         assert breakdown.combined == pytest.approx(
             breakdown.kd_l1 + breakdown.kd_cos + 2.0 * breakdown.enh, abs=1e-12)
@@ -286,18 +303,18 @@ class TestCombinedLoss:
         enh_param = T.parameter(rng.standard_normal((1, 16)))
         clean = T.as_tensor(rng.standard_normal((1, 16)))
         enh_term = l1_wav(enh_param, clean)
-        kd_param = T.parameter(rng.standard_normal((2, 3)))
-        teacher = {4: rng.standard_normal((2, 3))}
-        parts = kd_loss_parts(teacher, {4: kd_param}, layers=(4,))
-        breakdown = combined_loss(parts, enh_term, 0.0)
+        teacher, student = random_maps(rng, DISTILL_LAYERS, 2, 3)
+        kd_param = T.parameter(student[4])
+        parts = kd_loss_parts(teacher, {**student, 4: kd_param})
+        breakdown = combined_loss(parts.l1, parts.cos, enh_term, 0.0)
         T.backward(breakdown.tensor)
         assert kd_param.grad is not None and np.any(kd_param.grad != 0)
         assert enh_param.grad is None or not enh_param.grad.any()
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ParameterError):
-            combined_loss(addends(1.0, 0.0), T.as_tensor(np.asarray(1.0)), -1.0)
+            combined_loss(T.Tensor(1.0), T.Tensor(0.0), T.Tensor(1.0), -1.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
-            combined_loss(addends(np.nan, 0.0), None, 0.0)
+            combined_loss(T.Tensor(np.nan), T.Tensor(0.0), None, 0.0)

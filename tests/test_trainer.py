@@ -14,7 +14,7 @@ import distilrobust.tensor as T
 import distilrobust.trainer as trainer_module
 from distilrobust.errors import ConfigError, DataError, NumericError, ShapeError
 from distilrobust.gradchecks import CHECKS
-from distilrobust.losses import KDLossParts, combined_loss, kd_loss_parts, l1_freq, l1_wav
+from distilrobust.losses import combined_loss, kd_loss_parts, l1_freq, l1_wav
 from distilrobust.trainer import (
     STFT,
     PAPER_SCALE_RECIPE,
@@ -333,6 +333,24 @@ class TestTrainLoop:
         train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
         assert [ops.count("cosine_sim_rows") for ops in graphs] == [len(DISTILL_LAYERS)]
 
+    @pytest.mark.parametrize("experiment,nodes", [("A", 63), ("C1", 96), ("C2", 97)])
+    @pytest.mark.parametrize("batch_size,dim", [(2, 8), (3, 16)])
+    def test_graph_nodes_per_iteration(self, tmp_path, banks, monkeypatch, experiment, nodes,
+                                       batch_size, dim):
+        # one length group: the count does not depend on the batch or the width
+        noise, rirs = banks
+        counts, backward = [], T.backward
+
+        def counting_backward(loss):
+            counts.append(_graph_nodes(loss))
+            backward(loss)
+
+        monkeypatch.setattr(T, "backward", counting_backward)
+        cfg = tiny_config(tmp_path / "run", experiment, batch_size=batch_size, dim=dim,
+                          total_iterations=2, warmup_iterations=0)
+        train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        assert counts == [nodes, nodes]
+
     @pytest.mark.parametrize("experiment,batch_size,lengths", [
         ("C1", 2, (1600,)), ("C1", 4, (1600,)), ("C1", 4, (960, 1280)), ("C2", 3, (960, 1280))])
     def test_one_forward_per_length_group(self, tmp_path, banks, monkeypatch, experiment,
@@ -570,6 +588,18 @@ def _graph_ops(loss):
     return ops
 
 
+def _graph_nodes(loss) -> int:
+    """Nodes that need a gradient reachable from loss, counted as perfbench's
+    `tracing.graph_nodes` counts them."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for p in stack.pop().parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
 def _capture_iteration(monkeypatch):
     """Record one op list per backward call (one entry per graph node), and the last
     batch's crops, contaminated signals and parameter gradients."""
@@ -621,7 +651,7 @@ def per_utterance_reference(cfg, cleans, noisy):
         for term in enh[1:]:
             enh_mean = T.add(enh_mean, term)
         enh_mean = T.scale(enh_mean, 1.0 / len(enh))
-    breakdown = combined_loss(KDLossParts(T.add(l1, cos), l1, cos), enh_mean, cfg.lambda_weight)
+    breakdown = combined_loss(l1, cos, enh_mean, cfg.lambda_weight)
     T.backward(breakdown.tensor)
     return breakdown, {name: p.grad for name, p in student.params.items()}
 
