@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -66,16 +66,19 @@ class Waveform:
         return self.samples.size / self.sample_rate_hz
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoomImpulseResponse:
-    """Finite impulse response simulating a room, tagged by rough room size."""
+    """Finite impulse response simulating a room, tagged by rough room size. Its taps are
+    a read-only copy, so the spectrum convolve_rir keeps in `_spectra` cannot go stale."""
 
     taps: np.ndarray
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
     room_class: str = "medium"
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=np.float64)
+        object.__setattr__(self, "taps", np.array(self.taps, dtype=np.float64))
+        self.taps.flags.writeable = False
         if self.taps.ndim != 1 or self.taps.size == 0:
             raise ShapeError("impulse response must be a nonempty 1-D tap sequence")
         if not np.all(np.isfinite(self.taps)):
@@ -154,10 +157,15 @@ def read_wav(path) -> Waveform:
         raise WavFormatError(f"{path}: {exc}") from exc
 
 
+def check_wav_rate(sample_rate_hz: int):
+    """Refuse a rate whose PCM16 byte rate (2 x rate) does not fit the header's u32."""
+    if 2 * sample_rate_hz > 0xFFFFFFFF:
+        raise ParameterError(f"sample rate {sample_rate_hz} Hz overflows a WAV byte rate")
+
+
 def write_wav(w: Waveform, path):
     """Write mono PCM16; samples outside [-1, 1] are clamped."""
-    if 2 * w.sample_rate_hz > 0xFFFFFFFF:
-        raise ParameterError(f"sample rate {w.sample_rate_hz} Hz overflows a WAV byte rate")
+    check_wav_rate(w.sample_rate_hz)
     clamped = np.clip(w.samples, -1.0, 1.0)
     quantized = np.clip(np.rint(clamped * PCM16_SCALE), -32768, 32767).astype("<i2")
     body = quantized.tobytes()
@@ -228,19 +236,25 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _convolve_head(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _convolve_head(x: np.ndarray, taps: np.ndarray, spectra: dict | None = None) -> np.ndarray:
     """The first len(x) samples of the linear convolution of x with taps.
 
     Up to _DIRECT_MAX_TAPS taps it is np.convolve; longer responses are multiplied
     in the frequency domain at a 5-smooth size (Stockham 1966), which is exact only
-    to rounding.
+    to rounding. The taps' spectrum is read from `spectra` under (taps kept, FFT size),
+    or replaces what it holds: training convolves at one crop length, while the
+    lengths of an `augment` run's files rarely repeat.
     """
     n = x.size
     if taps.size <= _DIRECT_MAX_TAPS:
         return np.convolve(x, taps)[:n]
     taps = taps[:n]  # later taps reach no output sample that is kept
     size = _fft_size(n + taps.size - 1)
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(taps, size), size)[:n]
+    spectra = {} if spectra is None else spectra
+    if (taps.size, size) not in spectra:
+        spectra.clear()
+        spectra[taps.size, size] = np.fft.rfft(taps, size)
+    return np.fft.irfft(np.fft.rfft(x, size) * spectra[taps.size, size], size)[:n]
 
 
 def convolve_rir(clean: Waveform, rir: RoomImpulseResponse) -> Waveform:
@@ -253,9 +267,7 @@ def convolve_rir(clean: Waveform, rir: RoomImpulseResponse) -> Waveform:
     identity.
     """
     _require_same_rate(clean.sample_rate_hz, rir.sample_rate_hz)
-    if not np.any(rir.taps):
-        raise DegenerateSignalError("impulse response has no nonzero tap")
-    wet = _convolve_head(clean.samples, rir.taps)
+    wet = _convolve_head(clean.samples, rir.taps, rir._spectra)
     wet_rms = float(np.sqrt(np.mean(np.square(wet))))
     if wet_rms == 0.0:
         raise DegenerateSignalError("convolution output has zero RMS")

@@ -13,8 +13,8 @@ import os
 import sys
 
 from .augment import CurriculumState, augment_batch, load_manifest, load_noise_bank, load_rir_bank
-from .audio import read_wav, write_wav
-from .errors import DistilRobustError, DataError, WavFormatError
+from .audio import check_wav_rate, read_wav, write_wav
+from .errors import DistilRobustError, DataError, ParameterError, WavFormatError
 from .fileio import atomic_write
 from .gradchecks import CHECKS, run_suite
 from .trainer import TrainConfig, load_metrics, train
@@ -48,6 +48,11 @@ def cmd_augment(args) -> int:
                           master_seed=args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
+    for (entry, _), (augmented, _) in zip(waves, pairs):  # every output before the first write
+        try:
+            check_wav_rate(augmented.sample_rate_hz)
+        except ParameterError as exc:
+            raise ParameterError(f"{entry.id}: {exc}") from exc
     for (entry, _), (augmented, _) in zip(waves, pairs):
         write_wav(augmented, os.path.join(args.out_dir, f"{entry.id}.wav"))
     plans_path = os.path.join(args.out_dir, "plans.jsonl")

@@ -172,9 +172,9 @@ def _enhancement_forward(student: StudentModel, rep: T.Tensor, batch: int,
                           p["enhancement.rnn.w_x"], p["enhancement.rnn.w_h"],
                           p["enhancement.rnn.bias"])
     for i in range(1, len(DECONV_STRIDES) + 1):
-        h = T.gelu(T.conv1d_transposed(h, p[f"enhancement.deconv{i}.kernel"]))
-    # 320 * (n_samples // 320) + 635 samples come out, always more than n_samples
-    return T.narrow(T.reshape(h, (batch, -1)), 1, 0, n_samples)
+        h = T.conv1d_transposed(h if i == 1 else T.gelu(h), p[f"enhancement.deconv{i}.kernel"])
+    # 320 * (n_samples // 320) + 635 > n_samples come out; the last GELU sees n_samples
+    return T.gelu(T.narrow(T.reshape(h, (batch, -1)), 1, 0, n_samples))
 
 
 def student_forward(student: StudentModel, samples: np.ndarray) -> StudentOutput:

@@ -326,6 +326,24 @@ class _BatchSampler:
         return out
 
 
+def _teacher_rows(teacher: TeacherSurrogate, cache: dict, samples: list[np.ndarray],
+                  keys: list[int | None]) -> list[dict[int, np.ndarray]]:
+    """Each utterance's DISTILL_LAYERS rows of one length group, in order. A whole
+    utterance (key: its corpus index) is read from or stored in `cache`; a crop (key None)
+    is not. One teacher_forward covers the misses."""
+    rows = [cache.get(key) for key in keys]
+    misses = [j for j, key in enumerate(keys)
+              if rows[j] is None and (key is None or keys.index(key) == j)]
+    if misses:
+        maps = teacher_forward(teacher, np.stack([samples[j] for j in misses]))
+        frames = len(maps[DISTILL_LAYERS[0]]) // len(misses)
+        for k, j in enumerate(misses):
+            rows[j] = {l: maps[l][k * frames : (k + 1) * frames] for l in DISTILL_LAYERS}
+            if keys[j] is not None:  # copied, so the cache keeps no other utterance's rows
+                cache[keys[j]] = rows[j] = {l: m.copy() for l, m in rows[j].items()}
+    return [cache[key] if r is None else r for r, key in zip(rows, keys)]
+
+
 def _metrics_record(iteration: int, lr: float, breakdown, pairs, tau: float,
                     threshold: float) -> dict:
     counts = {action.value: 0 for action in AugmentAction}
@@ -418,17 +436,19 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
     sampler = _BatchSampler(len(corpus), cfg.batch_size, cfg.master_seed)
     params = student.params
+    teacher_cache: dict = {}  # corpus index -> the frozen teacher's rows of a whole utterance
 
     if resume_from is not None:
         _rewind_metrics(metrics_path, start_iteration)
     with open(metrics_path, "a" if resume_from is not None else "w", encoding="utf-8") as log:
         for iteration in range(start_iteration, end_iteration):
-            batch_ids, cleans = [], []
+            batch_ids, cleans, keys = [], [], []
             for j, utt_index in enumerate(sampler.indices(iteration)):
                 utt_id, w = corpus[utt_index]
                 batch_ids.append(utt_id)
                 cleans.append(_crop(w, cfg.crop_samples,
                                     stable_hash(cfg.master_seed, "crop", iteration, j)))
+                keys.append(utt_index if len(cleans[-1]) == len(w) else None)  # cached if whole
 
             sched_iter = iteration if cfg.curriculum else cfg.total_iterations
             sched = CurriculumState(sched_iter, cfg.total_iterations)
@@ -446,13 +466,15 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
             groups: dict[int, list[int]] = {}
             for j, clean in enumerate(cleans):
                 groups.setdefault(len(clean), []).append(j)
-            teacher_maps, predictions, enh_mean = [], [], None
+            teacher_rows, predictions, enh_mean = [], [], None
             for members in groups.values():
-                clean = np.stack([cleans[j].samples for j in members])
-                teacher_maps.append(teacher_forward(teacher, clean))
+                teacher_rows += _teacher_rows(teacher, teacher_cache,
+                                              [cleans[j].samples for j in members],
+                                              [keys[j] for j in members])
                 out = student_forward(student, np.stack([pairs[j][0].samples for j in members]))
                 predictions.append(out.predictions)
                 if cfg.enhancement_loss != "none":
+                    clean = np.stack([cleans[j].samples for j in members])
                     # the group's mean over its utterances, weighted by its share of the batch
                     enh = (l1_wav(out.enhanced, clean) if cfg.enhancement_loss == "l1_wav"
                            else l1_freq(out.enhanced, clean, STFT))
@@ -461,7 +483,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
 
             # the distillation loss sums over frames: one call sums the utterances
             kd = kd_loss_parts(
-                {l: np.concatenate([maps[l] for maps in teacher_maps]) for l in DISTILL_LAYERS},
+                {l: np.concatenate([rows[l] for rows in teacher_rows]) for l in DISTILL_LAYERS},
                 {l: T.concat([preds[l] for preds in predictions]) for l in DISTILL_LAYERS})
             breakdown = combined_loss(T.scale(kd.l1, 1.0 / len(cleans)),
                                       T.scale(kd.cos, 1.0 / len(cleans)), enh_mean,

@@ -1,5 +1,6 @@
 """WAV I/O, SNR mixing, impulse-response convolution, and noise generation."""
 
+import dataclasses
 import math
 import struct
 
@@ -331,6 +332,46 @@ class TestConvolveHead:
         rng = np.random.default_rng(9)
         x, taps = rng.standard_normal(2_000), rng.standard_normal(_DIRECT_MAX_TAPS)
         np.testing.assert_array_equal(_convolve_head(x, taps), np.convolve(x, taps)[:2_000])
+
+
+class TestSpectrumMemo:
+    def test_repeated_calls_match_uncached_path(self):
+        # a fresh response takes its spectrum anew; `rir` reuses the one it kept
+        rng = np.random.default_rng(12)
+        taps = rng.standard_normal(800) * np.exp(-np.arange(800) / 120.0)
+        rir = RoomImpulseResponse(taps, 16000, "small")
+        for n in (4_000, 4_000, 3_000, 4_000):
+            clean = Waveform(rng.standard_normal(n), 16000)
+            want = convolve_rir(clean, RoomImpulseResponse(taps, 16000, "small"))
+            np.testing.assert_array_equal(convolve_rir(clean, rir).samples, want.samples)
+        assert list(rir._spectra) == [(800, _fft_size(4_799))]
+
+    def test_same_fft_size_with_different_taps_kept(self):
+        # 299 and 300 samples both need an FFT of 600, but keep 299 and 300 of the
+        # 2,000 taps; the shorter goes first, so a size-only key would drop tap 299
+        rng = np.random.default_rng(13)
+        taps = rng.standard_normal(2_000) * np.exp(-np.arange(2_000) / 300.0)
+        rir = RoomImpulseResponse(taps, 16000, "medium")
+        assert _fft_size(299 + 299 - 1) == _fft_size(300 + 300 - 1) == 600
+        for n in (299, 300):
+            clean = Waveform(rng.standard_normal(n), 16000)
+            want = np.convolve(clean.samples, taps)[:n]
+            want *= rms(clean) / np.sqrt(np.mean(want ** 2))
+            got = convolve_rir(clean, rir).samples
+            assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
+        assert list(rir._spectra) == [(300, 600)]
+
+    def test_taps_are_a_read_only_copy(self):
+        taps = np.array([1.0, 0.5, 0.25])
+        rir = RoomImpulseResponse(taps, 16000, "small")
+        assert not rir.taps.flags.writeable
+        with pytest.raises(ValueError):
+            rir.taps[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rir.taps = np.ones(3)
+        assert taps.flags.writeable
+        taps[0] = 0.0
+        assert rir.taps[0] == 1.0
 
 
 class TestWhiteNoise:

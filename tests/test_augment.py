@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distilrobust.augment as augment_module
 from distilrobust.audio import Waveform, convolve_rir, mix_at_snr, rms, white_noise, write_wav
 from distilrobust.augment import (
     FILE_NOISE_PROBABILITY,
@@ -325,6 +326,20 @@ class TestAugmentBatch:
     def test_empty_batch_rejected(self, noise_bank, rir_bank):
         with pytest.raises(ParameterError):
             augment_batch([], CurriculumState(0, 10), noise_bank, rir_bank, master_seed=0)
+
+    def test_apply_plan_called_once_per_utterance(self, reference_corpus, noise_bank,
+                                                   rir_bank, monkeypatch):
+        # the benchmark clocks an augment command by wrapping the module attribute
+        calls, apply = [], augment_module.apply_plan
+
+        def counting_apply(clean, *args):
+            calls.append(clean)
+            return apply(clean, *args)
+
+        monkeypatch.setattr(augment_module, "apply_plan", counting_apply)
+        batch = [w for _, w in reference_corpus[:5]]
+        augment_batch(batch, CurriculumState(400, 400), noise_bank, rir_bank, master_seed=3)
+        assert [id(w) for w in calls] == [id(w) for w in batch]
 
 
 class TestDistributions:

@@ -146,6 +146,33 @@ class TestAugmentCommand:
         assert f"sample rate {rate} Hz overflows a WAV byte rate" in one_error_line(capsys)
         assert not [p.name for p in out.iterdir() if p.name.startswith("fast")]
 
+    def test_unwritable_rate_refused_before_any_write(self, disk_assets, tmp_path, capsys):
+        # a 16 kHz utterance, then one declaring 3,000,000,000 Hz whose plan is clean:
+        # the second is refused by id, and the first is not written either
+        rate = 3_000_000_000
+        fmt = struct.pack("<IHHIIHH", 16, 1, 1, rate, 0, 2, 16)
+        body = struct.pack("<4h", 1000, -1000, 500, 0)
+        chunks = b"fmt " + fmt + b"data" + struct.pack("<I", len(body)) + body
+        (tmp_path / "fast.wav").write_bytes(
+            b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        first = disk_assets["speech_rows"][0]
+        manifest = write_manifest(tmp_path / "two.jsonl", [
+            {"id": first["id"], "path": first["path"], "kind": "speech"},
+            {"id": "fast", "path": "fast.wav", "kind": "speech"}])
+        state = CurriculumState(0, 10)
+        n_noise, n_rir = len(disk_assets["noise_rows"]), len(disk_assets["rir_rows"])
+        seed = next(s for s in range(100) if sample_plan(
+            state, n_noise, n_rir, utterance_seed(s, 0, 1)).action is AugmentAction.A1_CLEAN)
+        out = tmp_path / "x"
+        code = run_cli("augment", "--manifest", manifest,
+                       "--noise-bank", disk_assets["noise"],
+                       "--rir-bank", disk_assets["rir"],
+                       "--iterations", 10, "--iter", 0,
+                       "--seed", seed, "--out-dir", out)
+        assert code == EXIT_VALIDATION
+        assert f"error: fast: sample rate {rate} Hz overflows" in one_error_line(capsys)
+        assert not list(out.glob("*.wav"))
+
     @pytest.mark.parametrize("line, message", [
         ("5", ":1: record must be a JSON object"),
         ('{"id": "a", "path": 3, "kind": "speech"}', ":1: path must be a string"),

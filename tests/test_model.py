@@ -175,21 +175,17 @@ class TestStudentForward:
 
     def test_enhancement_graph_shape(self, teacher, wave):
         # the waveform head must be seven stride-matched deconvolutions, each
-        # followed by the smooth gate nonlinearity
+        # followed by the smooth gate nonlinearity; the last one's output is cut
+        # to the input length before its gate
         student = student_of(teacher, enhancement=True)
         out = student_forward(student, wave)
-        node = out.enhanced
-        assert node.op == "narrow"
-        node = node.parents[0]
-        assert node.op == "reshape"
-        node = node.parents[0]
-        deconvs = 0
-        while node.op == "gelu":
-            inner = node.parents[0]
-            assert inner.op == "conv1d_transposed"
-            deconvs += 1
-            node = inner.parents[0]
-        assert deconvs == 7
+        node, ops = out.enhanced, []
+        while node.op in ("gelu", "narrow", "reshape", "conv1d_transposed"):
+            ops.append(node.op)
+            node = node.parents[0]
+        assert ops == ["gelu", "narrow", "reshape"] + \
+            ["conv1d_transposed", "gelu"] * 6 + ["conv1d_transposed"]
+        assert node.op == "bidir_recurrent"
 
     def test_no_enhancement_no_output(self, teacher, wave):
         student = student_of(teacher, enhancement=False)

@@ -401,6 +401,57 @@ class TestTrainLoop:
         assert {"bidir_recurrent", "stft_mag"} <= trained
         assert trained <= checked, trained - checked
 
+    @pytest.mark.parametrize("batch_size", [4, 8])
+    def test_teacher_maps_cached_per_whole_utterance(self, tmp_path, banks, monkeypatch,
+                                                     batch_size):
+        # 1600-sample utterances are whole crops, taken from the cache after their first
+        # forward; 2400-sample ones are cropped anew each iteration and forwarded again.
+        # Every crop is 1600 samples, so the one length group mixes hits and misses. A
+        # batch of 8 from 6 utterances holds some utterance twice.
+        noise, rirs = banks
+        cfg = tiny_config(tmp_path / "run", "A", batch_size=batch_size, total_iterations=6)
+        corpus = mixed_corpus((1600, 2400))
+        whole = [len(w) <= cfg.crop_samples for _, w in corpus]
+        teacher = build_teacher(cfg)
+        forward, kd_parts, augment = (trainer_module.teacher_forward,
+                                      trainer_module.kd_loss_parts, trainer_module.augment_batch)
+        forwarded, cleans, handed = [], [], []
+
+        def counting_forward(teacher, samples):
+            forwarded.append(len(samples))
+            return forward(teacher, samples)
+
+        def recording_augment(batch, *args):
+            cleans.append(np.stack([w.samples for w in batch]))
+            return augment(batch, *args)
+
+        def recording_kd(teacher_maps, student_maps):
+            handed.append(teacher_maps)
+            return kd_parts(teacher_maps, student_maps)
+
+        monkeypatch.setattr(trainer_module, "teacher_forward", counting_forward)
+        monkeypatch.setattr(trainer_module, "augment_batch", recording_augment)
+        monkeypatch.setattr(trainer_module, "kd_loss_parts", recording_kd)
+        train(cfg, corpus=corpus, noise_bank=noise, rir_bank=rirs)
+
+        assert len(handed) == len(cleans) == cfg.total_iterations
+        for maps, batch in zip(handed, cleans):
+            direct = forward(teacher, batch)
+            for l in DISTILL_LAYERS:
+                np.testing.assert_array_equal(maps[l], direct[l])
+        sampler = _BatchSampler(len(corpus), cfg.batch_size, cfg.master_seed)
+        batches = [sampler.indices(i) for i in range(cfg.total_iterations)]
+        seen_whole = {i for b in batches for i in b if whole[i]}
+        crops = sum(not whole[i] for b in batches for i in b)
+        assert sum(forwarded) == len(seen_whole) + crops
+        assert sum(forwarded) < cfg.total_iterations * cfg.batch_size
+        # some iteration reads a cached utterance beside a crop in its one group
+        earlier, mixed = set(), False
+        for b in batches:
+            mixed |= any(whole[i] and i in earlier for i in b) and not all(whole[i] for i in b)
+            earlier.update(b)
+        assert mixed
+
     def test_lr_column_follows_schedule(self, tmp_path, banks):
         noise, rirs = banks
         cfg = tiny_config(tmp_path / "run", "A")
@@ -571,9 +622,10 @@ class TestTrainLoop:
 
 
 def mixed_corpus(lengths, n_utts=6):
-    """tiny_corpus with utterance i cut to lengths[i % len(lengths)] samples."""
+    """tiny_corpus (1600 samples, or the longest length) with utterance i cut to
+    lengths[i % len(lengths)] samples."""
     return [(utt_id, Waveform(w.samples[: lengths[i % len(lengths)]], w.sample_rate_hz))
-            for i, (utt_id, w) in enumerate(tiny_corpus(n_utts))]
+            for i, (utt_id, w) in enumerate(tiny_corpus(n_utts, max(1600, *lengths)))]
 
 
 def _graph_ops(loss):
