@@ -40,13 +40,6 @@ class AugmentAction(enum.Enum):
     A4_NOISE_REVERB = "a4_noise_reverb"
 
 
-_ACTION_ORDER = (
-    AugmentAction.A1_CLEAN,
-    AugmentAction.A2_NOISE,
-    AugmentAction.A3_REVERB,
-    AugmentAction.A4_NOISE_REVERB,
-)
-
 _NOISE_ACTIONS = (AugmentAction.A2_NOISE, AugmentAction.A4_NOISE_REVERB)
 _REVERB_ACTIONS = (AugmentAction.A3_REVERB, AugmentAction.A4_NOISE_REVERB)
 
@@ -101,33 +94,36 @@ def reverb_threshold(state: CurriculumState) -> float:
 
 @dataclass(frozen=True)
 class AugmentPlan:
-    """Everything needed to reproduce one utterance's contamination exactly."""
+    """Everything needed to reproduce one utterance's contamination exactly.
+
+    Under a noise action, `noise_index` None means seeded white noise;
+    `rir_index` None means the utterance is not reverberated.
+    """
 
     action: AugmentAction
     seed: int
     snr_db: int | None = None
-    noise_source: str | None = None  # "file" | "white_noise"
     noise_index: int | None = None
     rir_index: int | None = None
-    reverb_applied: bool = False
 
     def __post_init__(self):
-        wants_noise = self.action in _NOISE_ACTIONS
-        if wants_noise != (self.snr_db is not None):
+        if (self.action in _NOISE_ACTIONS) != (self.snr_db is not None):
             raise ParameterError(f"snr_db must be present iff action adds noise "
                                  f"({self.action.value}, snr_db={self.snr_db})")
-        if wants_noise != (self.noise_source is not None):
-            raise ParameterError(f"noise_source must be present iff action adds noise")
-        if self.noise_source not in (None, "file", "white_noise"):
-            raise ParameterError(f"unknown noise_source {self.noise_source!r}")
-        if (self.noise_source == "file") != (self.noise_index is not None):
-            raise ParameterError("noise_index must be present iff noise_source is 'file'")
-        if self.reverb_applied and self.action not in _REVERB_ACTIONS:
-            raise ParameterError(f"reverb_applied is not valid under {self.action.value}")
-        if (self.rir_index is not None) and not self.reverb_applied:
-            raise ParameterError("rir_index present without reverb_applied")
-        if self.reverb_applied and self.rir_index is None:
-            raise ParameterError("reverb_applied without an rir_index")
+        if self.noise_index is not None and self.snr_db is None:
+            raise ParameterError("noise_index present without snr_db")
+        if self.rir_index is not None and self.action not in _REVERB_ACTIONS:
+            raise ParameterError(f"rir_index is not valid under {self.action.value}")
+
+    @property
+    def noise_source(self) -> str | None:
+        if self.snr_db is None:
+            return None
+        return "white_noise" if self.noise_index is None else "file"
+
+    @property
+    def reverb_applied(self) -> bool:
+        return self.rir_index is not None
 
     def to_dict(self) -> dict:
         return {
@@ -140,18 +136,6 @@ class AugmentPlan:
             "reverb_applied": self.reverb_applied,
         }
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "AugmentPlan":
-        return cls(
-            action=AugmentAction(record["action"]),
-            seed=int(record["seed"]),
-            snr_db=None if record.get("snr_db") is None else int(record["snr_db"]),
-            noise_source=record.get("noise_source"),
-            noise_index=None if record.get("noise_index") is None else int(record["noise_index"]),
-            rir_index=None if record.get("rir_index") is None else int(record["rir_index"]),
-            reverb_applied=bool(record.get("reverb_applied", False)),
-        )
-
 
 def sample_plan(state: CurriculumState, n_noise_files: int, n_rirs: int, seed: int) -> AugmentPlan:
     """Draw one contamination plan; fully determined by the seed and schedule state."""
@@ -160,66 +144,40 @@ def sample_plan(state: CurriculumState, n_noise_files: int, n_rirs: int, seed: i
     if n_rirs < 1:
         raise ParameterError(f"n_rirs must be >= 1, got {n_rirs}")
     rng = np.random.default_rng(seed)
-    action = _ACTION_ORDER[int(rng.integers(0, 4))]
+    action = tuple(AugmentAction)[int(rng.integers(0, 4))]
 
-    snr_db = None
-    noise_source = None
-    noise_index = None
+    snr_db = noise_index = rir_index = None
     if action in _NOISE_ACTIONS:
         # noninteger floors round up so the draw never dips below the schedule
         lo = math.ceil(snr_lower_bound(state))
         snr_db = int(rng.integers(lo, SNR_CEILING_DB + 1))
-        p_n = float(rng.uniform())
-        if p_n <= FILE_NOISE_PROBABILITY:
-            noise_source = "file"
+        if float(rng.uniform()) <= FILE_NOISE_PROBABILITY:
             noise_index = int(rng.integers(0, n_noise_files))
-        else:
-            noise_source = "white_noise"
+    if action in _REVERB_ACTIONS and float(rng.uniform()) <= reverb_threshold(state):
+        rir_index = int(rng.integers(0, n_rirs))
 
-    reverb_applied = False
-    rir_index = None
-    if action in _REVERB_ACTIONS:
-        p_r = float(rng.uniform())
-        reverb_applied = p_r <= reverb_threshold(state)
-        if reverb_applied:
-            rir_index = int(rng.integers(0, n_rirs))
-
-    return AugmentPlan(action=action, seed=seed, snr_db=snr_db, noise_source=noise_source,
-                       noise_index=noise_index, rir_index=rir_index,
-                       reverb_applied=reverb_applied)
+    return AugmentPlan(action=action, seed=seed, snr_db=snr_db, noise_index=noise_index,
+                       rir_index=rir_index)
 
 
-def _noise_for_plan(clean: Waveform, plan: AugmentPlan, noise_bank) -> Waveform:
-    if plan.noise_source == "file":
-        if not 0 <= plan.noise_index < len(noise_bank):
-            raise DataError(f"noise index {plan.noise_index} outside bank of {len(noise_bank)}")
-        return noise_bank[plan.noise_index]
-    return white_noise(len(clean), stable_hash(plan.seed, "white"), clean.sample_rate_hz)
-
-
-def _apply_noise(clean: Waveform, plan: AugmentPlan, noise_bank) -> Waveform:
-    noise = _noise_for_plan(clean, plan, noise_bank)
-    return mix_at_snr(clean, noise, plan.snr_db, seed=stable_hash(plan.seed, "crop"))
-
-
-def _apply_reverb(w: Waveform, plan: AugmentPlan, rir_bank) -> Waveform:
-    if not plan.reverb_applied:
-        return w
-    if not 0 <= plan.rir_index < len(rir_bank):
-        raise DataError(f"rir index {plan.rir_index} outside bank of {len(rir_bank)}")
-    return convolve_rir(w, rir_bank[plan.rir_index])
+def _bank_entry(bank, index: int, kind: str):
+    if not 0 <= index < len(bank):
+        raise DataError(f"{kind} index {index} outside bank of {len(bank)}")
+    return bank[index]
 
 
 def apply_plan(clean: Waveform, plan: AugmentPlan, noise_bank, rir_bank) -> Waveform:
     """Realize a plan on one utterance (noise, then reverb); output length equals input length."""
-    if plan.action is AugmentAction.A1_CLEAN:
-        return Waveform(clean.samples.copy(), clean.sample_rate_hz)
-    if plan.action is AugmentAction.A2_NOISE:
-        return _apply_noise(clean, plan, noise_bank)
-    if plan.action is AugmentAction.A3_REVERB:
-        out = _apply_reverb(clean, plan, rir_bank)
-        return out if out is not clean else Waveform(clean.samples.copy(), clean.sample_rate_hz)
-    return _apply_reverb(_apply_noise(clean, plan, noise_bank), plan, rir_bank)
+    out = clean
+    if plan.snr_db is not None:
+        if plan.noise_index is None:
+            noise = white_noise(len(clean), stable_hash(plan.seed, "white"), clean.sample_rate_hz)
+        else:
+            noise = _bank_entry(noise_bank, plan.noise_index, "noise")
+        out = mix_at_snr(clean, noise, plan.snr_db, seed=stable_hash(plan.seed, "crop"))
+    if plan.rir_index is not None:
+        out = convolve_rir(out, _bank_entry(rir_bank, plan.rir_index, "rir"))
+    return Waveform(clean.samples.copy(), clean.sample_rate_hz) if out is clean else out
 
 
 def utterance_seed(master_seed: int, iteration: int, index: int) -> int:

@@ -9,6 +9,7 @@ peak LR 2e-4) is recorded alongside every serialized config.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -301,29 +302,18 @@ def _crop(w: Waveform, crop_samples: int, seed: int) -> Waveform:
     return Waveform(w.samples[start : start + crop_samples].copy(), w.sample_rate_hz)
 
 
-class _BatchSampler:
+@functools.lru_cache(maxsize=2)  # slots are read in order: each epoch is shuffled once a run
+def _epoch_order(master_seed: int, epoch: int, n_utts: int) -> np.ndarray:
+    order = np.random.default_rng(stable_hash(master_seed, "order", epoch)).permutation(n_utts)
+    order.flags.writeable = False
+    return order
+
+
+def _batch_indices(iteration: int, n_utts: int, batch_size: int, master_seed: int) -> list[int]:
     """Sequential without-replacement order within each seeded epoch shuffle."""
-
-    def __init__(self, n_utts: int, batch_size: int, master_seed: int):
-        self.n_utts = n_utts
-        self.batch_size = batch_size
-        self.master_seed = master_seed
-        self._perms: dict[int, np.ndarray] = {}
-
-    def _perm(self, epoch: int) -> np.ndarray:
-        if epoch not in self._perms:
-            rng = np.random.default_rng(stable_hash(self.master_seed, "order", epoch))
-            self._perms[epoch] = rng.permutation(self.n_utts)
-        return self._perms[epoch]
-
-    def indices(self, iteration: int) -> list[int]:
-        first_epoch = iteration * self.batch_size // self.n_utts  # keep what is still reachable
-        self._perms = {e: p for e, p in self._perms.items() if e >= first_epoch}
-        out = []
-        for j in range(self.batch_size):
-            slot = iteration * self.batch_size + j
-            out.append(int(self._perm(slot // self.n_utts)[slot % self.n_utts]))
-        return out
+    slots = range(iteration * batch_size, (iteration + 1) * batch_size)
+    return [int(_epoch_order(master_seed, slot // n_utts, n_utts)[slot % n_utts])
+            for slot in slots]
 
 
 def _teacher_rows(teacher: TeacherSurrogate, cache: dict, samples: list[np.ndarray],
@@ -434,7 +424,6 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
-    sampler = _BatchSampler(len(corpus), cfg.batch_size, cfg.master_seed)
     params = student.params
     teacher_cache: dict = {}  # corpus index -> the frozen teacher's rows of a whole utterance
 
@@ -443,7 +432,8 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
     with open(metrics_path, "a" if resume_from is not None else "w", encoding="utf-8") as log:
         for iteration in range(start_iteration, end_iteration):
             batch_ids, cleans, keys = [], [], []
-            for j, utt_index in enumerate(sampler.indices(iteration)):
+            order = _batch_indices(iteration, len(corpus), cfg.batch_size, cfg.master_seed)
+            for j, utt_index in enumerate(order):
                 utt_id, w = corpus[utt_index]
                 batch_ids.append(utt_id)
                 cleans.append(_crop(w, cfg.crop_samples,
@@ -552,12 +542,11 @@ def _read_container(path: str, moments: bool) -> tuple[dict, TrainConfig, dict]:
         pos = 9 + header_len
         header = json.loads(buf[9:pos].decode("utf-8"))
         stored_moments, record = header["has_moments"], header["config"]
-        for key in ("iteration", "adam_step") if stored_moments else ():
-            if type(header.get(key)) is not int:  # a bool is not a count
-                raise DataError(f"header {key!r} must be an integer, got {header.get(key)!r}")
-        if stored_moments and not 0 <= header["iteration"] == header["adam_step"]:
-            raise DataError(f"header needs one Adam step per iteration from 0, got "
-                            f"iteration {header['iteration']} and adam_step {header['adam_step']}")
+        iteration = header.get("iteration")
+        # a bool is not a count; the Adam step is restored from the iteration
+        if stored_moments and not (type(iteration) is int and iteration >= 0):
+            raise DataError(f"header 'iteration' must be a non-negative integer, "
+                            f"got {iteration!r}")
         if stored_moments and not isinstance(header.get("teacher_checksum"), str):
             raise DataError(f"header 'teacher_checksum' must be a string, got "
                             f"{header.get('teacher_checksum')!r}")
@@ -592,10 +581,8 @@ def _read_container(path: str, moments: bool) -> tuple[dict, TrainConfig, dict]:
 
 def save_checkpoint(state: TrainState, path: str):
     header = {
-        "format": "drtc",
         "has_moments": True,
         "iteration": state.iteration,
-        "adam_step": state.moments.step,
         "teacher_checksum": state.teacher_checksum,
         "config": state.config.to_dict(),
     }
@@ -611,7 +598,7 @@ def load_checkpoint(path: str) -> TrainState:
     params = {name: T.parameter(tensors[0]) for name, tensors in blocks.items()}
     moments = AdamMoments(m={name: tensors[1] for name, tensors in blocks.items()},
                           v={name: tensors[2] for name, tensors in blocks.items()},
-                          step=header["adam_step"])
+                          step=header["iteration"])
     return TrainState(config=cfg, iteration=header["iteration"],
                       student=StudentModel(params), moments=moments,
                       teacher_checksum=header["teacher_checksum"])
@@ -620,10 +607,8 @@ def load_checkpoint(path: str) -> TrainState:
 def export_student(state: TrainState, path: str):
     """Write the representation encoder only; prediction/enhancement heads are dropped."""
     header = {
-        "format": "drtc",
         "has_moments": False,
         "iteration": state.iteration,
-        "exported": True,
         "config": state.config.to_dict(),
     }
     blocks = []

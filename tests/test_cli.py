@@ -356,27 +356,33 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         assert one_error_line(capsys) == f"error: config must be a JSON object, got {value!r}"
 
-    @pytest.mark.parametrize("key", ["adam_step", "iteration"])
-    @pytest.mark.parametrize("value", [None, "2"], ids=["missing", "string"])
-    def test_checkpoint_with_bad_counter_exits_1(self, train_setup, capsys, key, value):
+    @pytest.mark.parametrize("value", [None, "2", True, -3],
+                             ids=["missing-iteration", "string-iteration", "bool-iteration",
+                                  "negative-iteration"])
+    def test_checkpoint_with_bad_counter_exits_1(self, train_setup, capsys, value):
+        # the iteration also restores the Adam step; a negative one would rewind the
+        # log past its start
         def edit(header):
             if value is None:
-                del header[key]
+                del header["iteration"]
             else:
-                header[key] = value
+                header["iteration"] = value
         ckpt = checkpoint_with_header(train_setup, capsys, edit)
+        metrics = train_setup["out_dir"] / "metrics.jsonl"
+        before = metrics.read_bytes()
         code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
         assert code == EXIT_VALIDATION
         line = one_error_line(capsys)
         assert "unreadable checkpoint container" in line
-        assert f"header '{key}' must be an integer, got {value!r}" in line
+        assert f"header 'iteration' must be a non-negative integer, got {value!r}" in line
+        assert metrics.read_bytes() == before
 
-    @pytest.mark.parametrize("iteration, adam_step", [(-3, 2), (-3, -3), (2, 0)],
-                             ids=["negative_iteration", "both_negative", "adam_step_behind"])
+    @pytest.mark.parametrize("iteration, adam_step", [(-3, 2), (-3, -3)],
+                             ids=["negative_iteration", "both_negative"])
     def test_checkpoint_with_inconsistent_counters_exits_1(self, train_setup, capsys,
                                                            iteration, adam_step):
-        # train writes adam_step == iteration; a resume from anything else would rewind
-        # the log past its start or continue under another Adam bias correction
+        # earlier versions also wrote adam_step; it is ignored now, so a negative
+        # iteration is refused whatever adam_step says, before the log is touched
         ckpt = checkpoint_with_header(train_setup, capsys, lambda header: header.update(
             iteration=iteration, adam_step=adam_step))
         metrics = train_setup["out_dir"] / "metrics.jsonl"
@@ -384,8 +390,8 @@ class TestTrainCommand:
         code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
         assert code == EXIT_VALIDATION
         line = one_error_line(capsys)
-        assert "unreadable checkpoint container: header needs one Adam step per iteration " \
-            f"from 0, got iteration {iteration} and adam_step {adam_step}" in line
+        assert "unreadable checkpoint container: header 'iteration' must be a non-negative " \
+            f"integer, got {iteration}" in line
         assert metrics.read_bytes() == before
 
     @pytest.mark.parametrize("edit, message", [
@@ -414,9 +420,8 @@ class TestTrainCommand:
         capsys.readouterr()
         ckpt = str(train_setup["out_dir"] / "ckpt_000002.drtc")
         state = load_checkpoint(ckpt)
-        header = {"format": "drtc", "has_moments": True, "iteration": state.iteration,
-                  "adam_step": state.moments.step, "teacher_checksum": state.teacher_checksum,
-                  "config": state.config.to_dict()}
+        header = {"has_moments": True, "iteration": state.iteration,
+                  "teacher_checksum": state.teacher_checksum, "config": state.config.to_dict()}
         blocks = []
         for name, p in sorted(state.student.params.items()):
             tensors = [p.values, state.moments.m[name], state.moments.v[name]]

@@ -36,7 +36,7 @@ def _write_wav(path, value):
 
 
 def _write_checkpoint(path, value):
-    header = {"format": "drtc", "has_moments": False, "config": TrainConfig().to_dict()}
+    header = {"has_moments": False, "config": TrainConfig().to_dict()}
     _write_container(path, header, [("w", [np.full(5, value)])])
 
 

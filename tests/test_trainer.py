@@ -1,7 +1,6 @@
 """Schedules, optimizer, config presets, training loop determinism, checkpoints."""
 
 import json
-import math
 import os
 import shutil
 import struct
@@ -32,7 +31,7 @@ from distilrobust.trainer import (
     save_checkpoint,
     smoothed_loss,
     train,
-    _BatchSampler,
+    _batch_indices,
 )
 from distilrobust.model import (
     DISTILL_LAYERS,
@@ -42,6 +41,7 @@ from distilrobust.model import (
     teacher_forward,
 )
 from distilrobust.audio import Waveform
+from distilrobust.augment import stable_hash
 
 from conftest import REMOVED_CONFIG_FIELDS, tiny_corpus
 
@@ -439,8 +439,8 @@ class TestTrainLoop:
             direct = forward(teacher, batch)
             for l in DISTILL_LAYERS:
                 np.testing.assert_array_equal(maps[l], direct[l])
-        sampler = _BatchSampler(len(corpus), cfg.batch_size, cfg.master_seed)
-        batches = [sampler.indices(i) for i in range(cfg.total_iterations)]
+        batches = [_batch_indices(i, len(corpus), cfg.batch_size, cfg.master_seed)
+                   for i in range(cfg.total_iterations)]
         seen_whole = {i for b in batches for i in b if whole[i]}
         crops = sum(not whole[i] for b in batches for i in b)
         assert sum(forwarded) == len(seen_whole) + crops
@@ -709,13 +709,15 @@ def per_utterance_reference(cfg, cleans, noisy):
 
 
 class TestBatchSampler:
-    @pytest.mark.parametrize("n_utts,batch_size", [(5, 3), (3, 8), (7, 7), (20, 24)])
-    def test_keeps_only_epochs_still_reachable(self, n_utts, batch_size):
-        sampler = _BatchSampler(n_utts, batch_size, master_seed=9)
+    @pytest.mark.parametrize("n_utts,batch_size", [(5, 3), (3, 8), (7, 7), (20, 24), (20, 8)])
+    def test_matches_slot_formula(self, n_utts, batch_size):
+        # slot s of the run is place s % n of the shuffle of epoch s // n
         for iteration in range(300):
-            assert sampler.indices(iteration) == \
-                _BatchSampler(n_utts, batch_size, master_seed=9).indices(iteration)
-            assert len(sampler._perms) <= math.ceil(batch_size / n_utts) + 1
+            want = []
+            for slot in range(iteration * batch_size, (iteration + 1) * batch_size):
+                rng = np.random.default_rng(stable_hash(9, "order", slot // n_utts))
+                want.append(int(rng.permutation(n_utts)[slot % n_utts]))
+            assert _batch_indices(iteration, n_utts, batch_size, master_seed=9) == want
 
 
 class TestCheckpoints:
@@ -772,6 +774,26 @@ class TestCheckpoints:
         export_student(state, export_path)
         with pytest.raises(DataError):
             load_checkpoint(export_path)
+
+    def test_header_keys_of_earlier_versions_ignored(self, tmp_path, banks):
+        # earlier versions also wrote "format", "adam_step" and, in an export, "exported"
+        noise, rirs = banks
+        cfg = tiny_config(tmp_path / "run", "C1", total_iterations=3, dim=2)
+        state = train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        ckpt, export = tmp_path / "run" / "ckpt_final.drtc", tmp_path / "run" / "student.drtc"
+        export_student(state, str(export))
+        for path, extra in ((ckpt, {"format": "drtc", "adam_step": 3}),
+                            (export, {"format": "drtc", "exported": True})):
+            blob = path.read_bytes()
+            (header_len,) = struct.unpack_from("<I", blob, 5)
+            header = dict(json.loads(blob[9 : 9 + header_len]), **extra)
+            header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+            path.write_bytes(blob[:5] + struct.pack("<I", len(header_bytes)) + header_bytes
+                             + blob[9 + header_len :])
+        loaded = load_checkpoint(str(ckpt))
+        assert loaded.iteration == loaded.moments.step == 3
+        assert sorted(load_exported(str(export)).params) == \
+            sorted(n for n in state.student.params if n.startswith("encoder."))
 
     @pytest.mark.parametrize("exported", [False, True])
     def test_every_truncation_rejected(self, tmp_path, banks, exported):
