@@ -44,7 +44,6 @@ from .losses import (
     IDENTITY_COSINE_TERM,
     KDLossParts,
     LossBreakdown,
-    STFTParams,
     combined_loss,
     kd_loss,
     kd_loss_parts,

@@ -270,3 +270,16 @@ def load_rir_bank(manifest_path) -> list[RoomImpulseResponse]:
         bank.append(RoomImpulseResponse(taps=wav.samples, sample_rate_hz=wav.sample_rate_hz,
                                         room_class=entry.room_class or "medium"))
     return bank
+
+
+def check_sample_rates(utterances, noise_bank, rir_bank):
+    """Every utterance (an (id, Waveform) pair), noise and RIR must share one rate;
+    checked before anything is contaminated."""
+    rate = utterances[0][1].sample_rate_hz
+    entries = ([(f"utterance {utt_id}", w) for utt_id, w in utterances]
+               + [(f"noise bank entry {i}", w) for i, w in enumerate(noise_bank)]
+               + [(f"RIR bank entry {i}", r) for i, r in enumerate(rir_bank)])
+    for name, item in entries:
+        if item.sample_rate_hz != rate:
+            raise DataError(f"{name}: sample-rate mismatch: {rate} Hz vs "
+                            f"{item.sample_rate_hz} Hz")

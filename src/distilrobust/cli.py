@@ -12,7 +12,8 @@ import json
 import os
 import sys
 
-from .augment import CurriculumState, augment_batch, load_manifest, load_noise_bank, load_rir_bank
+from .augment import (CurriculumState, augment_batch, check_sample_rates, load_manifest,
+                      load_noise_bank, load_rir_bank)
 from .audio import check_wav_rate, read_wav, write_wav
 from .errors import DistilRobustError, DataError, ParameterError, WavFormatError
 from .fileio import atomic_write
@@ -41,18 +42,19 @@ def cmd_augment(args) -> int:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_IO
 
+    for entry, wave in waves:  # each output keeps its input's rate: all before any write
+        try:
+            check_wav_rate(wave.sample_rate_hz)
+        except ParameterError as exc:
+            raise ParameterError(f"{entry.id}: {exc}") from exc
     noise_bank = load_noise_bank(args.noise_bank)
     rir_bank = load_rir_bank(args.rir_bank)
+    check_sample_rates([(entry.id, wave) for entry, wave in waves], noise_bank, rir_bank)
     state = CurriculumState(args.iter, args.iterations)
     pairs = augment_batch([w for _, w in waves], state, noise_bank, rir_bank,
                           master_seed=args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for (entry, _), (augmented, _) in zip(waves, pairs):  # every output before the first write
-        try:
-            check_wav_rate(augmented.sample_rate_hz)
-        except ParameterError as exc:
-            raise ParameterError(f"{entry.id}: {exc}") from exc
     for (entry, _), (augmented, _) in zip(waves, pairs):
         write_wav(augmented, os.path.join(args.out_dir, f"{entry.id}.wav"))
     plans_path = os.path.join(args.out_dir, "plans.jsonl")

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-
-import numpy as np
+from functools import reduce
 
 from . import tensor as T
 from .errors import ConfigError, NumericError, ParameterError, ShapeError
@@ -27,29 +25,10 @@ from .model import DISTILL_LAYERS
 # value of one cosine term when student matches teacher exactly: -ln(sigmoid(1))
 IDENTITY_COSINE_TERM = math.log(1.0 + math.exp(-1.0))
 
-
-@dataclass(frozen=True)
-class STFTParams:
-    window_length: int = 400
-    hop: int = 160
-    fft_size: int = 512
-
-    def __post_init__(self):
-        if self.window_length < 1 or self.hop < 1:
-            raise ParameterError("window_length and hop must be positive")
-        if self.fft_size < self.window_length:
-            raise ParameterError(f"fft_size {self.fft_size} < window_length "
-                                 f"{self.window_length}")
-
-    def window(self) -> np.ndarray:
-        return _hann_cached(self.window_length)
-
-
-@lru_cache(maxsize=8)
-def _hann_cached(length: int) -> np.ndarray:
-    w = T.hann_window(length)
-    w.setflags(write=False)
-    return w
+# l1_freq's STFT: a 25 ms Hann window, a 10 ms hop at 16 kHz and a 512-point FFT
+STFT_WINDOW_LENGTH, STFT_HOP, STFT_FFT_SIZE = 400, 160, 512
+_STFT_WINDOW = T.hann_window(STFT_WINDOW_LENGTH)
+_STFT_WINDOW.setflags(write=False)
 
 
 @dataclass
@@ -101,12 +80,11 @@ def l1_wav(enhanced, clean) -> T.Tensor:
     return T.scale(T.sum_all(T.l1_distance(a, b)), 1.0 / a.values.size)
 
 
-def l1_freq(enhanced, clean, stft_params: STFTParams | None = None) -> T.Tensor:
+def l1_freq(enhanced, clean) -> T.Tensor:
     """Mean absolute difference between the magnitude spectrograms of two (B, N) batches."""
-    params = stft_params if stft_params is not None else STFTParams()
     a, b = _as_signal_batches(enhanced, clean, "l1_freq")
-    mag_a = T.stft_mag(a, params.window(), params.hop, params.fft_size)
-    mag_b = T.stft_mag(b, params.window(), params.hop, params.fft_size)
+    mag_a = T.stft_mag(a, _STFT_WINDOW, STFT_HOP, STFT_FFT_SIZE)
+    mag_b = T.stft_mag(b, _STFT_WINDOW, STFT_HOP, STFT_FFT_SIZE)
     n_cells = mag_a.values.size
     return T.scale(T.sum_all(T.l1_distance(mag_a, mag_b)), 1.0 / n_cells)
 

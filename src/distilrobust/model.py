@@ -56,9 +56,6 @@ def encoder_forward(samples: np.ndarray, params: dict[str, T.Tensor], prefix: st
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ShapeError(f"encoder input must be a (B, N) batch, got shape {samples.shape}")
-    if samples.shape[1] < FRAME_STRIDE:
-        raise ShapeError(f"input of {samples.shape[1]} samples is shorter than one "
-                         f"frame of {FRAME_STRIDE}")
     kernel = params[prefix + "frontend.kernel"]
     frames = T.conv1d(T.Tensor(samples[:, :, None]), kernel)
     h = T.gelu(T.reshape(frames, (-1, kernel.values.shape[2])))

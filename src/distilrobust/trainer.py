@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .augment import (
     AugmentAction,
     CurriculumState,
     augment_batch,
+    check_sample_rates,
     load_manifest,
     load_noise_bank,
     load_rir_bank,
@@ -41,7 +42,7 @@ from .errors import (
     ShapeError,
 )
 from .fileio import atomic_write
-from .losses import STFTParams, combined_loss, kd_loss_parts, l1_freq, l1_wav
+from .losses import STFT_WINDOW_LENGTH, combined_loss, kd_loss_parts, l1_freq, l1_wav
 from .model import (
     DEFAULT_DIM,
     DISTILL_LAYERS,
@@ -54,9 +55,6 @@ from .model import (
     teacher_forward,
 )
 
-EXPERIMENTS = ("A", "B", "C1", "C2")
-
-STFT = STFTParams()  # 25 ms window, 10 ms hop at 16 kHz, for l1_freq
 TEACHER_SEED = 100
 STUDENT_SEED = 1
 
@@ -68,12 +66,26 @@ PAPER_SCALE_RECIPE = {
     "lr_peak": 2e-4,
 }
 
-_PRESET_TABLE = {
-    "A": {"curriculum": False, "enhancement_loss": "none", "lambda_weight": 0.0},
-    "B": {"curriculum": True, "enhancement_loss": "none", "lambda_weight": 0.0},
-    "C1": {"curriculum": True, "enhancement_loss": "l1_wav", "lambda_weight": 10.0},
-    "C2": {"curriculum": True, "enhancement_loss": "l1_freq", "lambda_weight": 1.0},
+# AdamW's fixed hyper-parameters
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS, WEIGHT_DECAY = 0.9, 0.98, 1e-6, 0.01
+
+
+@dataclass(frozen=True)
+class Method:
+    """What sets the paper's systems apart; an experiment's name fixes it."""
+
+    curriculum: bool
+    enhancement_loss: str  # "none", "l1_wav" or "l1_freq"
+    lambda_weight: float
+
+
+METHODS = {
+    "A": Method(curriculum=False, enhancement_loss="none", lambda_weight=0.0),
+    "B": Method(curriculum=True, enhancement_loss="none", lambda_weight=0.0),
+    "C1": Method(curriculum=True, enhancement_loss="l1_wav", lambda_weight=10.0),
+    "C2": Method(curriculum=True, enhancement_loss="l1_freq", lambda_weight=1.0),
 }
+EXPERIMENTS = tuple(METHODS)
 
 
 @dataclass
@@ -83,9 +95,6 @@ class TrainConfig:
     batch_size: int = 4
     lr_peak: float = 2e-4
     warmup_iterations: int | None = None  # None: 7% of total, the full-scale ratio
-    lambda_weight: float = 0.0
-    enhancement_loss: str = "none"
-    curriculum: bool = False
     master_seed: int = 0
     dim: int = DEFAULT_DIM
     crop_samples: int = 16000
@@ -99,22 +108,15 @@ class TrainConfig:
         if self.warmup_iterations is None:
             self.warmup_iterations = round(0.07 * self.total_iterations)
 
-    @classmethod
-    def preset(cls, experiment: str, **overrides) -> "TrainConfig":
-        base = dict(_PRESET_TABLE.get(experiment, {}), experiment=experiment)
-        base.update(overrides)
-        cfg = cls(**base)
-        cfg.validate()
-        return cfg
-
-    def validate(self):
+    @property
+    def method(self) -> Method:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got "
                               f"{self.experiment!r}")
-        for key, want in _PRESET_TABLE[self.experiment].items():
-            if getattr(self, key) != want:
-                raise ConfigError(f"experiment {self.experiment} requires {key}={want!r}, got "
-                                  f"{key}={getattr(self, key)!r}")
+        return METHODS[self.experiment]
+
+    def validate(self):
+        method = self.method  # refuses an unknown experiment
         if self.total_iterations < 1:
             raise ConfigError(f"total_iterations must be positive, got {self.total_iterations}")
         if self.batch_size < 1:
@@ -129,14 +131,15 @@ class TrainConfig:
         if self.crop_samples < FRAME_STRIDE:
             raise ConfigError(f"crop_samples {self.crop_samples} shorter than one frame "
                               f"of {FRAME_STRIDE}")
-        if self.enhancement_loss == "l1_freq" and self.crop_samples < STFT.window_length:
+        if method.enhancement_loss == "l1_freq" and self.crop_samples < STFT_WINDOW_LENGTH:
             raise ConfigError(f"crop_samples {self.crop_samples} shorter than the STFT window "
-                              f"{STFT.window_length}")
+                              f"{STFT_WINDOW_LENGTH}")
         if self.checkpoint_every < 1:
             raise ConfigError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
 
     def to_dict(self) -> dict:
         record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record.update(asdict(self.method))  # stored configs keep the method's keys
         record["reference_recipe"] = dict(PAPER_SCALE_RECIPE)
         return record
 
@@ -146,16 +149,23 @@ class TrainConfig:
             raise ConfigError(f"config must be a JSON object, got {record!r}")
         record = dict(record)
         record.pop("reference_recipe", None)
-        known = {f.name: f for f in fields(cls)}
+        known = {f.name: f for f in fields(cls) + fields(Method)}
         unknown = set(record) - set(known)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
+        hints = {**typing.get_type_hints(cls), **typing.get_type_hints(Method)}
         for name, value in record.items():
             if not _has_json_type(value, hints[name]):
                 raise ConfigError(f"config field {name!r} must be {known[name].type}, "
                                   f"got {value!r}")
+        # a method key may be left out; one that is stated must be the experiment's
+        stated = {f.name: record.pop(f.name) for f in fields(Method) if f.name in record}
         cfg = cls(**record)
+        for key, value in stated.items():
+            want = getattr(cfg.method, key)
+            if value != want:
+                raise ConfigError(f"experiment {cfg.experiment} requires {key}={want!r}, got "
+                                  f"{key}={value!r}")
         cfg.validate()
         return cfg
 
@@ -172,7 +182,7 @@ class TrainConfig:
 
 
 def _has_json_type(value, hint) -> bool:
-    """Whether a decoded JSON value fits a TrainConfig annotation.
+    """Whether a decoded JSON value fits a TrainConfig or Method annotation.
 
     An int is not a bool here, a float may be written as an int, and null
     fits only an optional field.
@@ -203,7 +213,6 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 class AdamMoments:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    step: int = 0
 
     @classmethod
     def zeros_like(cls, params: dict[str, T.Tensor]) -> "AdamMoments":
@@ -212,12 +221,11 @@ class AdamMoments:
 
 
 def adamw_step(params: dict[str, T.Tensor], grads: dict[str, np.ndarray],
-               moments: AdamMoments, lr: float, beta1: float = 0.9, beta2: float = 0.98,
-               eps: float = 1e-6, weight_decay: float = 0.01):
-    """One decoupled-weight-decay Adam update with bias correction, in place.
+               moments: AdamMoments, lr: float, step: int):
+    """Update `step` (1-based) of decoupled-weight-decay Adam with bias correction, in place.
 
     Every gradient is checked before anything is written, so a wrongly shaped
-    or non-finite one raises and leaves parameters, moments and step untouched.
+    or non-finite one raises and leaves parameters and moments untouched.
     """
     for name in sorted(params):
         g = grads.get(name)
@@ -228,20 +236,19 @@ def adamw_step(params: dict[str, T.Tensor], grads: dict[str, np.ndarray],
                              f"{params[name].values.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"gradient for {name} is not finite")
-    moments.step += 1
-    t = moments.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
     for name in sorted(params):
         p = params[name]
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.values)
-        moments.m[name] = beta1 * moments.m[name] + (1.0 - beta1) * g
-        moments.v[name] = beta2 * moments.v[name] + (1.0 - beta2) * (g * g)
+        moments.m[name] = ADAM_BETA1 * moments.m[name] + (1.0 - ADAM_BETA1) * g
+        moments.v[name] = ADAM_BETA2 * moments.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = moments.m[name] / bc1
         v_hat = moments.v[name] / bc2
-        p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * p.values
+        p.values = (p.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                    - lr * WEIGHT_DECAY * p.values)
 
 
 @dataclass
@@ -258,7 +265,8 @@ def build_teacher(cfg: TrainConfig) -> TeacherSurrogate:
 
 
 def build_student(cfg: TrainConfig, teacher: TeacherSurrogate) -> StudentModel:
-    return init_student_from_teacher(teacher, cfg.enhancement_loss != "none", STUDENT_SEED)
+    return init_student_from_teacher(teacher, cfg.method.enhancement_loss != "none",
+                                     STUDENT_SEED)
 
 
 def _load_corpus(cfg: TrainConfig) -> list[tuple[str, Waveform]]:
@@ -275,24 +283,12 @@ def _load_corpus(cfg: TrainConfig) -> list[tuple[str, Waveform]]:
 
 def _check_corpus(cfg: TrainConfig, corpus: list[tuple[str, Waveform]]):
     min_len = FRAME_STRIDE
-    if cfg.enhancement_loss == "l1_freq":
-        min_len = max(min_len, STFT.window_length)
+    if cfg.method.enhancement_loss == "l1_freq":
+        min_len = max(min_len, STFT_WINDOW_LENGTH)
     for utt_id, w in corpus:
         if len(w) < min_len:
             raise DataError(f"utterance {utt_id}: {len(w)} samples is shorter than the "
                             f"required minimum {min_len}")
-
-
-def _check_sample_rates(corpus, noise_bank, rir_bank):
-    """Every utterance, noise and RIR must share one rate, checked before iteration 0."""
-    rate = corpus[0][1].sample_rate_hz
-    entries = ([(f"utterance {utt_id}", w) for utt_id, w in corpus]
-               + [(f"noise bank entry {i}", w) for i, w in enumerate(noise_bank)]
-               + [(f"RIR bank entry {i}", r) for i, r in enumerate(rir_bank)])
-    for name, item in entries:
-        if item.sample_rate_hz != rate:
-            raise DataError(f"{name}: sample-rate mismatch: {rate} Hz vs "
-                            f"{item.sample_rate_hz} Hz")
 
 
 def _crop(w: Waveform, crop_samples: int, seed: int) -> Waveform:
@@ -382,6 +378,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
     interruption; resume from the matching checkpoint to finish the run.
     """
     cfg.validate()
+    method = cfg.method
     corpus = list(corpus) if corpus is not None else _load_corpus(cfg)
     if not corpus:
         raise DataError("training corpus is empty")
@@ -396,7 +393,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
         rir_bank = load_rir_bank(cfg.rir_manifest)
     if not noise_bank or not rir_bank:
         raise DataError("noise and RIR banks must be nonempty")
-    _check_sample_rates(corpus, noise_bank, rir_bank)
+    check_sample_rates(corpus, noise_bank, rir_bank)
 
     teacher = build_teacher(cfg)
     checksum_before = teacher.checksum()
@@ -440,7 +437,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                                     stable_hash(cfg.master_seed, "crop", iteration, j)))
                 keys.append(utt_index if len(cleans[-1]) == len(w) else None)  # cached if whole
 
-            sched_iter = iteration if cfg.curriculum else cfg.total_iterations
+            sched_iter = iteration if method.curriculum else cfg.total_iterations
             sched = CurriculumState(sched_iter, cfg.total_iterations)
             tau = snr_lower_bound(sched)
             threshold = reverb_threshold(sched)
@@ -463,11 +460,11 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                                               [keys[j] for j in members])
                 out = student_forward(student, np.stack([pairs[j][0].samples for j in members]))
                 predictions.append(out.predictions)
-                if cfg.enhancement_loss != "none":
+                if method.enhancement_loss != "none":
                     clean = np.stack([cleans[j].samples for j in members])
                     # the group's mean over its utterances, weighted by its share of the batch
-                    enh = (l1_wav(out.enhanced, clean) if cfg.enhancement_loss == "l1_wav"
-                           else l1_freq(out.enhanced, clean, STFT))
+                    enh = (l1_wav(out.enhanced, clean) if method.enhancement_loss == "l1_wav"
+                           else l1_freq(out.enhanced, clean))
                     enh = T.scale(enh, len(members) / len(cleans))
                     enh_mean = enh if enh_mean is None else T.add(enh_mean, enh)
 
@@ -477,12 +474,12 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                 {l: T.concat([preds[l] for preds in predictions]) for l in DISTILL_LAYERS})
             breakdown = combined_loss(T.scale(kd.l1, 1.0 / len(cleans)),
                                       T.scale(kd.cos, 1.0 / len(cleans)), enh_mean,
-                                      cfg.lambda_weight)
+                                      method.lambda_weight)
 
             T.backward(breakdown.tensor)
             lr = lr_at(iteration + 1, cfg)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-            adamw_step(params, grads, moments, lr)
+            adamw_step(params, grads, moments, lr, iteration + 1)
 
             record = _metrics_record(iteration, lr, breakdown, pairs, tau, threshold)
             log.write(json.dumps(record, sort_keys=True) + "\n")
@@ -543,7 +540,7 @@ def _read_container(path: str, moments: bool) -> tuple[dict, TrainConfig, dict]:
         header = json.loads(buf[9:pos].decode("utf-8"))
         stored_moments, record = header["has_moments"], header["config"]
         iteration = header.get("iteration")
-        # a bool is not a count; the Adam step is restored from the iteration
+        # a bool is not a count
         if stored_moments and not (type(iteration) is int and iteration >= 0):
             raise DataError(f"header 'iteration' must be a non-negative integer, "
                             f"got {iteration!r}")
@@ -597,8 +594,7 @@ def load_checkpoint(path: str) -> TrainState:
     header, cfg, blocks = _read_container(path, moments=True)
     params = {name: T.parameter(tensors[0]) for name, tensors in blocks.items()}
     moments = AdamMoments(m={name: tensors[1] for name, tensors in blocks.items()},
-                          v={name: tensors[2] for name, tensors in blocks.items()},
-                          step=header["iteration"])
+                          v={name: tensors[2] for name, tensors in blocks.items()})
     return TrainState(config=cfg, iteration=header["iteration"],
                       student=StudentModel(params), moments=moments,
                       teacher_checksum=header["teacher_checksum"])

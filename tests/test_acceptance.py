@@ -74,7 +74,9 @@ DESK_OVERRIDES = dict(
 
 
 def desk_config(out_dir):
-    return TrainConfig.preset("C1", out_dir=out_dir, **DESK_OVERRIDES)
+    cfg = TrainConfig(experiment="C1", out_dir=out_dir, **DESK_OVERRIDES)
+    cfg.validate()
+    return cfg
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +342,7 @@ def test_criterion_7_desk_run(desk_run):
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: experiment presets pin their configuration axes
+# criterion 8: each experiment fixes its method
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_experiment_presets(tmp_path):
@@ -352,8 +354,8 @@ def test_criterion_8_experiment_presets(tmp_path):
     }
     table_ok = True
     for experiment, want in expected.items():
-        cfg = TrainConfig.preset(experiment, out_dir=str(tmp_path))
-        table_ok &= (cfg.curriculum, cfg.enhancement_loss, cfg.lambda_weight) == want
+        method = TrainConfig.from_dict({"experiment": experiment, "out_dir": str(tmp_path)}).method
+        table_ok &= (method.curriculum, method.enhancement_loss, method.lambda_weight) == want
 
     rejected = 0
     invalid = [
@@ -370,12 +372,12 @@ def test_criterion_8_experiment_presets(tmp_path):
     ]
     for experiment, overrides in invalid:
         try:
-            TrainConfig.preset(experiment, out_dir=str(tmp_path), **overrides)
+            TrainConfig.from_dict(dict(overrides, experiment=experiment, out_dir=str(tmp_path)))
         except ConfigError:
             rejected += 1
 
     ok = table_ok and rejected == len(invalid)
-    report(8, ok, f"presets pin curriculum/enhancement/weight exactly; "
+    report(8, ok, f"experiments fix curriculum/enhancement/weight exactly; "
                   f"{rejected}/{len(invalid)} invalid combinations rejected")
 
 

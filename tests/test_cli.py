@@ -17,6 +17,7 @@ from distilrobust.audio import RoomImpulseResponse, Waveform, read_wav, write_wa
 from distilrobust.augment import AugmentAction, CurriculumState, sample_plan, utterance_seed
 from distilrobust.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main,
                               render_metrics_svg)
+import distilrobust.trainer as trainer_module
 from distilrobust.trainer import TrainConfig, _write_container, load_checkpoint, load_metrics
 
 from conftest import REMOVED_CONFIG_FIELDS, write_manifest
@@ -144,7 +145,7 @@ class TestAugmentCommand:
                        "--seed", seed, "--out-dir", out)
         assert code == EXIT_VALIDATION
         assert f"sample rate {rate} Hz overflows a WAV byte rate" in one_error_line(capsys)
-        assert not [p.name for p in out.iterdir() if p.name.startswith("fast")]
+        assert not out.exists()
 
     def test_unwritable_rate_refused_before_any_write(self, disk_assets, tmp_path, capsys):
         # a 16 kHz utterance, then one declaring 3,000,000,000 Hz whose plan is clean:
@@ -171,7 +172,7 @@ class TestAugmentCommand:
                        "--seed", seed, "--out-dir", out)
         assert code == EXIT_VALIDATION
         assert f"error: fast: sample rate {rate} Hz overflows" in one_error_line(capsys)
-        assert not list(out.glob("*.wav"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("5", ":1: record must be a JSON object"),
@@ -232,6 +233,24 @@ class TestAugmentCommand:
         assert len(errors) == 1
         assert "4000 Hz" in errors[0] and "2000 Hz" in errors[0]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sample_rate_mismatch_refused_before_contamination(self, disk_assets, tmp_path,
+                                                               capsys, seed):
+        # whether a plan draws the 8 kHz noise depends on the seed; the refusal must not
+        rows = disk_assets["noise_rows"]
+        slow = tmp_path / "slow.wav"
+        write_wav(Waveform(read_wav(tmp_path / rows[1]["path"]).samples, 8000), slow)
+        noise = write_manifest(tmp_path / "mixed.jsonl", [rows[0], dict(rows[1], path=slow.name)])
+        speech = write_manifest(tmp_path / "three.jsonl", disk_assets["speech_rows"][:3])
+        rir = write_manifest(tmp_path / "one_rir.jsonl", disk_assets["rir_rows"][:1])
+        out = tmp_path / "x"
+        code = run_cli("augment", "--manifest", speech, "--noise-bank", noise, "--rir-bank", rir,
+                       "--iterations", 100, "--iter", 100, "--seed", seed, "--out-dir", out)
+        assert code == EXIT_VALIDATION
+        assert one_error_line(capsys) == ("error: noise bank entry 1: sample-rate mismatch: "
+                                          "16000 Hz vs 8000 Hz")
+        assert not out.exists()
+
 @pytest.fixture()
 def train_setup(tmp_path, reference_data):
     """Write a miniature on-disk corpus and a matching training config."""
@@ -255,8 +274,8 @@ def train_setup(tmp_path, reference_data):
     manifests = {kind: write_manifest(tmp_path / f"{kind}.jsonl", entries)
                  for kind, entries in rows.items()}
     out_dir = tmp_path / "run"
-    cfg = TrainConfig.preset(
-        "A", total_iterations=4, batch_size=2, dim=8, crop_samples=1600, checkpoint_every=2,
+    cfg = TrainConfig(
+        experiment="A", total_iterations=4, batch_size=2, dim=8, crop_samples=1600, checkpoint_every=2,
         lr_peak=1e-3, warmup_iterations=1, out_dir=str(out_dir), master_seed=5,
         data_manifest=manifests["speech"], noise_manifest=manifests["noise"],
         rir_manifest=manifests["rir"])
@@ -317,6 +336,21 @@ class TestTrainCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "unreadable checkpoint container" in lines[0]
         assert "Traceback" not in err
+
+    def test_config_may_leave_out_method_keys(self, train_setup, tmp_path):
+        # C1 with its method keys stated, then without them: the same bytes
+        stated = dict(json.loads(train_setup["cfg_path"].read_text()), experiment="C1",
+                      curriculum=True, enhancement_loss="l1_wav", lambda_weight=10.0)
+        left_out = {k: v for k, v in stated.items()
+                    if k not in ("curriculum", "enhancement_loss", "lambda_weight")}
+        outputs = []
+        for record in (stated, left_out):
+            path = tmp_path / "c1.json"
+            path.write_text(json.dumps(record))
+            assert run_cli("train", "--config", path) == EXIT_OK
+            outputs.append([(train_setup["out_dir"] / name).read_bytes()
+                            for name in ("metrics.jsonl", "ckpt_000002.drtc", "ckpt_final.drtc")])
+        assert outputs[0] == outputs[1]
 
     def test_invalid_config_exits_1(self, train_setup, tmp_path, capsys):
         record = json.loads(train_setup["cfg_path"].read_text())
@@ -544,6 +578,18 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_python_example_builds_its_config(monkeypatch):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    trained = []
+    monkeypatch.setattr(trainer_module, "train", lambda cfg, **_: trained.append(cfg))
+    exec(block, {})
+    (cfg,) = trained
+    cfg.validate()
+    assert cfg.method.enhancement_loss == "l1_wav"
 
 
 def test_subcommands_match_readme(capsys):

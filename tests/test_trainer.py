@@ -1,10 +1,11 @@
-"""Schedules, optimizer, config presets, training loop determinism, checkpoints."""
+"""Schedules, optimizer, experiment methods, training loop determinism, checkpoints."""
 
 import json
 import os
+import re
 import shutil
 import struct
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from distilrobust.errors import ConfigError, DataError, NumericError, ShapeError
 from distilrobust.gradchecks import CHECKS
 from distilrobust.losses import combined_loss, kd_loss_parts, l1_freq, l1_wav
 from distilrobust.trainer import (
-    STFT,
+    METHODS,
     PAPER_SCALE_RECIPE,
     AdamMoments,
     TrainConfig,
@@ -50,7 +51,13 @@ def tiny_config(tmp_dir, experiment="A", **overrides):
     base = dict(total_iterations=6, batch_size=2, dim=8, crop_samples=1600, checkpoint_every=3,
                 lr_peak=1e-3, warmup_iterations=2, out_dir=str(tmp_dir), master_seed=5)
     base.update(overrides)
-    return TrainConfig.preset(experiment, **base)
+    return validated(experiment, **base)
+
+
+def validated(experiment, **fields_):
+    cfg = TrainConfig(experiment=experiment, **fields_)
+    cfg.validate()
+    return cfg
 
 
 @pytest.fixture()
@@ -115,7 +122,7 @@ class TestAdamW:
         p = T.parameter(np.array([2.0, -4.0]))
         params = {"w": p}
         moments = AdamMoments.zeros_like(params)
-        adamw_step(params, {}, moments, lr=0.1)
+        adamw_step(params, {}, moments, lr=0.1, step=1)
         np.testing.assert_allclose(p.values, np.array([2.0, -4.0]) * (1 - 0.1 * 0.01),
                                    atol=1e-16)
 
@@ -127,8 +134,8 @@ class TestAdamW:
         p = T.parameter(theta0.copy())
         params = {"w": p}
         moments = AdamMoments.zeros_like(params)
-        for g, lr in zip(grads_seq, lr_seq):
-            adamw_step(params, {"w": g}, moments, lr)
+        for step, (g, lr) in enumerate(zip(grads_seq, lr_seq), start=1):
+            adamw_step(params, {"w": g}, moments, lr, step)
         want = adamw_oracle(theta0, grads_seq, lr_seq)
         assert np.max(np.abs(p.values - want)) <= 1e-12
 
@@ -137,77 +144,78 @@ class TestAdamW:
         p = T.parameter(np.array([1.0, -1.0, 0.5]))
         params = {"w": p}
         moments = AdamMoments.zeros_like(params)
-        for _ in range(200):
-            adamw_step(params, {"w": 2.0 * p.values}, moments, lr=1e-2)
+        for step in range(1, 201):
+            adamw_step(params, {"w": 2.0 * p.values}, moments, lr=1e-2, step=step)
         assert float(np.linalg.norm(p.values)) < 1e-2
 
-    def test_step_counter_advances(self):
-        params = {"w": T.parameter(np.ones(2))}
-        moments = AdamMoments.zeros_like(params)
-        adamw_step(params, {"w": np.ones(2)}, moments, lr=1e-3)
-        adamw_step(params, {"w": np.ones(2)}, moments, lr=1e-3)
-        assert moments.step == 2
+    def test_step_sets_the_bias_correction(self):
+        # the moments hold no count: the caller's step alone sets the bias correction
+        g = np.array([0.5, -2.0])
+        for step in (1, 2, 7):
+            p = T.parameter(np.ones(2))
+            adamw_step({"w": p}, {"w": g}, AdamMoments.zeros_like({"w": p}), 1e-3, step)
+            m_hat = 0.1 * g / (1 - 0.9**step)
+            v_hat = 0.02 * g * g / (1 - 0.98**step)
+            want = 1.0 - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-6) - 1e-3 * 0.01
+            np.testing.assert_allclose(p.values, want, rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         params = {"w": T.parameter(np.ones(2))}
         moments = AdamMoments.zeros_like(params)
         with pytest.raises(ShapeError):
-            adamw_step(params, {"w": np.ones(3)}, moments, lr=1e-3)
+            adamw_step(params, {"w": np.ones(3)}, moments, lr=1e-3, step=1)
 
     def test_nonfinite_gradient_rejected_before_any_write(self):
         rng = np.random.default_rng(3)
         params = {name: T.parameter(rng.standard_normal(4)) for name in ("a", "b", "c")}
         moments = AdamMoments.zeros_like(params)
         grads = {name: rng.standard_normal(4) for name in params}
-        adamw_step(params, grads, moments, lr=1e-3)  # nonzero moments to protect
+        adamw_step(params, grads, moments, lr=1e-3, step=1)  # nonzero moments to protect
         before = ({n: p.values.tobytes() for n, p in params.items()},
                   {n: m.tobytes() for n, m in moments.m.items()},
-                  {n: v.tobytes() for n, v in moments.v.items()}, moments.step)
+                  {n: v.tobytes() for n, v in moments.v.items()})
         grads["b"] = grads["b"].copy()
         grads["b"][2] = np.nan
         with pytest.raises(NumericError, match="gradient for b is not finite"):
-            adamw_step(params, grads, moments, lr=1e-3)
+            adamw_step(params, grads, moments, lr=1e-3, step=2)
         after = ({n: p.values.tobytes() for n, p in params.items()},
                  {n: m.tobytes() for n, m in moments.m.items()},
-                 {n: v.tobytes() for n, v in moments.v.items()}, moments.step)
+                 {n: v.tobytes() for n, v in moments.v.items()})
         assert after == before
 
 
 class TestPresets:
     def test_table(self):
-        a = TrainConfig.preset("A")
-        assert (a.curriculum, a.enhancement_loss, a.lambda_weight) == (False, "none", 0.0)
-        b = TrainConfig.preset("B")
-        assert (b.curriculum, b.enhancement_loss, b.lambda_weight) == (True, "none", 0.0)
-        c1 = TrainConfig.preset("C1")
-        assert (c1.curriculum, c1.enhancement_loss, c1.lambda_weight) == (True, "l1_wav", 10.0)
-        c2 = TrainConfig.preset("C2")
-        assert (c2.curriculum, c2.enhancement_loss, c2.lambda_weight) == (True, "l1_freq", 1.0)
+        assert {e: (m.curriculum, m.enhancement_loss, m.lambda_weight)
+                for e, m in METHODS.items()} == {"A": (False, "none", 0.0),
+                                                  "B": (True, "none", 0.0),
+                                                  "C1": (True, "l1_wav", 10.0),
+                                                  "C2": (True, "l1_freq", 1.0)}
+        for experiment, method in METHODS.items():
+            assert TrainConfig(experiment=experiment).method is method
 
     def test_unknown_experiment(self):
-        with pytest.raises(ConfigError):
-            TrainConfig.preset("D")
+        with pytest.raises(ConfigError, match="experiment must be one of"):
+            validated("D")
+        with pytest.raises(ConfigError, match="experiment must be one of"):
+            TrainConfig.from_dict({"experiment": "D", "curriculum": True})
 
     def test_wrong_curriculum_rejected(self):
         with pytest.raises(ConfigError, match="curriculum"):
-            TrainConfig.preset("A", curriculum=True)
+            TrainConfig.from_dict({"experiment": "A", "curriculum": True})
 
     def test_wrong_lambda_rejected(self):
-        with pytest.raises(ConfigError, match="lambda"):
-            TrainConfig.preset("C1", lambda_weight=5.0)
-        with pytest.raises(ConfigError, match="lambda"):
-            TrainConfig.preset("C2", lambda_weight=10.0)
-        with pytest.raises(ConfigError, match="lambda"):
-            TrainConfig.preset("A", lambda_weight=1.0)
+        for experiment, weight in (("C1", 5.0), ("C2", 10.0), ("A", 1.0)):
+            with pytest.raises(ConfigError, match="lambda"):
+                TrainConfig.from_dict({"experiment": experiment, "lambda_weight": weight})
 
     def test_wrong_enhancement_loss_rejected(self):
-        with pytest.raises(ConfigError, match="enhancement_loss"):
-            TrainConfig.preset("C1", enhancement_loss="l1_freq")
-        with pytest.raises(ConfigError, match="enhancement_loss"):
-            TrainConfig.preset("B", enhancement_loss="l1_wav")
+        for experiment, loss in (("C1", "l1_freq"), ("B", "l1_wav")):
+            with pytest.raises(ConfigError, match="enhancement_loss"):
+                TrainConfig.from_dict({"experiment": experiment, "enhancement_loss": loss})
 
     def test_reference_recipe_embedded(self):
-        record = TrainConfig.preset("C1").to_dict()
+        record = validated("C1").to_dict()
         assert record["reference_recipe"] == PAPER_SCALE_RECIPE
         assert record["reference_recipe"]["total_iterations"] == 200_000
         assert record["reference_recipe"]["batch_size"] == 24
@@ -215,22 +223,52 @@ class TestPresets:
         assert record["reference_recipe"]["lr_peak"] == 2e-4
 
 
+@pytest.mark.parametrize("experiment", list(METHODS))
+class TestMethodKeys:
+    """A config may leave the method keys out; a stated one must be the experiment's."""
+
+    def test_left_out_keys_load(self, experiment):
+        cfg = TrainConfig.from_dict({"experiment": experiment})
+        assert cfg.method is METHODS[experiment]
+        assert {key: cfg.to_dict()[key] for key in asdict(cfg.method)} == asdict(cfg.method)
+
+    def test_stated_keys_load(self, experiment):
+        record = dict(asdict(METHODS[experiment]), experiment=experiment)
+        assert TrainConfig.from_dict(record) == TrainConfig.from_dict({"experiment": experiment})
+
+    def test_contradicting_key_refused(self, experiment):
+        method = METHODS[experiment]
+        for key, value in (("curriculum", not method.curriculum),
+                           ("enhancement_loss", "l1_freq" if experiment != "C2" else "none"),
+                           ("lambda_weight", method.lambda_weight + 1.0)):
+            want = getattr(method, key)
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"experiment {experiment} requires {key}={want!r}, got {key}={value!r}")):
+                TrainConfig.from_dict({"experiment": experiment, key: value})
+
+    @pytest.mark.parametrize("key, value", [("curriculum", 0), ("lambda_weight", "10"),
+                                            ("enhancement_loss", None)])
+    def test_wrong_type_refused(self, experiment, key, value):
+        with pytest.raises(ConfigError, match=f"config field '{key}' must be"):
+            TrainConfig.from_dict({"experiment": experiment, key: value})
+
+
 class TestConfigSerialization:
     def test_json_round_trip(self):
-        cfg = TrainConfig.preset("C2", total_iterations=50, warmup_iterations=5,
+        cfg = validated("C2", total_iterations=50, warmup_iterations=5,
                                  out_dir="x/y")
         back = TrainConfig.from_json(cfg.to_json())
         assert back == cfg
 
     def test_unknown_field_rejected(self):
-        record = TrainConfig.preset("A").to_dict()
+        record = validated("A").to_dict()
         record["momentum"] = 0.9
         with pytest.raises(ConfigError, match="momentum"):
             TrainConfig.from_dict(record)
 
     @pytest.mark.parametrize("key, value", REMOVED_CONFIG_FIELDS)
     def test_removed_field_rejected(self, key, value):
-        record = dict(TrainConfig.preset("C1").to_dict(), **{key: value})
+        record = dict(validated("C1").to_dict(), **{key: value})
         with pytest.raises(ConfigError, match=rf"unknown config fields: \['{key}'\]"):
             TrainConfig.from_dict(record)
 
@@ -240,7 +278,7 @@ class TestConfigSerialization:
         ("out_dir", 3), ("warmup_iterations", "none"),
     ])
     def test_wrong_json_type_rejected(self, key, value):
-        record = dict(TrainConfig.preset("A").to_dict(), **{key: value})
+        record = dict(validated("A").to_dict(), **{key: value})
         with pytest.raises(ConfigError, match=f"config field '{key}' must be"):
             TrainConfig.from_dict(record)
 
@@ -249,7 +287,7 @@ class TestConfigSerialization:
         ("data_manifest", None),
     ])
     def test_json_types_accepted(self, key, value):
-        TrainConfig.from_dict(dict(TrainConfig.preset("A").to_dict(), **{key: value}))
+        TrainConfig.from_dict(dict(validated("A").to_dict(), **{key: value}))
 
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError):
@@ -257,15 +295,15 @@ class TestConfigSerialization:
 
     def test_warmup_must_fit(self):
         with pytest.raises(ConfigError, match="warmup"):
-            TrainConfig.preset("A", total_iterations=10, warmup_iterations=10)
+            validated("A", total_iterations=10, warmup_iterations=10)
 
     def test_student_geometry_checked(self):
         with pytest.raises(ConfigError, match="dim must be positive, got 0"):
-            TrainConfig.preset("A", dim=0)
+            validated("A", dim=0)
 
     def test_student_config_follows_enhancement_loss(self):
         for experiment, enhancement in (("A", False), ("B", False), ("C1", True), ("C2", True)):
-            cfg = TrainConfig.preset(experiment, dim=8)
+            cfg = validated(experiment, dim=8)
             assert build_student(cfg, build_teacher(cfg)).has_enhancement() == enhancement
 
     def test_config_is_a_json_object(self):
@@ -285,16 +323,16 @@ class TestGeometry:
 
     def test_constants(self):
         assert (TEACHER_LAYERS, STUDENT_LAYERS, DISTILL_LAYERS) == (12, 2, (4, 8, 12))
-        assert len(fields(TrainConfig)) == 16
+        assert len(fields(TrainConfig)) == 13
 
     def test_teacher_parameter_names(self):
-        teacher = build_teacher(TrainConfig.preset("A", dim=8))
+        teacher = build_teacher(validated("A", dim=8))
         assert set(teacher.params) == {"frontend.kernel"} | self.blocks(12)
         assert len(teacher.params) == 49
 
     @pytest.mark.parametrize("experiment, count", [("A", 15), ("C1", 25)])
     def test_student_parameter_names(self, experiment, count):
-        cfg = TrainConfig.preset(experiment, dim=8)
+        cfg = validated(experiment, dim=8)
         names = {"encoder." + name for name in {"frontend.kernel"} | self.blocks(2)}
         names |= {f"head.{l}.{p}" for l in (4, 8, 12) for p in ("w", "b")}
         if experiment == "C1":
@@ -321,7 +359,7 @@ class TestTrainLoop:
                                                "a4_noise_reverb"}
             assert sum(r["action_counts"].values()) == cfg.batch_size
             assert r["combined"] == pytest.approx(
-                r["kd_l1"] + r["kd_cos"] + cfg.lambda_weight * r["enh"], rel=1e-12)
+                r["kd_l1"] + r["kd_cos"] + cfg.method.lambda_weight * r["enh"], rel=1e-12)
 
     @pytest.mark.parametrize("batch_size", [2, 4])
     def test_one_distillation_loss_per_iteration(self, tmp_path, banks, monkeypatch,
@@ -690,10 +728,10 @@ def per_utterance_reference(cfg, cleans, noisy):
         maps.append(teacher_forward(teacher, clean[None]))
         out = student_forward(student, augmented[None])
         preds.append(out.predictions)
-        if cfg.enhancement_loss == "l1_wav":
+        if cfg.method.enhancement_loss == "l1_wav":
             enh.append(l1_wav(out.enhanced, clean[None]))
-        elif cfg.enhancement_loss == "l1_freq":
-            enh.append(l1_freq(out.enhanced, clean[None], STFT))
+        elif cfg.method.enhancement_loss == "l1_freq":
+            enh.append(l1_freq(out.enhanced, clean[None]))
     summed = kd_loss_parts({l: np.concatenate([m[l] for m in maps]) for l in DISTILL_LAYERS},
                            {l: T.concat([p[l] for p in preds]) for l in DISTILL_LAYERS})
     l1, cos = T.scale(summed.l1, 1.0 / len(cleans)), T.scale(summed.cos, 1.0 / len(cleans))
@@ -703,7 +741,7 @@ def per_utterance_reference(cfg, cleans, noisy):
         for term in enh[1:]:
             enh_mean = T.add(enh_mean, term)
         enh_mean = T.scale(enh_mean, 1.0 / len(enh))
-    breakdown = combined_loss(l1, cos, enh_mean, cfg.lambda_weight)
+    breakdown = combined_loss(l1, cos, enh_mean, cfg.method.lambda_weight)
     T.backward(breakdown.tensor)
     return breakdown, {name: p.grad for name, p in student.params.items()}
 
@@ -727,7 +765,6 @@ class TestCheckpoints:
         state = train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
         loaded = load_checkpoint(os.path.join(cfg.out_dir, "ckpt_final.drtc"))
         assert loaded.iteration == 6
-        assert loaded.moments.step == state.moments.step
         assert loaded.config == cfg
         for name, p in state.student.params.items():
             np.testing.assert_array_equal(loaded.student.params[name].values, p.values)
@@ -791,7 +828,7 @@ class TestCheckpoints:
             path.write_bytes(blob[:5] + struct.pack("<I", len(header_bytes)) + header_bytes
                              + blob[9 + header_len :])
         loaded = load_checkpoint(str(ckpt))
-        assert loaded.iteration == loaded.moments.step == 3
+        assert loaded.iteration == 3
         assert sorted(load_exported(str(export)).params) == \
             sorted(n for n in state.student.params if n.startswith("encoder."))
 
