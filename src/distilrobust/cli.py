@@ -8,6 +8,7 @@ failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -55,9 +56,11 @@ def cmd_augment(args) -> int:
                           master_seed=args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
+    plans_path = os.path.join(args.out_dir, "plans.jsonl")
+    with contextlib.suppress(FileNotFoundError):  # no plans outlive the WAVs they describe
+        os.remove(plans_path)
     for (entry, _), (augmented, _) in zip(waves, pairs):
         write_wav(augmented, os.path.join(args.out_dir, f"{entry.id}.wav"))
-    plans_path = os.path.join(args.out_dir, "plans.jsonl")
     with atomic_write(plans_path) as fh:
         for (entry, _), (_, plan) in zip(waves, pairs):
             line = json.dumps({"id": entry.id, **plan.to_dict()}, sort_keys=True)
@@ -195,7 +198,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

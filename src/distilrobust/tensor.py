@@ -19,8 +19,9 @@ geometry: `conv1d`'s kernel width is its stride, so its frames are a reshape
 of the input and the op is one stacked matmul per utterance; a
 `conv1d_transposed` kernel is two stride-wide halves, whose products are two
 contiguous slices of the output added together. `stft_mag` frames with a
-strided window view and its vjp overlap-adds the frames' adjoint. `gradchecks`
-keeps the per-step composed recurrence as the reference of `bidir_recurrent`.
+strided window view and its vjp overlap-adds the frames' adjoint.
+`tests/test_tensor.py` keeps the per-step composed recurrence as the reference
+of `bidir_recurrent`.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ from .errors import (
     ShapeError,
 )
 from .fileio import atomic_write
-from .losses import STFT_WINDOW_LENGTH, combined_loss, kd_loss_parts, l1_freq, l1_wav
+from .losses import (STFT_WINDOW_LENGTH, LossBreakdown, combined_loss, kd_loss_parts, l1_freq,
+                     l1_wav)
 from .model import (
     DEFAULT_DIM,
     DISTILL_LAYERS,
@@ -77,6 +78,13 @@ class Method:
     curriculum: bool
     enhancement_loss: str  # "none", "l1_wav" or "l1_freq"
     lambda_weight: float
+
+    @property
+    def min_samples(self) -> int:
+        """The shortest signal the method trains on: one frame, and l1_freq's STFT window."""
+        if self.enhancement_loss == "l1_freq":
+            return max(FRAME_STRIDE, STFT_WINDOW_LENGTH)
+        return FRAME_STRIDE
 
 
 METHODS = {
@@ -128,12 +136,9 @@ class TrainConfig:
                               f"[0, total_iterations)")
         if self.dim < 1:
             raise ConfigError(f"dim must be positive, got {self.dim}")
-        if self.crop_samples < FRAME_STRIDE:
-            raise ConfigError(f"crop_samples {self.crop_samples} shorter than one frame "
-                              f"of {FRAME_STRIDE}")
-        if method.enhancement_loss == "l1_freq" and self.crop_samples < STFT_WINDOW_LENGTH:
-            raise ConfigError(f"crop_samples {self.crop_samples} shorter than the STFT window "
-                              f"{STFT_WINDOW_LENGTH}")
+        if self.crop_samples < method.min_samples:
+            raise ConfigError(f"crop_samples {self.crop_samples} is shorter than experiment "
+                              f"{self.experiment}'s minimum {method.min_samples}")
         if self.checkpoint_every < 1:
             raise ConfigError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
 
@@ -282,9 +287,7 @@ def _load_corpus(cfg: TrainConfig) -> list[tuple[str, Waveform]]:
 
 
 def _check_corpus(cfg: TrainConfig, corpus: list[tuple[str, Waveform]]):
-    min_len = FRAME_STRIDE
-    if cfg.method.enhancement_loss == "l1_freq":
-        min_len = max(min_len, STFT_WINDOW_LENGTH)
+    min_len = cfg.method.min_samples
     for utt_id, w in corpus:
         if len(w) < min_len:
             raise DataError(f"utterance {utt_id}: {len(w)} samples is shorter than the "
@@ -328,6 +331,41 @@ def _teacher_rows(teacher: TeacherSurrogate, cache: dict, samples: list[np.ndarr
             if keys[j] is not None:  # copied, so the cache keeps no other utterance's rows
                 cache[keys[j]] = rows[j] = {l: m.copy() for l, m in rows[j].items()}
     return [cache[key] if r is None else r for r, key in zip(rows, keys)]
+
+
+def batch_loss(teacher: TeacherSurrogate, cache: dict, student: StudentModel, method: Method,
+               cleans: list[np.ndarray], contaminated: list[np.ndarray],
+               keys: list[int | None]) -> LossBreakdown:
+    """One batch's loss: the clean teacher's DISTILL_LAYERS rows of `cleans` distilled into
+    the student fed `contaminated`, plus the method's weighted enhancement loss.
+
+    The batch runs in length groups: lengths in order of first appearance, utterances in
+    batch order within a group, nothing padded. A group takes its teacher rows from
+    `_teacher_rows` (which alone writes `cache`, under `keys`), one student forward and,
+    with an enhancement loss, that loss's group mean weighted by the group's share of the
+    batch. One `kd_loss_parts` call sums the frames of every group, and both of its totals
+    are divided by the batch size.
+    """
+    groups: dict[int, list[int]] = {}
+    for j, clean in enumerate(cleans):
+        groups.setdefault(len(clean), []).append(j)
+    teacher_rows, predictions, enh_mean = [], [], None
+    for members in groups.values():
+        teacher_rows += _teacher_rows(teacher, cache, [cleans[j] for j in members],
+                                      [keys[j] for j in members])
+        out = student_forward(student, np.stack([contaminated[j] for j in members]))
+        predictions.append(out.predictions)
+        if method.enhancement_loss != "none":
+            clean = np.stack([cleans[j] for j in members])
+            enh = (l1_wav(out.enhanced, clean) if method.enhancement_loss == "l1_wav"
+                   else l1_freq(out.enhanced, clean))
+            enh = T.scale(enh, len(members) / len(cleans))
+            enh_mean = enh if enh_mean is None else T.add(enh_mean, enh)
+    kd = kd_loss_parts(
+        {l: np.concatenate([rows[l] for rows in teacher_rows]) for l in DISTILL_LAYERS},
+        {l: T.concat([preds[l] for preds in predictions]) for l in DISTILL_LAYERS})
+    return combined_loss(T.scale(kd.l1, 1.0 / len(cleans)), T.scale(kd.cos, 1.0 / len(cleans)),
+                         enh_mean, method.lambda_weight)
 
 
 def _metrics_record(iteration: int, lr: float, breakdown, pairs, tau: float,
@@ -448,34 +486,9 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
                 raise DataError(f"iteration {iteration}, utterances {batch_ids}: {exc}") from exc
 
             T.zero_grads(params.values())
-            # one forward per length group: lengths in order of first appearance,
-            # utterances in batch order within each, nothing padded
-            groups: dict[int, list[int]] = {}
-            for j, clean in enumerate(cleans):
-                groups.setdefault(len(clean), []).append(j)
-            teacher_rows, predictions, enh_mean = [], [], None
-            for members in groups.values():
-                teacher_rows += _teacher_rows(teacher, teacher_cache,
-                                              [cleans[j].samples for j in members],
-                                              [keys[j] for j in members])
-                out = student_forward(student, np.stack([pairs[j][0].samples for j in members]))
-                predictions.append(out.predictions)
-                if method.enhancement_loss != "none":
-                    clean = np.stack([cleans[j].samples for j in members])
-                    # the group's mean over its utterances, weighted by its share of the batch
-                    enh = (l1_wav(out.enhanced, clean) if method.enhancement_loss == "l1_wav"
-                           else l1_freq(out.enhanced, clean))
-                    enh = T.scale(enh, len(members) / len(cleans))
-                    enh_mean = enh if enh_mean is None else T.add(enh_mean, enh)
-
-            # the distillation loss sums over frames: one call sums the utterances
-            kd = kd_loss_parts(
-                {l: np.concatenate([rows[l] for rows in teacher_rows]) for l in DISTILL_LAYERS},
-                {l: T.concat([preds[l] for preds in predictions]) for l in DISTILL_LAYERS})
-            breakdown = combined_loss(T.scale(kd.l1, 1.0 / len(cleans)),
-                                      T.scale(kd.cos, 1.0 / len(cleans)), enh_mean,
-                                      method.lambda_weight)
-
+            breakdown = batch_loss(teacher, teacher_cache, student, method,
+                                   [w.samples for w in cleans],
+                                   [w.samples for w, _ in pairs], keys)
             T.backward(breakdown.tensor)
             lr = lr_at(iteration + 1, cfg)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}

@@ -520,6 +520,16 @@ class TestGradcheckCommand:
         assert captured.err == (f"error: cannot perturb {perturb!r}: "
                                 f"it is not a selected gradcheck\n")
 
+    def test_runs_as_python_module(self):
+        # from a source checkout, no install: the process exits with the command's code
+        src = os.path.dirname(os.path.dirname(distilrobust.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for op, code in (("add", EXIT_OK), ("warp_drive", EXIT_VALIDATION)):
+            done = subprocess.run([sys.executable, "-m", "distilrobust", "gradcheck", "--op", op],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == code, done.stderr
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
 
 class TestPlotCommand:
     def test_renders_svg(self, train_setup, tmp_path, capsys):

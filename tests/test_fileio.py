@@ -80,8 +80,12 @@ def test_new_path_is_absent_after_failed_write(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_plans_write_keeps_previous_plans(disk_assets, tmp_path, monkeypatch):
+def test_failed_augment_leaves_no_stale_plans(disk_assets, tmp_path, monkeypatch):
+    # a plans.jsonl that is present describes the WAVs beside it: the old one is removed
+    # before the first WAV is replaced, and the new one is written after the last
     out = tmp_path / "aug"
+    plans = out / "plans.jsonl"
+    real_open = open
 
     def augment(seed):
         return cli.cmd_augment(argparse.Namespace(
@@ -89,18 +93,27 @@ def test_failed_plans_write_keeps_previous_plans(disk_assets, tmp_path, monkeypa
             rir_bank=disk_assets["rir"], iterations=1000, iter=400, seed=seed,
             out_dir=str(out)))
 
-    assert augment(3) == cli.EXIT_OK
-    plans = out / "plans.jsonl"
-    previous = plans.read_bytes()
+    def failing_at(suffix, nth):
+        """An open whose nth write to a path ending in suffix fails halfway."""
+        matched = []
 
-    real_open = open
-    monkeypatch.setattr(fileio, "open", lambda p, mode: (
-        _FailsMidway(real_open(p, mode)) if p.endswith("plans.jsonl.tmp") else real_open(p, mode)),
-        raising=False)
-    with pytest.raises(OSError, match="device full"):
-        augment(4)
-    assert plans.read_bytes() == previous
-    assert not (out / "plans.jsonl.tmp").exists()
+        def fake_open(p, mode):
+            if p.endswith(suffix):
+                matched.append(p)
+                if len(matched) == nth:
+                    return _FailsMidway(real_open(p, mode))
+            return real_open(p, mode)
+        return fake_open
+
+    for suffix, nth in (("plans.jsonl.tmp", 1), (".wav.tmp", 2)):
+        monkeypatch.undo()
+        assert augment(3) == cli.EXIT_OK
+        previous = plans.read_bytes()
+        monkeypatch.setattr(fileio, "open", failing_at(suffix, nth), raising=False)
+        with pytest.raises(OSError, match="device full"):
+            augment(4)
+        assert not plans.exists(), suffix
+        assert not list(out.glob("*.tmp")), suffix
 
     monkeypatch.undo()
     assert augment(4) == cli.EXIT_OK

@@ -423,6 +423,45 @@ def _lstm_arrays(rng, x_shape, hidden=3):
     return [x, *(np.stack(w) for w in zip(*directions))]
 
 
+# Composed reference of `tensor.bidir_recurrent`: the same LSTM built step by
+# step from graph ops (about 19 nodes per step, each over the batch's (B, C)
+# rows), so the fused op can be checked against a path whose gradients come
+# from the generic vjps alone.
+
+
+def _lstm_direction(x: T.Tensor, w_x: T.Tensor, w_h: T.Tensor, bias: T.Tensor,
+                    reverse: bool) -> list[T.Tensor]:
+    batch, t_steps, c_in = x.values.shape
+    hidden = w_h.values.shape[0]
+    h = T.Tensor(np.zeros((batch, hidden)))
+    c = T.Tensor(np.zeros((batch, hidden)))
+    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
+    outputs: list[T.Tensor | None] = [None] * t_steps
+    for t in order:
+        x_t = T.reshape(T.narrow(x, 1, t, 1), (batch, c_in))
+        z = T.add(T.linear(x_t, w_x, bias), T.linear(h, w_h))
+        i_g = T.sigmoid(T.narrow(z, 1, 0, hidden))
+        f_g = T.sigmoid(T.narrow(z, 1, hidden, hidden))
+        c_g = T.tanh(T.narrow(z, 1, 2 * hidden, hidden))
+        o_g = T.sigmoid(T.narrow(z, 1, 3 * hidden, hidden))
+        c = T.add(T.mul(f_g, c), T.mul(i_g, c_g))
+        h = T.mul(o_g, T.tanh(c))
+        outputs[t] = h
+    return outputs  # type: ignore[return-value]
+
+
+def composed_bidir_recurrent(x, w_x, w_h, bias) -> T.Tensor:
+    """What `tensor.bidir_recurrent` computes, as a per-step graph of generic ops."""
+    x = T.as_tensor(x)
+    weights = [T.as_tensor(w) for w in (w_x, w_h, bias)]
+    fwd, bwd = (_lstm_direction(x, *(T.reshape(T.narrow(w, 0, d, 1), w.values.shape[1:])
+                                     for w in weights), reverse=d == 1)
+                for d in range(2))
+    batch, hidden = x.values.shape[0], weights[1].values.shape[1]
+    return T.concat([T.reshape(T.concat([f, b], axis=1), (batch, 1, 2 * hidden))
+                     for f, b in zip(fwd, bwd)], axis=1)
+
+
 class TestFusedMatchesReference:
     """The fused recurrence and the loop-free convolutions against the paths they replace."""
 
@@ -430,8 +469,6 @@ class TestFusedMatchesReference:
         pytest.param(1, t, id=f"{t}-lstm") for t in (1, 2, 7, 50)] + [
         pytest.param(4, 6, id="4x6-lstm")])
     def test_bidir_recurrent_matches_composed(self, batch, t_steps):
-        from distilrobust.gradchecks import composed_bidir_recurrent
-
         hidden = 5
         arrays = _lstm_arrays(np.random.default_rng(t_steps), (batch, t_steps, 4), hidden)
         fused, fused_grads, _ = _value_and_grads(T.bidir_recurrent, arrays)

@@ -22,6 +22,7 @@ from distilrobust.trainer import (
     TrainConfig,
     TrainState,
     adamw_step,
+    batch_loss,
     build_student,
     build_teacher,
     export_student,
@@ -213,6 +214,19 @@ class TestPresets:
         for experiment, loss in (("C1", "l1_freq"), ("B", "l1_wav")):
             with pytest.raises(ConfigError, match="enhancement_loss"):
                 TrainConfig.from_dict({"experiment": experiment, "enhancement_loss": loss})
+
+    @pytest.mark.parametrize("experiment", list(METHODS))
+    def test_min_samples_bounds_crops_and_utterances(self, tmp_path, banks, experiment):
+        minimum = METHODS[experiment].min_samples
+        assert minimum == (400 if experiment == "C2" else 320)
+        validated(experiment, crop_samples=minimum)
+        with pytest.raises(ConfigError, match=f"crop_samples {minimum - 1} .* minimum {minimum}$"):
+            validated(experiment, crop_samples=minimum - 1)
+        noise, rirs = banks
+        short = [("short", Waveform(np.ones(minimum - 1), 16000))]
+        with pytest.raises(DataError, match=f"utterance short: .* minimum {minimum}$"):
+            train(tiny_config(tmp_path, experiment), corpus=short, noise_bank=noise,
+                  rir_bank=rirs)
 
     def test_reference_recipe_embedded(self):
         record = validated("C1").to_dict()
@@ -744,6 +758,63 @@ def per_utterance_reference(cfg, cleans, noisy):
     breakdown = combined_loss(l1, cos, enh_mean, cfg.method.lambda_weight)
     T.backward(breakdown.tensor)
     return breakdown, {name: p.grad for name, p in student.params.items()}
+
+
+def two_length_batch(n_utts=5):
+    """Crops of 960 and 1280 samples in alternating order, so the length groups interleave
+    and differ in size, and their seeded contaminated copies."""
+    cleans = [w.samples for _, w in mixed_corpus((960, 1280), n_utts)]
+    rng = np.random.default_rng(3)
+    return cleans, [c + 0.05 * rng.standard_normal(len(c)) for c in cleans]
+
+
+class TestBatchLoss:
+    """`batch_loss` on its own, without a training run."""
+
+    @pytest.mark.parametrize("experiment", ["A", "C1", "C2"])
+    def test_matches_per_utterance_reference(self, tmp_path, experiment):
+        cfg = tiny_config(tmp_path, experiment)
+        cleans, noisy = two_length_batch()
+        teacher = build_teacher(cfg)
+        student = build_student(cfg, teacher)
+        got = batch_loss(teacher, {}, student, cfg.method, cleans, noisy, [None] * len(cleans))
+        T.backward(got.tensor)
+        want, want_grads = per_utterance_reference(cfg, cleans, noisy)
+        if experiment == "A":
+            assert got.enh is None and want.enh is None
+        for key in ("kd_l1", "kd_cos", "enh", "combined"):
+            if getattr(want, key) is not None:
+                assert abs(getattr(got, key) - getattr(want, key)) <= \
+                    1e-12 * abs(getattr(want, key)), key
+        assert set(student.params) == set(want_grads)
+        for name, p in student.params.items():
+            assert np.max(np.abs(p.grad - want_grads[name])) <= \
+                1e-12 * np.max(np.abs(want_grads[name])), name
+
+    def test_teacher_cache_holds_whole_utterances_only(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, "A")
+        cleans, noisy = two_length_batch()
+        teacher = build_teacher(cfg)
+        student = build_student(cfg, teacher)
+        forward, calls, values = trainer_module.teacher_forward, [], set()
+
+        def counting_forward(teacher, samples):
+            calls[-1].append(len(samples))
+            return forward(teacher, samples)
+
+        monkeypatch.setattr(trainer_module, "teacher_forward", counting_forward)
+        cache = {}
+        for keys in ([None] * 5, [7, None, 9, None, None], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4]):
+            calls.append([])
+            got = batch_loss(teacher, cache, student, cfg.method, cleans, noisy, keys)
+            values.add((got.kd_l1, got.kd_cos, got.combined))
+        assert set(cache) == {7, 9, 0, 1, 2, 3, 4}
+        # one forward per length group over its misses: a crop (key None) is forwarded
+        # every call, a cached key never again
+        assert calls == [[3, 2], [3, 2], [3, 2], []]
+        for l in DISTILL_LAYERS:
+            np.testing.assert_array_equal(cache[7][l], cache[0][l])
+        assert len(values) == 1
 
 
 class TestBatchSampler:
