@@ -120,6 +120,17 @@ def _check_cosine_sim_rows():
                                                     1.0 + 0.5 * rng.standard_normal((3, 4))]
 
 
+def _check_distill_l1():
+    s, h = _separated_pair(_rng("distill_l1"), (4, 3))
+    return (lambda x: T.distill_l1(x, h)), [s]
+
+
+def _check_distill_cosine():
+    rng = _rng("distill_cosine")
+    h = 1.0 + 0.5 * rng.standard_normal((3, 4))
+    return (lambda x: T.distill_cosine(x, h)), [1.0 + 0.5 * rng.standard_normal((3, 4))]
+
+
 def _check_stft_mag():
     rng = _rng("stft")
     window = T.hann_window(8)
@@ -219,6 +230,8 @@ CHECKS = {
     "reshape": _check_reshape,
     "l1_distance": _check_l1_distance,
     "cosine_sim_rows": _check_cosine_sim_rows,
+    "distill_l1": _check_distill_l1,
+    "distill_cosine": _check_distill_cosine,
     "stft_mag": _check_stft_mag,
     "stft_mag_ragged": _check_stft_mag_ragged,
     "bidir_lstm": _check_bidir_lstm,

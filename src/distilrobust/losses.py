@@ -6,7 +6,9 @@ frame, a width-normalized L1 distance plus a log-sigmoid cosine term:
 
     sum_l sum_t [ (1/D) * ||h_t - s_t||_1  -  log sigmoid(cos(h_t, s_t)) ]
 
-`kd_loss_parts` keeps each layer's two terms and their sums over the layers,
+Each layer's two terms are one fused op apiece (`tensor.distill_l1` and
+`tensor.distill_cosine`), with the teacher map a constant. `kd_loss_parts`
+keeps each layer's two terms and their sums over the layers,
 which `combined_loss` adds to the weighted enhancement loss. It is a sum, not a
 mean, so stacking utterances' frames sums their losses; the trainer relies on
 this to take one call over a batch.
@@ -53,8 +55,7 @@ def kd_loss_parts(teacher_maps, student_maps) -> KDLossParts:
         if h.values.shape != s.values.shape:
             raise ShapeError(f"layer {l}: teacher {h.values.shape} vs student "
                              f"{s.values.shape}")
-        layers[l] = (T.scale(T.sum_all(T.l1_distance(s, h)), 1.0 / h.values.shape[1]),
-                     T.scale(T.sum_all(T.log(T.sigmoid(T.cosine_sim_rows(s, h)))), -1.0))
+        layers[l] = (T.distill_l1(s, h.values), T.distill_cosine(s, h.values))
     return KDLossParts(layers, l1=reduce(T.add, (l1 for l1, _ in layers.values())),
                        cos=reduce(T.add, (cos for _, cos in layers.values())))
 

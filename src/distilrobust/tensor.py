@@ -22,6 +22,11 @@ contiguous slices of the output added together. `stft_mag` frames with a
 strided window view and its vjp overlap-adds the frames' adjoint.
 `tests/test_tensor.py` keeps the per-step composed recurrence as the reference
 of `bidir_recurrent`.
+
+A distilled layer's two loss terms, `distill_l1` and `distill_cosine`, are one
+node each. The student map is their only graph operand and the teacher map a
+constant array, so each vjp forms only the student's adjoint; `tests/test_losses.py`
+keeps the composed chain of generic ops as their reference.
 """
 
 from __future__ import annotations
@@ -257,9 +262,9 @@ def l1_distance(a, b) -> Tensor:
     diff = a.values - b.values
     sgn = np.sign(diff)
 
-    def vjp(g):
+    def vjp(g):  # None for an operand that needs no gradient
         ga = g[..., None] * sgn
-        return ga, -ga
+        return (ga if a.requires_grad else None), (-ga if b.requires_grad else None)
 
     return _node(np.sum(np.abs(diff), axis=-1), (a, b), "l1_distance", vjp)
 
@@ -277,20 +282,60 @@ def cosine_sim_rows(a, b, eps: float = COSINE_EPS) -> Tensor:
     denom = np.where(guarded, eps, norm_prod)
     cos = dot / denom
 
-    def vjp(g):
-        # unguarded rows: d cos/da = b/(|a||b|) - cos * a/|a|^2; guarded rows see
+    def d_cos(u, v):
+        # d cos/du per row: unguarded rows v/(|u||v|) - cos * u/|u|^2; guarded rows see
         # a constant denominator, so the derivative is just the other operand / eps
-        sq_a = np.sum(av * av, axis=1)
-        sq_b = np.sum(bv * bv, axis=1)
-        safe_a = np.where(sq_a == 0, 1.0, sq_a)
-        safe_b = np.where(sq_b == 0, 1.0, sq_b)
-        da_open = bv / denom[:, None] - (cos / safe_a)[:, None] * av
-        db_open = av / denom[:, None] - (cos / safe_b)[:, None] * bv
-        da = np.where(guarded[:, None], bv / eps, da_open)
-        db = np.where(guarded[:, None], av / eps, db_open)
-        return g[:, None] * da, g[:, None] * db
+        sq_u = np.sum(u * u, axis=1)
+        du_open = v / denom[:, None] - (cos / np.where(sq_u == 0, 1.0, sq_u))[:, None] * u
+        return np.where(guarded[:, None], v / eps, du_open)
+
+    def vjp(g):  # None for an operand that needs no gradient
+        return (g[:, None] * d_cos(av, bv) if a.requires_grad else None,
+                g[:, None] * d_cos(bv, av) if b.requires_grad else None)
 
     return _node(cos, (a, b), "cosine_sim_rows", vjp)
+
+
+def _distill_operands(s, h, op: str) -> tuple[Tensor, np.ndarray]:
+    s, h = as_tensor(s), np.asarray(h, dtype=np.float64)
+    if s.values.ndim != 2 or s.values.shape != h.shape:
+        raise ShapeError(f"{op} needs (T, D) student and teacher maps of one shape, got "
+                         f"{s.values.shape} and {h.shape}")
+    return s, h
+
+
+def distill_l1(s, h) -> Tensor:
+    """sum |s - h| / D over a (T, D) map: scale(sum_all(l1_distance(s, h)), 1/D) as one op."""
+    s, h = _distill_operands(s, h, "distill_l1")
+    inv_width = 1.0 / h.shape[1]
+    diff = s.values - h
+
+    def vjp(g):
+        return (np.sign(diff) * float(g * inv_width),)
+
+    return _node(np.asarray(np.sum(np.abs(diff)) * inv_width), (s,), "distill_l1", vjp)
+
+
+def distill_cosine(s, h) -> Tensor:
+    """-sum_t log sigmoid(cos(s_t, h_t)) over a (T, D) map, with `cosine_sim_rows`' guarded
+    cosine: scale(sum_all(log(sigmoid(cosine_sim_rows(s, h)))), -1) as one op."""
+    s, h = _distill_operands(s, h, "distill_cosine")
+    sv = s.values
+    sq_s = np.einsum("td,td->t", sv, sv)
+    norm_prod = np.sqrt(sq_s) * np.sqrt(np.einsum("td,td->t", h, h))
+    guarded = norm_prod <= COSINE_EPS
+    denom = np.where(guarded, COSINE_EPS, norm_prod)
+    cos = np.einsum("td,td->t", sv, h) / denom
+    sig = _sigmoid_values(cos)
+
+    def vjp(g):
+        # d(-log sigmoid(c))/dc = sigmoid(c) - 1, and d cos_t/ds_t = h_t/denom_t minus
+        # cos_t s_t/|s_t|^2; a guarded row's denominator is constant, so it keeps h_t/eps
+        d_cos = float(g) * (sig - 1.0)
+        along_s = np.where(guarded, 0.0, d_cos * cos / np.where(guarded, 1.0, sq_s))
+        return ((d_cos / denom)[:, None] * h - along_s[:, None] * sv,)
+
+    return _node(np.asarray(-np.sum(np.log(sig))), (s,), "distill_cosine", vjp)
 
 
 # ---------------------------------------------------------------------------

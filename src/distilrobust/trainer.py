@@ -229,31 +229,43 @@ def adamw_step(params: dict[str, T.Tensor], grads: dict[str, np.ndarray],
                moments: AdamMoments, lr: float, step: int):
     """Update `step` (1-based) of decoupled-weight-decay Adam with bias correction, in place.
 
-    Every gradient is checked before anything is written, so a wrongly shaped
+    One elementwise update runs over every parameter, gradient and moment
+    concatenated in sorted-name order; each parameter's values and moments then
+    become views of the updated arrays. A parameter without a gradient sees a zero
+    one. Every gradient is checked before anything is written, so a wrongly shaped
     or non-finite one raises and leaves parameters and moments untouched.
     """
-    for name in sorted(params):
-        g = grads.get(name)
+    names = sorted(params)
+    flat = []
+    for name in names:
+        p, g = params[name].values, grads.get(name)
         if g is None:
-            continue
-        if g.shape != params[name].values.shape:
-            raise ShapeError(f"gradient for {name}: shape {g.shape} vs parameter "
-                             f"{params[name].values.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"gradient for {name} is not finite")
+            g = np.zeros(p.shape)
+        elif g.shape != p.shape:
+            raise ShapeError(f"gradient for {name}: shape {g.shape} vs parameter {p.shape}")
+        flat.append(g.ravel())
+    g = np.concatenate(flat)
+    if not np.all(np.isfinite(g)):
+        bad = next(name for name, part in zip(names, flat) if not np.all(np.isfinite(part)))
+        raise NumericError(f"gradient for {bad} is not finite")
+    p = np.concatenate([params[name].values.ravel() for name in names])
+    m = np.concatenate([moments.m[name].ravel() for name in names])
+    v = np.concatenate([moments.v[name].ravel() for name in names])
     bc1 = 1.0 - ADAM_BETA1**step
     bc2 = 1.0 - ADAM_BETA2**step
-    for name in sorted(params):
-        p = params[name]
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.values)
-        moments.m[name] = ADAM_BETA1 * moments.m[name] + (1.0 - ADAM_BETA1) * g
-        moments.v[name] = ADAM_BETA2 * moments.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = moments.m[name] / bc1
-        v_hat = moments.v[name] / bc2
-        p.values = (p.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                    - lr * WEIGHT_DECAY * p.values)
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = m / bc1
+    v_hat = v / bc2
+    p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - lr * WEIGHT_DECAY * p
+    start = 0
+    for name in names:
+        shape = params[name].values.shape
+        end = start + params[name].values.size
+        params[name].values = p[start:end].reshape(shape)
+        moments.m[name] = m[start:end].reshape(shape)
+        moments.v[name] = v[start:end].reshape(shape)
+        start = end
 
 
 @dataclass
@@ -343,8 +355,8 @@ def batch_loss(teacher: TeacherSurrogate, cache: dict, student: StudentModel, me
     batch order within a group, nothing padded. A group takes its teacher rows from
     `_teacher_rows` (which alone writes `cache`, under `keys`), one student forward and,
     with an enhancement loss, that loss's group mean weighted by the group's share of the
-    batch. One `kd_loss_parts` call sums the frames of every group, and both of its totals
-    are divided by the batch size.
+    batch. One `kd_loss_parts` call sums the frames of every group (a lone group's
+    predictions go to it as they are), and both of its totals are divided by the batch size.
     """
     groups: dict[int, list[int]] = {}
     for j, clean in enumerate(cleans):
@@ -361,9 +373,11 @@ def batch_loss(teacher: TeacherSurrogate, cache: dict, student: StudentModel, me
                    else l1_freq(out.enhanced, clean))
             enh = T.scale(enh, len(members) / len(cleans))
             enh_mean = enh if enh_mean is None else T.add(enh_mean, enh)
+    student_maps = predictions[0] if len(predictions) == 1 else \
+        {l: T.concat([preds[l] for preds in predictions]) for l in DISTILL_LAYERS}
     kd = kd_loss_parts(
         {l: np.concatenate([rows[l] for rows in teacher_rows]) for l in DISTILL_LAYERS},
-        {l: T.concat([preds[l] for preds in predictions]) for l in DISTILL_LAYERS})
+        student_maps)
     return combined_loss(T.scale(kd.l1, 1.0 / len(cleans)), T.scale(kd.cos, 1.0 / len(cleans)),
                          enh_mean, method.lambda_weight)
 

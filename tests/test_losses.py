@@ -44,6 +44,47 @@ def random_maps(rng, layers, frames, width, spread=1.0):
     return teacher, student
 
 
+def composed_layer_terms(s, h):
+    """A layer's (l1, cos) terms as the chain of generic ops that the fused ops replace."""
+    h = T.Tensor(h)
+    return (T.scale(T.sum_all(T.l1_distance(s, h)), 1.0 / h.values.shape[1]),
+            T.scale(T.sum_all(T.log(T.sigmoid(T.cosine_sim_rows(s, h)))), -1.0))
+
+
+class TestFusedLayerTerms:
+    @pytest.mark.parametrize("guarded_row", [None, "zero student", "zero teacher",
+                                             "tiny student"])
+    @pytest.mark.parametrize("index,op", [(0, T.distill_l1), (1, T.distill_cosine)])
+    def test_match_composed_chain(self, guarded_row, index, op):
+        # a row whose norm product is at most COSINE_EPS divides by COSINE_EPS instead
+        rng = np.random.default_rng(14)
+        for trial in range(5):
+            frames, width = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            h = rng.standard_normal((frames, width))
+            s = h + rng.standard_normal((frames, width))
+            row = rng.integers(frames)
+            if guarded_row == "zero student":
+                s[row] = 0.0
+            elif guarded_row == "zero teacher":
+                h[row] = 0.0
+            elif guarded_row == "tiny student":
+                s[row] *= 1e-10 / np.linalg.norm(s[row])
+            fused_leaf, chain_leaf = T.parameter(s), T.parameter(s)
+            got, want = op(fused_leaf, h), composed_layer_terms(chain_leaf, h)[index]
+            assert abs(got.item() - want.item()) <= 1e-12 * max(1.0, abs(want.item())), trial
+            cotangent = float(rng.uniform(0.5, 2.0))
+            T.backward(T.scale(got, cotangent))
+            T.backward(T.scale(want, cotangent))
+            np.testing.assert_allclose(fused_leaf.grad, chain_leaf.grad, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("op", [T.distill_l1, T.distill_cosine])
+    def test_mismatched_maps_refused(self, op):
+        with pytest.raises(ShapeError, match="student and teacher maps"):
+            op(T.parameter(np.ones((2, 3))), np.ones((2, 4)))
+        with pytest.raises(ShapeError, match="student and teacher maps"):
+            op(T.parameter(np.ones(3)), np.ones(3))
+
+
 class TestDistillLoss:
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(0)

@@ -539,6 +539,19 @@ class TestFusedMatchesReference:
         assert gx is None and gx_leaf.shape == x.shape
         assert gk.tobytes() == gk_leaf.tobytes()
 
+    @pytest.mark.parametrize("op", [T.l1_distance, T.cosine_sim_rows])
+    def test_row_op_vjp_skips_constant_operand(self, op):
+        # the enhancement losses' clean batch is a constant operand
+        rng = np.random.default_rng(13)
+        a, b, g = rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), rng.standard_normal(3)
+        both = op(leaf(a), leaf(b))._vjp(g)
+        for const in (0, 1):
+            operands = [leaf(a), leaf(b)]
+            operands[const] = T.Tensor(operands[const].values)
+            got = op(*operands)._vjp(g)
+            assert got[const] is None
+            assert got[1 - const].tobytes() == both[1 - const].tobytes()
+
     @pytest.mark.parametrize("win,hop", [(8, 4), (10, 4), (8, 8), (6, 9)])
     def test_stft_mag_matches_per_frame_loop(self, win, hop):
         rng = np.random.default_rng(win * 100 + hop)
