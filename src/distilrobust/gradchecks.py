@@ -51,10 +51,12 @@ def _check_linear():
                                                  rng.standard_normal(5)]
 
 
-def _check_conv1d(x_shape=(1, 9, 2), tag="conv1d"):
-    # 3-sample frames; the batched check's input has a ragged tail past its last frame
+def _check_conv1d(samples_shape=(1, 9), tag="conv1d"):
+    # the kernel against a constant waveform in 3-sample frames; the batched check's
+    # waveform has a ragged tail past its last frame
     rng = _rng(tag)
-    return T.conv1d, [rng.standard_normal(x_shape), rng.standard_normal((3, 2, 4))]
+    samples = rng.standard_normal(samples_shape)
+    return (lambda k: T.conv1d(samples, k)), [rng.standard_normal((3, 1, 4))]
 
 
 def _check_conv1d_transposed(x_shape=(1, 4, 3), kw=4, tag="deconv"):
@@ -132,16 +134,9 @@ def _check_distill_cosine():
 
 
 def _check_stft_mag():
-    rng = _rng("stft")
-    window = T.hann_window(8)
-    return (lambda x: T.stft_mag(x, window, hop=4, fft_size=16)), [rng.standard_normal((1, 24))]
-
-
-def _check_stft_mag_ragged():
-    # the hop does not divide the window, so the overlap-add's last run is 2 wide
-    rng = _rng("stft_ragged")
-    window = T.hann_window(10)
-    return (lambda x: T.stft_mag(x, window, hop=4, fft_size=16)), [rng.standard_normal((1, 26))]
+    # two 400-sample frames 160 apart and a 40-sample tail no frame reads; the hop does
+    # not divide the window, so the overlap-add's last run is 80 wide
+    return T.stft_mag, [_rng("stft").standard_normal((1, 600))]
 
 
 def _check_bidir_lstm(x_shape=(1, 5, 3), tag="bidir_lstm"):
@@ -157,11 +152,13 @@ def _check_bidir_lstm(x_shape=(1, 5, 3), tag="bidir_lstm"):
 def _check_composition():
     rng = _rng("composition")
 
-    def fn(x, k, w, b):
-        return T.linear(T.gelu(T.reshape(T.conv1d(x, k), (-1, 3))), w, b)
+    samples = rng.standard_normal((2, 7))
 
-    return fn, [rng.standard_normal((1, 6, 2)), rng.standard_normal((3, 2, 3)),
-                rng.standard_normal((3, 4)), rng.standard_normal(4)]
+    def fn(k, w, b):
+        return T.linear(T.gelu(T.conv1d(samples, k)), w, b)
+
+    return fn, [rng.standard_normal((3, 1, 3)), rng.standard_normal((3, 4)),
+                rng.standard_normal(4)]
 
 
 def _check_kd_loss(frames=(3,), tag="kd"):
@@ -196,11 +193,10 @@ def _check_l1_freq():
 def _check_encoder_head():
     rng = _rng("encoder_head")
     stride, dim, hidden = 8, 3, 6
-    x_const = rng.standard_normal(16)
+    samples = rng.standard_normal((1, 16))
 
     def fn(kernel, w1, b1, w2, b2, hw, hb):
-        x = T.Tensor(x_const.reshape(1, -1, 1))
-        h = T.gelu(T.reshape(T.conv1d(x, kernel), (-1, dim)))
+        h = T.gelu(T.conv1d(samples, kernel))
         h = T.add(h, T.linear(T.gelu(T.linear(h, w1, b1)), w2, b2))
         return T.linear(h, hw, hb)
 
@@ -216,7 +212,7 @@ CHECKS = {
     "scale_add": _check_scale_add,
     "linear": _check_linear,
     "conv1d": _check_conv1d,
-    "conv1d_batched": lambda: _check_conv1d((2, 10, 2), "conv1d_batched"),
+    "conv1d_batched": lambda: _check_conv1d((2, 10), "conv1d_batched"),
     "conv1d_transposed": _check_conv1d_transposed,
     "conv1d_transposed_batched": lambda: _check_conv1d_transposed((2, 4, 3), 10, "deconv_batched"),
     "gelu": _check_gelu,
@@ -233,7 +229,6 @@ CHECKS = {
     "distill_l1": _check_distill_l1,
     "distill_cosine": _check_distill_cosine,
     "stft_mag": _check_stft_mag,
-    "stft_mag_ragged": _check_stft_mag_ragged,
     "bidir_lstm": _check_bidir_lstm,
     "bidir_lstm_batched": lambda: _check_bidir_lstm((3, 4, 3), "bidir_lstm_batched"),
     "composition_conv_gelu_linear": _check_composition,

@@ -27,11 +27,6 @@ from .model import DISTILL_LAYERS
 # value of one cosine term when student matches teacher exactly: -ln(sigmoid(1))
 IDENTITY_COSINE_TERM = math.log(1.0 + math.exp(-1.0))
 
-# l1_freq's STFT: a 25 ms Hann window, a 10 ms hop at 16 kHz and a 512-point FFT
-STFT_WINDOW_LENGTH, STFT_HOP, STFT_FFT_SIZE = 400, 160, 512
-_STFT_WINDOW = T.hann_window(STFT_WINDOW_LENGTH)
-_STFT_WINDOW.setflags(write=False)
-
 
 @dataclass
 class KDLossParts:
@@ -82,10 +77,10 @@ def l1_wav(enhanced, clean) -> T.Tensor:
 
 
 def l1_freq(enhanced, clean) -> T.Tensor:
-    """Mean absolute difference between the magnitude spectrograms of two (B, N) batches."""
+    """Mean absolute difference between the magnitude spectrograms of two (B, N) batches,
+    at `tensor.stft_mag`'s one STFT."""
     a, b = _as_signal_batches(enhanced, clean, "l1_freq")
-    mag_a = T.stft_mag(a, _STFT_WINDOW, STFT_HOP, STFT_FFT_SIZE)
-    mag_b = T.stft_mag(b, _STFT_WINDOW, STFT_HOP, STFT_FFT_SIZE)
+    mag_a, mag_b = T.stft_mag(a), T.stft_mag(b)
     n_cells = mag_a.values.size
     return T.scale(T.sum_all(T.l1_distance(mag_a, mag_b)), 1.0 / n_cells)
 

@@ -11,8 +11,10 @@ frame stride and the deconvolution strides are; only the width is a config
 field.
 
 Every forward takes a length group: a (B, N) batch of equal-length
-utterances, one of which is `samples[None]`. Frame-level maps come back as
-(B*T, D) rows, utterance by utterance, and the reconstructed waveform as
+utterances, one of which is `samples[None]`. The waveform is data: the front
+end is one `tensor.conv1d(samples, kernel)`, which checks the batch's shape
+and returns its frames as (B*T, D) rows, utterance by utterance. Every
+frame-level map comes back as such rows, and the reconstructed waveform as
 (B, N).
 """
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 DEFAULT_DIM = 32
 TEACHER_LAYERS = 12
@@ -53,12 +55,7 @@ def parameter_checksum(params: dict[str, T.Tensor]) -> str:
 def encoder_forward(samples: np.ndarray, params: dict[str, T.Tensor], prefix: str,
                     n_blocks: int) -> list[T.Tensor]:
     """Front-end conv + GELU, then residual mixing blocks; every block output as (B*T, D) rows."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise ShapeError(f"encoder input must be a (B, N) batch, got shape {samples.shape}")
-    kernel = params[prefix + "frontend.kernel"]
-    frames = T.conv1d(T.Tensor(samples[:, :, None]), kernel)
-    h = T.gelu(T.reshape(frames, (-1, kernel.values.shape[2])))
+    h = T.gelu(T.conv1d(samples, params[prefix + "frontend.kernel"]))
     outputs: list[T.Tensor] = []
     for k in range(1, n_blocks + 1):
         inner = T.gelu(T.linear(h, params[f"{prefix}block{k}.w1"], params[f"{prefix}block{k}.b1"]))

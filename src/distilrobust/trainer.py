@@ -42,8 +42,7 @@ from .errors import (
     ShapeError,
 )
 from .fileio import atomic_write
-from .losses import (STFT_WINDOW_LENGTH, LossBreakdown, combined_loss, kd_loss_parts, l1_freq,
-                     l1_wav)
+from .losses import LossBreakdown, combined_loss, kd_loss_parts, l1_freq, l1_wav
 from .model import (
     DEFAULT_DIM,
     DISTILL_LAYERS,
@@ -83,7 +82,7 @@ class Method:
     def min_samples(self) -> int:
         """The shortest signal the method trains on: one frame, and l1_freq's STFT window."""
         if self.enhancement_loss == "l1_freq":
-            return max(FRAME_STRIDE, STFT_WINDOW_LENGTH)
+            return max(FRAME_STRIDE, T.STFT_WINDOW_LENGTH)
         return FRAME_STRIDE
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import distilrobust.tensor as T
-from distilrobust.errors import DataError, NumericError, ParameterError, ShapeError
+from distilrobust.errors import DataError, NumericError, ShapeError
+from distilrobust.gradchecks import CHECKS, run_suite
 
 
 def leaf(values):
@@ -75,15 +76,16 @@ class TestForwardValues:
         np.testing.assert_allclose(got, x @ w + b, atol=1e-15)
 
     def test_conv1d_matches_direct(self):
-        # 3-sample frames; the 10th sample is a ragged tail no frame reads
+        # 3-sample frames of a constant waveform as rows; the 10th sample is a ragged
+        # tail no frame reads
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((10, 2))
-        k = rng.standard_normal((3, 2, 4))
-        got = T.conv1d(leaf(x[None]), leaf(k)).values[0]
+        x = rng.standard_normal(10)
+        k = rng.standard_normal((3, 1, 4))
+        got = T.conv1d(x[None], leaf(k)).values
         want = np.zeros((3, 4))
         for t in range(3):
             for j in range(3):
-                want[t] += x[t * 3 + j] @ k[j]
+                want[t] += x[t * 3 + j] * k[j, 0]
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_conv1d_transposed_unit_kernel_identity(self):
@@ -112,8 +114,7 @@ class TestForwardValues:
     def test_stft_peak_bin(self):
         sr, n = 16000, 4000
         tone = np.sin(2 * np.pi * 1000.0 * np.arange(n) / sr)
-        window = T.hann_window(400)
-        mag = T.stft_mag(leaf(tone[None]), window, hop=160, fft_size=512).values[0]
+        mag = T.stft_mag(leaf(tone[None])).values[0]
         # 1 kHz at fft 512 / 16 kHz falls in bin 32
         assert int(np.argmax(mag.mean(axis=0))) == 32
 
@@ -226,7 +227,13 @@ class TestBackward:
 class TestParameterValidation:
     @pytest.mark.parametrize("op", [T.conv1d, T.conv1d_transposed])
     def test_conv_takes_stride_from_kernel(self, op):
-        assert list(inspect.signature(op).parameters) == ["x", "k"]
+        operand = "samples" if op is T.conv1d else "x"
+        assert list(inspect.signature(op).parameters) == [operand, "k"]
+
+    def test_stft_mag_takes_only_the_signal(self):
+        assert list(inspect.signature(T.stft_mag).parameters) == ["x"]
+        with pytest.raises(ShapeError, match="signal of 399 samples shorter than window 400"):
+            T.stft_mag(leaf(np.ones((1, 399))))
 
     def test_conv_transposed_odd_kernel_refused(self):
         with pytest.raises(ShapeError, match="kernel width 3 is odd"):
@@ -234,12 +241,23 @@ class TestParameterValidation:
 
     def test_conv_input_shorter_than_kernel_refused(self):
         with pytest.raises(ShapeError, match="input of 3 samples shorter than kernel 4"):
-            T.conv1d(leaf(np.ones((1, 3, 1))), leaf(np.ones((4, 1, 1))))
+            T.conv1d(np.ones((1, 3)), leaf(np.ones((4, 1, 1))))
 
-    @pytest.mark.parametrize("op", [T.conv1d, T.conv1d_transposed])
-    def test_conv_channel_mismatch_refused(self, op):
-        with pytest.raises(ShapeError, match="channel mismatch 2 vs 3"):
-            op(leaf(np.ones((1, 8, 2))), leaf(np.ones((4, 3, 1))))
+    # the front end's waveform has one channel, so conv1d's kernel must have one input
+    @pytest.mark.parametrize("op,x,match", [
+        pytest.param(T.conv1d, np.ones((1, 8)),
+                     r"kernel \(kw, 1, D\), got \(1, 8\) and \(4, 3, 1\)",
+                     id="conv1d"),
+        pytest.param(T.conv1d_transposed, leaf(np.ones((1, 8, 2))), "channel mismatch 2 vs 3",
+                     id="conv1d_transposed")])
+    def test_conv_channel_mismatch_refused(self, op, x, match):
+        with pytest.raises(ShapeError, match=match):
+            op(x, leaf(np.ones((4, 3, 1))))
+
+    def test_conv1d_refuses_a_channel_axis(self):
+        # the waveform batch is (B, N); a (B, N, 1) array is not taken for one
+        with pytest.raises(ShapeError, match=r"got \(1, 8, 1\) and \(4, 1, 1\)"):
+            T.conv1d(np.ones((1, 8, 1)), leaf(np.ones((4, 1, 1))))
 
     def test_narrow_bounds(self):
         with pytest.raises(ShapeError):
@@ -257,10 +275,6 @@ class TestParameterValidation:
     def test_linear_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.linear(leaf(np.ones((2, 3))), leaf(np.ones((4, 5))))
-
-    def test_stft_window_vs_fft(self):
-        with pytest.raises(ParameterError):
-            T.stft_mag(leaf(np.ones((1, 64))), T.hann_window(32), hop=8, fft_size=16)
 
 
 class TestGradcheckHarness:
@@ -283,6 +297,24 @@ class TestGradcheckHarness:
     def test_tight_tolerance_fails(self):
         x = leaf([1.0])
         report = T.gradcheck(lambda v: T.sum_all(T.mul(v, v)), [x], tolerance=1e-20)
+        assert not report.passed
+
+    def test_nan_gradient_reads_as_nan_error(self):
+        # the first input's gradient is exact and the second's is NaN: the worst
+        # error must be the NaN, not the first input's tiny one
+        def nan_second(a, b):
+            return T._node(np.asarray(np.sum(a.values) + np.sum(b.values)), (a, b), "nan_grad",
+                           lambda g: (np.full_like(a.values, float(g)),
+                                      np.full_like(b.values, np.nan)))
+
+        report = T.gradcheck(nan_second, [leaf([1.0, 2.0]), leaf([3.0])])
+        assert report.per_input[0] < 1e-6 and math.isnan(report.per_input[1])
+        assert math.isnan(report.max_rel_error) and not report.passed
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_every_check_fails_when_perturbed(self, name):
+        # the negative control of each named check: a term backward cannot see
+        ((_, report),) = run_suite([name], perturb=name)
         assert not report.passed
 
 
@@ -376,15 +408,16 @@ def _value_and_grads(fn, arrays, seed=0):
 
 
 def _conv1d_per_tap(x, k, stride, g):
+    """Frames of a (N, 1) waveform and the kernel's adjoint, tap by tap; the waveform
+    is a constant, so there is no input adjoint."""
     kw = k.shape[0]
     t_out = (x.shape[0] - kw) // stride + 1
     span = stride * (t_out - 1) + 1
-    out, gx, gk = np.zeros((t_out, k.shape[2])), np.zeros_like(x), np.zeros_like(k)
+    out, gk = np.zeros((t_out, k.shape[2])), np.zeros_like(k)
     for j in range(kw):
         out += x[j : j + span : stride] @ k[j]
-        gx[j : j + span : stride] += g @ k[j].T
         gk[j] = x[j : j + span : stride].T @ g
-    return out, gx, gk
+    return out, gk
 
 
 def _conv1d_transposed_per_tap(x, k, stride, g):
@@ -518,26 +551,31 @@ class TestFusedMatchesReference:
     def test_conv_matches_per_tap_loop(self, op, reference, kw):
         stride = kw if op is T.conv1d else kw // 2
         rng = np.random.default_rng(kw * 100 + stride)
-        c_in, c_out = 3, 2
-        # conv1d input with a ragged tail the last frame does not reach
+        c_in, c_out = (1 if op is T.conv1d else 3), 2
+        # conv1d's waveform, a constant, with a ragged tail the last frame does not reach
         x = rng.standard_normal((kw + 4 * stride + 1, c_in) if op is T.conv1d else (6, c_in))
         k = rng.standard_normal((kw, c_in, c_out))
-        out, (gx, gk), cotangent = _value_and_grads(op, [x[None], k])
-        want_out, want_gx, want_gk = reference(x, k, stride, cotangent[0])
-        out, gx = out[0], gx[0]
-        for got, want in ((out, want_out), (gx, want_gx), (gk, want_gk)):
+        if op is T.conv1d:  # its frames come back as (T, D) rows
+            out, (gk,), cotangent = _value_and_grads(lambda k_: T.conv1d(x.T, k_), [k])
+            pairs = zip((out, gk), reference(x, k, stride, cotangent))
+        else:
+            out, (gx, gk), cotangent = _value_and_grads(op, [x[None], k])
+            pairs = zip((out[0], gx[0], gk), reference(x, k, stride, cotangent[0]))
+        for got, want in pairs:
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_conv1d_vjp_skips_gx_of_constant_input(self):
-        # the student's front end convolves the constant waveform
+        # the front end convolves the constant waveform: the kernel is the only
+        # parent, and the vjp forms only its adjoint
         rng = np.random.default_rng(12)
-        x, k = rng.standard_normal((1, 35, 1)), rng.standard_normal((8, 1, 3))
-        g = rng.standard_normal((1, 4, 3))
-        gx_leaf, gk_leaf = T.conv1d(leaf(x), leaf(k))._vjp(g)
-        gx, gk = T.conv1d(T.Tensor(x), leaf(k))._vjp(g)
-        assert gx is None and gx_leaf.shape == x.shape
-        assert gk.tobytes() == gk_leaf.tobytes()
+        x, k = rng.standard_normal((2, 35)), leaf(rng.standard_normal((8, 1, 3)))
+        out = T.conv1d(x, k)
+        assert out.shape == (2 * 4, 3) and out.parents == (k,)
+        g = rng.standard_normal(out.shape)
+        (gk,) = out._vjp(g)
+        frames = x[:, :32].reshape(8, 8)
+        np.testing.assert_allclose(gk[:, 0], frames.T @ g, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("op", [T.l1_distance, T.cosine_sim_rows])
     def test_row_op_vjp_skips_constant_operand(self, op):
@@ -552,32 +590,44 @@ class TestFusedMatchesReference:
             assert got[const] is None
             assert got[1 - const].tobytes() == both[1 - const].tobytes()
 
-    @pytest.mark.parametrize("win,hop", [(8, 4), (10, 4), (8, 8), (6, 9)])
-    def test_stft_mag_matches_per_frame_loop(self, win, hop):
-        rng = np.random.default_rng(win * 100 + hop)
+    @pytest.mark.parametrize("win,hop", [(8, 4), (10, 4), (8, 8), (6, 9), (400, 160)])
+    def test_stft_mag_matches_per_frame_loop(self, win, hop, monkeypatch):
+        # l1_freq's STFT (400/160/512): the hop does not divide the window, so the
+        # overlap-add's last run is 80 wide. The overlap-add holds for any window and
+        # hop, so it is also run at small geometries with a 16-point FFT: the hop
+        # dividing the window, equal to it, and longer than it.
+        real = (win, hop) == (T.STFT_WINDOW_LENGTH, T.STFT_HOP)
+        if not real:
+            monkeypatch.setattr(T, "STFT_WINDOW_LENGTH", win)
+            monkeypatch.setattr(T, "STFT_HOP", hop)
+            monkeypatch.setattr(T, "STFT_FFT_SIZE", 16)
+            monkeypatch.setattr(T, "_STFT_WINDOW", T.hann_window(win))
         window = T.hann_window(win)
-        # a ragged tail the last frame does not reach
-        x = rng.standard_normal(win + 5 * hop + max(1, hop // 2))
-        out, (gx,), cotangent = _value_and_grads(
-            lambda a: T.stft_mag(a, window, hop=hop, fft_size=16), [x[None]])
-        want_out, want_gx = _stft_mag_per_frame(x, window, hop, 16, cotangent[0])
-        out, gx = out[0], gx[0]
-        for got, want in ((out, want_out), (gx, want_gx)):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # one frame, and three with a ragged tail no frame reaches
+        for n in (win, win + 2 * hop + max(1, hop // 2)):
+            x = np.random.default_rng(n).standard_normal(n)
+            out, (gx,), cotangent = _value_and_grads(T.stft_mag, [x[None]])
+            want_out, want_gx = _stft_mag_per_frame(x, window, T.STFT_HOP, T.STFT_FFT_SIZE,
+                                                    cotangent[0])
+            out, gx = out[0], gx[0]
+            for got, want in ((out, want_out), (gx, want_gx)):
+                assert got.shape == want.shape
+                # 400-term frame sums of values up to about 40: 1e-12 of the largest
+                atol = 1e-12 * np.max(np.abs(want)) if real else 1e-12
+                np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 # op, and a draw of its inputs: the batch first, then the operands its rows
-# share; the conv1d input has a ragged tail its last frame does not reach
+# share. conv1d's batch is a constant waveform with a ragged tail its last frame
+# does not reach, and its rows are read back as (B, T, D).
 BATCHED_OPS = {
-    "conv1d": (T.conv1d, lambda rng: [
-        rng.standard_normal((3, 17, 2)), rng.standard_normal((5, 2, 4))]),
+    "conv1d": (lambda x, k: T.reshape(T.conv1d(x, k), (len(x), -1, k.shape[2])),
+               lambda rng: [rng.standard_normal((3, 17)), rng.standard_normal((5, 1, 4))]),
     "conv1d_transposed": (T.conv1d_transposed, lambda rng: [
         rng.standard_normal((3, 6, 3)), rng.standard_normal((10, 3, 2))]),
     "bidir_recurrent": (T.bidir_recurrent,
                         lambda rng: _lstm_arrays(rng, (3, 7, 4))),
-    "stft_mag": (lambda x: T.stft_mag(x, T.hann_window(10), hop=4, fft_size=16),
-                 lambda rng: [rng.standard_normal((3, 31))]),
+    "stft_mag": (T.stft_mag, lambda rng: [rng.standard_normal((3, 700))]),
 }
 
 
@@ -588,16 +638,22 @@ class TestBatchAxis:
     def test_rows_match_batch_of_one(self, name):
         op, draw = BATCHED_OPS[name]
         arrays = draw(np.random.default_rng(len(name)))
-        out, grads, cotangent = _value_and_grads(op, arrays)
+        batch = np.asarray if name == "conv1d" else leaf  # the waveform is data
+        leaves = [batch(arrays[0])] + [leaf(a) for a in arrays[1:]]
+        out = op(*leaves)
+        cotangent = np.random.default_rng(0).standard_normal(out.shape)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(cotangent))))
         summed = [np.zeros_like(a) for a in arrays[1:]]  # shared operands add up over rows
         for b in range(arrays[0].shape[0]):
-            leaves = [leaf(arrays[0][b : b + 1])] + [leaf(a) for a in arrays[1:]]
-            row = op(*leaves)
+            rows = [batch(arrays[0][b : b + 1])] + [leaf(a) for a in arrays[1:]]
+            row = op(*rows)
             T.backward(T.sum_all(T.mul(row, T.Tensor(cotangent[b : b + 1]))))
-            np.testing.assert_allclose(out[b], row.values[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(grads[0][b], leaves[0].grad[0], rtol=0, atol=1e-12)
-            for total, p in zip(summed, leaves[1:]):
+            np.testing.assert_allclose(out.values[b], row.values[0], rtol=0, atol=1e-12)
+            if batch is leaf:
+                np.testing.assert_allclose(leaves[0].grad[b], rows[0].grad[0], rtol=0,
+                                           atol=1e-12)
+            for total, p in zip(summed, rows[1:]):
                 total += p.grad
-        for got, want in zip(grads[1:], summed):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for p, want in zip(leaves[1:], summed):
+            np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
 
