@@ -40,6 +40,7 @@ from .errors import (
     UnsupportedWavError,
     WavFormatError,
 )
+from .gradchecks import gradcheck
 from .losses import (
     IDENTITY_COSINE_TERM,
     KDLossParts,
@@ -62,7 +63,6 @@ from .model import (
 from .tensor import (
     Tensor,
     backward,
-    gradcheck,
     hann_window,
     tensor_from_bytes,
     tensor_to_bytes,

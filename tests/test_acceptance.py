@@ -26,7 +26,7 @@ from distilrobust.augment import (
     snr_lower_bound,
 )
 from distilrobust.errors import ConfigError
-from distilrobust.gradchecks import run_suite
+from distilrobust.gradchecks import TOLERANCE, run_suite
 from distilrobust.losses import kd_loss
 from distilrobust.trainer import (
     TrainConfig,
@@ -315,7 +315,7 @@ def test_criterion_6_gradient_suite():
     worst = max(r.max_rel_error for _, r in results)
     all_passed = all(r.passed for _, r in results)
     covers_losses = {"kd_loss", "l1_wav", "l1_freq", "stft_mag"} <= names
-    ok = all_passed and worst < 1e-4 and covers_losses and elapsed < 60.0
+    ok = all_passed and worst < TOLERANCE and covers_losses and elapsed < 60.0
     report(6, ok, f"{len(results)} gradient checks pass (max rel err "
                   f"{worst:.2e}, {elapsed:.1f}s), losses included")
 

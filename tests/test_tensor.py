@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import distilrobust.tensor as T
 from distilrobust.errors import DataError, NumericError, ShapeError
-from distilrobust.gradchecks import CHECKS, run_suite
+from distilrobust.gradchecks import CHECKS, gradcheck, run_suite
 
 
 def leaf(values):
@@ -262,6 +262,9 @@ class TestParameterValidation:
     def test_narrow_bounds(self):
         with pytest.raises(ShapeError):
             T.narrow(leaf(np.ones((3, 2))), 0, 2, 5)
+        # a negative length would wrap the slice to (3, 4)
+        with pytest.raises(ShapeError, match=r"\[0, -1\)"):
+            T.narrow(leaf(np.ones((3, 5))), 1, 0, -1)
 
     def test_concat_rank_mismatch(self):
         with pytest.raises(ShapeError):
@@ -280,7 +283,7 @@ class TestParameterValidation:
 class TestGradcheckHarness:
     def test_simple_quadratic_passes(self):
         x = leaf([1.0, 2.0, 3.0])
-        report = T.gradcheck(lambda v: T.sum_all(T.mul(v, v)), [x])
+        report = gradcheck(lambda v: T.sum_all(T.mul(v, v)), [x])
         assert report.passed and report.max_rel_error < 1e-6
 
     def test_detects_wrong_gradient(self):
@@ -291,13 +294,17 @@ class TestGradcheckHarness:
             return T._node(np.asarray(np.sum(v.values ** 2)), (v,), "broken",
                            lambda g: (g * v.values,))
 
-        report = T.gradcheck(broken, [x])
+        report = gradcheck(broken, [x])
         assert not report.passed
 
-    def test_tight_tolerance_fails(self):
-        x = leaf([1.0])
-        report = T.gradcheck(lambda v: T.sum_all(T.mul(v, v)), [x], tolerance=1e-20)
-        assert not report.passed
+    def test_gradient_off_by_a_millionth_fails(self):
+        # a vjp of sum(v^2) that is 1e-6 too large: far above any healthy check's error
+        def skewed(v):
+            return T._node(np.asarray(np.sum(v.values ** 2)), (v,), "skewed",
+                           lambda g: (g * 2.0 * v.values * (1.0 + 1e-6),))
+
+        report = gradcheck(skewed, [leaf([1.0, 2.0, 3.0])])
+        assert report.max_rel_error > 5e-7 and not report.passed
 
     def test_nan_gradient_reads_as_nan_error(self):
         # the first input's gradient is exact and the second's is NaN: the worst
@@ -307,7 +314,7 @@ class TestGradcheckHarness:
                            lambda g: (np.full_like(a.values, float(g)),
                                       np.full_like(b.values, np.nan)))
 
-        report = T.gradcheck(nan_second, [leaf([1.0, 2.0]), leaf([3.0])])
+        report = gradcheck(nan_second, [leaf([1.0, 2.0]), leaf([3.0])])
         assert report.per_input[0] < 1e-6 and math.isnan(report.per_input[1])
         assert math.isnan(report.max_rel_error) and not report.passed
 
@@ -589,6 +596,22 @@ class TestFusedMatchesReference:
             got = op(*operands)._vjp(g)
             assert got[const] is None
             assert got[1 - const].tobytes() == both[1 - const].tobytes()
+
+    # the last deconvolution's output, the largest map GELU sees, is (8*16635, 1)
+    @pytest.mark.parametrize("shape", [(), (3, 4), (400, 64), (400, 32), (8 * 16635, 1)],
+                             ids=["0d", "3x4", "400x64", "400x32", "deconv_out"])
+    def test_gelu_vjp_matches_expression(self, shape):
+        # the vjp writes into its own temporaries in the expression's order: bitwise equal,
+        # and a second backward through the same node reads the same
+        rng = np.random.default_rng(len(shape) + int(np.prod(shape)))
+        v, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        t = np.tanh(T._GELU_C1 * (v + T._GELU_C2 * v * v * v))
+        d_inner = T._GELU_C1 * (1.0 + 3.0 * T._GELU_C2 * v * v)
+        want = np.asarray(g * (0.5 * ((1.0 - t * t) * v * d_inner + t + 1.0)))
+        node = T.gelu(leaf(v))
+        for _ in range(2):
+            (got,) = node._vjp(g)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("win,hop", [(8, 4), (10, 4), (8, 8), (6, 9), (400, 160)])
     def test_stft_mag_matches_per_frame_loop(self, win, hop, monkeypatch):
