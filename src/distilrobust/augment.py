@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import math
 import os
 import struct
@@ -28,6 +27,7 @@ from .audio import (
     white_noise,
 )
 from .errors import DataError, ParameterError
+from .fileio import json_lines
 
 SNR_CEILING_DB = 20
 FILE_NOISE_PROBABILITY = 0.7
@@ -204,56 +204,42 @@ def augment_batch(batch, state: CurriculumState, noise_bank, rir_bank, master_se
 class ManifestEntry:
     id: str
     path: str
-    kind: str  # "speech" | "noise" | "rir"
     room_class: str | None = None
 
 
-def load_manifest(path, expect_kind: str | None = None,
-                  require_exists: bool = True) -> list[ManifestEntry]:
-    """Parse a JSON-lines manifest; paths must resolve, and ids must be unique plain file
-    names (no separator, not `.` or `..`), since `augment` names its outputs after them."""
+def load_manifest(path, expect_kind: str, require_exists: bool = True) -> list[ManifestEntry]:
+    """Parse a JSON-lines manifest of `expect_kind` entries ("speech", "noise" or "rir");
+    paths must resolve, and ids must be unique plain file names (no separator, not `.`
+    or `..`), since `augment` names its outputs after them."""
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{path}:{line_no}: record must be a JSON object")
-            for key in ("id", "path", "kind"):
-                if key not in record:
-                    raise DataError(f"{path}:{line_no}: missing field {key!r}")
-            kind = record["kind"]
-            if kind not in ("speech", "noise", "rir"):
-                raise DataError(f"{path}:{line_no}: unknown kind {kind!r}")
-            if expect_kind is not None and kind != expect_kind:
-                raise DataError(f"{path}:{line_no}: expected kind {expect_kind!r}, got {kind!r}")
-            entry_id = record["id"]
-            if not isinstance(entry_id, str):
-                raise DataError(f"{path}:{line_no}: id must be a string, got {entry_id!r}")
-            if entry_id in ("", ".", "..") or "/" in entry_id or "\\" in entry_id:
-                raise DataError(f"{path}:{line_no}: id {entry_id!r} is not a plain file name")
-            if entry_id in seen:
-                raise DataError(f"{path}:{line_no}: duplicate id {entry_id!r}")
-            seen.add(entry_id)
-            wav_path = record["path"]
-            if not isinstance(wav_path, str):
-                raise DataError(f"{path}:{line_no}: path must be a string, got {wav_path!r}")
-            if not os.path.isabs(wav_path):
-                wav_path = os.path.join(base, wav_path)
-            if require_exists and not os.path.exists(wav_path):
-                raise FileNotFoundError(f"{path}:{line_no}: file not found: {wav_path}")
-            room_class = record.get("room_class")
-            if room_class is not None and room_class not in ROOM_CLASSES:
-                raise DataError(f"{path}:{line_no}: unknown room_class {room_class!r}")
-            entries.append(ManifestEntry(id=entry_id, path=wav_path, kind=kind,
-                                         room_class=room_class))
+    for line_no, record in json_lines(path):
+        for key in ("id", "path", "kind"):
+            if key not in record:
+                raise DataError(f"{path}:{line_no}: missing field {key!r}")
+        if record["kind"] != expect_kind:
+            raise DataError(f"{path}:{line_no}: expected kind {expect_kind!r}, "
+                            f"got {record['kind']!r}")
+        entry_id = record["id"]
+        if not isinstance(entry_id, str):
+            raise DataError(f"{path}:{line_no}: id must be a string, got {entry_id!r}")
+        if entry_id in ("", ".", "..") or "/" in entry_id or "\\" in entry_id:
+            raise DataError(f"{path}:{line_no}: id {entry_id!r} is not a plain file name")
+        if entry_id in seen:
+            raise DataError(f"{path}:{line_no}: duplicate id {entry_id!r}")
+        seen.add(entry_id)
+        wav_path = record["path"]
+        if not isinstance(wav_path, str):
+            raise DataError(f"{path}:{line_no}: path must be a string, got {wav_path!r}")
+        if not os.path.isabs(wav_path):
+            wav_path = os.path.join(base, wav_path)
+        if require_exists and not os.path.exists(wav_path):
+            raise FileNotFoundError(f"{path}:{line_no}: file not found: {wav_path}")
+        room_class = record.get("room_class")
+        if room_class is not None and room_class not in ROOM_CLASSES:
+            raise DataError(f"{path}:{line_no}: unknown room_class {room_class!r}")
+        entries.append(ManifestEntry(id=entry_id, path=wav_path, room_class=room_class))
     if not entries:
         raise DataError(f"{path}: empty manifest")
     return entries

@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, json_lines
 from .losses import LossBreakdown, combined_loss, kd_loss_parts, l1_freq, l1_wav
 from .model import (
     DEFAULT_DIM,
@@ -422,12 +422,8 @@ def _run_identity(cfg: TrainConfig) -> str:
 
 
 def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
-          resume_from: str | None = None, stop_after: int | None = None) -> TrainState:
-    """Run (or resume) the loop; returns the final state after writing artifacts.
-
-    `stop_after` ends the run early at that iteration count, simulating an
-    interruption; resume from the matching checkpoint to finish the run.
-    """
+          resume_from: str | None = None) -> TrainState:
+    """Run (or resume) the loop; returns the final state after writing artifacts."""
     cfg.validate()
     method = cfg.method
     corpus = list(corpus) if corpus is not None else _load_corpus(cfg)
@@ -465,11 +461,6 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
         start_iteration = 0
 
     n = cfg.total_iterations
-    end_iteration = n if stop_after is None else min(n, stop_after)
-    if start_iteration > end_iteration:
-        raise ConfigError(f"checkpoint is at iteration {start_iteration}, beyond the "
-                          f"requested end {end_iteration}")
-
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
     params = student.params
@@ -478,7 +469,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
     if resume_from is not None:
         _rewind_metrics(metrics_path, start_iteration)
     with open(metrics_path, "a" if resume_from is not None else "w", encoding="utf-8") as log:
-        for iteration in range(start_iteration, end_iteration):
+        for iteration in range(start_iteration, n):
             batch_ids, cleans, keys = [], [], []
             order = _batch_indices(iteration, len(corpus), cfg.batch_size, cfg.master_seed)
             for j, utt_index in enumerate(order):
@@ -511,16 +502,15 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
             log.write(json.dumps(record, sort_keys=True) + "\n")
 
             done = iteration + 1
-            if done % cfg.checkpoint_every == 0 or done == end_iteration:
+            if done % cfg.checkpoint_every == 0 or done == n:
                 state = TrainState(cfg, done, student, moments, checksum_before)
                 save_checkpoint(state, os.path.join(cfg.out_dir, f"ckpt_{done:06d}.drtc"))
 
     if teacher.checksum() != checksum_before:
         raise DistilRobustError("teacher parameters changed during training")
 
-    final = TrainState(cfg, end_iteration, student, moments, checksum_before)
-    if end_iteration == n:
-        save_checkpoint(final, os.path.join(cfg.out_dir, "ckpt_final.drtc"))
+    final = TrainState(cfg, n, student, moments, checksum_before)
+    save_checkpoint(final, os.path.join(cfg.out_dir, "ckpt_final.drtc"))
     return final
 
 
@@ -552,7 +542,8 @@ def _read_container(path: str, moments: bool) -> tuple[dict, TrainConfig, dict]:
     """Header, config and per-parameter tensors of a checkpoint (`moments`) or an export.
 
     The stored parameters must be exactly the config's student (its encoder,
-    for an export) by name and shape; anything else raises DataError.
+    for an export) by name and shape, and a checkpoint's iteration may not pass
+    its config's `total_iterations`; anything else raises DataError.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -591,6 +582,9 @@ def _read_container(path: str, moments: bool) -> tuple[dict, TrainConfig, dict]:
     if stored_moments and not moments:
         raise DataError(f"{path}: full checkpoint, not an exported model")
     cfg = TrainConfig.from_dict(record)
+    if moments and header["iteration"] > cfg.total_iterations:
+        raise DataError(f"{path}: header 'iteration' {header['iteration']} exceeds the "
+                        f"config's total_iterations {cfg.total_iterations}")
     student = build_student(cfg, build_teacher(cfg))
     expected = {name: p.values.shape for name, p in student.params.items()
                 if moments or name.startswith("encoder.")}
@@ -656,21 +650,11 @@ PLOTTED_KEYS = ("iter", "lr", "combined", "tau", "reverb_threshold")
 def load_metrics(path: str) -> list[dict]:
     """The records of a metrics log; a line that is not a plottable record raises DataError."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{path}:{line_no}: record must be a JSON object")
-            missing = [key for key in PLOTTED_KEYS if not isinstance(record.get(key), (int, float))]
-            if missing:
-                raise DataError(f"{path}:{line_no}: record lacks a number for {missing}")
-            records.append(record)
+    for line_no, record in json_lines(path):
+        missing = [key for key in PLOTTED_KEYS if not isinstance(record.get(key), (int, float))]
+        if missing:
+            raise DataError(f"{path}:{line_no}: record lacks a number for {missing}")
+        records.append(record)
     return records
 
 

@@ -2,10 +2,12 @@
 
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import distilrobust.trainer as trainer_module
 from distilrobust.audio import RoomImpulseResponse, Waveform, write_wav
 
 
@@ -18,6 +20,36 @@ REMOVED_CONFIG_FIELDS = [
     ("grad_clip", None), ("dropout", None), ("teacher_layers", 12), ("student_layers", 2),
     ("distill_layers", [4, 8, 12]),
 ]
+
+
+class Killed(BaseException):
+    """The kill `crash_after` raises; like KeyboardInterrupt, no `except Exception` stops it."""
+
+
+@contextmanager
+def crash_after(steps):
+    """Kill the training run in the block after `steps` AdamW updates.
+
+    The first `steps` calls of `trainer.adamw_step` go through; the next one
+    raises `Killed` before it updates anything, as a kill between checkpoints
+    would. The block must end in that kill: a run that finishes fails the test.
+    """
+    real = trainer_module.adamw_step
+    calls = 0
+
+    def step(*args):
+        nonlocal calls
+        if calls == steps:
+            raise Killed(f"killed in AdamW update {steps + 1}")
+        calls += 1
+        return real(*args)
+
+    trainer_module.adamw_step = step
+    try:
+        with pytest.raises(Killed):
+            yield
+    finally:
+        trainer_module.adamw_step = real
 
 
 def make_reference_data(seed=7):

@@ -38,7 +38,7 @@ from distilrobust.trainer import (
     train,
 )
 
-from conftest import make_reference_data
+from conftest import crash_after, make_reference_data
 
 
 def report(num, ok, detail):
@@ -81,7 +81,7 @@ def desk_config(out_dir):
 
 @pytest.fixture(scope="module")
 def desk_run(tmp_path_factory):
-    """Full run, identical rerun, and an interrupted-plus-resumed run."""
+    """Full run, identical rerun, and a killed-then-resumed run."""
     out_dir = str(tmp_path_factory.mktemp("desk") / "run")
     corpus, noises, rirs = make_reference_data(seed=7)
 
@@ -104,9 +104,9 @@ def desk_run(tmp_path_factory):
     train(desk_config(out_dir), corpus=corpus, noise_bank=noises, rir_bank=rirs)
     rerun_metrics, rerun_final = snapshot()
 
-    # interrupt at the midpoint checkpoint, then resume to completion
-    train(desk_config(out_dir), corpus=corpus, noise_bank=noises, rir_bank=rirs,
-          stop_after=100)
+    # kill a run between the midpoint checkpoint and the end, then resume to completion
+    with crash_after(150):
+        train(desk_config(out_dir), corpus=corpus, noise_bank=noises, rir_bank=rirs)
     train(desk_config(out_dir), corpus=corpus, noise_bank=noises, rir_bank=rirs,
           resume_from=f"{out_dir}/ckpt_000100.drtc")
     resumed_metrics, resumed_final = snapshot()

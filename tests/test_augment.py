@@ -368,54 +368,54 @@ class TestManifests:
                 {"id": "a", "path": "a.wav", "kind": "noise"}]
         manifest = write_manifest(tmp_path / "m.jsonl", rows)
         with pytest.raises(DataError, match="duplicate"):
-            load_manifest(manifest)
+            load_manifest(manifest, expect_kind="noise")
 
     def test_bad_json_names_line(self, tmp_path, reference_corpus):
         write_wav(reference_corpus[0][1], tmp_path / "a.wav")
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "a", "path": "a.wav", "kind": "speech"}\nnot json\n')
         with pytest.raises(DataError, match=r":2: invalid JSON"):
-            load_manifest(path)
+            load_manifest(path, expect_kind="speech")
 
     def test_unknown_kind_rejected(self, tmp_path, reference_corpus):
         wav = tmp_path / "a.wav"
         write_wav(reference_corpus[0][1], wav)
         manifest = write_manifest(tmp_path / "m.jsonl",
                                   [{"id": "a", "path": "a.wav", "kind": "music"}])
-        with pytest.raises(DataError):
-            load_manifest(manifest)
+        with pytest.raises(DataError, match=":1: expected kind 'speech', got 'music'"):
+            load_manifest(manifest, expect_kind="speech")
 
     def test_kind_mismatch_rejected(self, tmp_path, reference_corpus):
         wav = tmp_path / "a.wav"
         write_wav(reference_corpus[0][1], wav)
         manifest = write_manifest(tmp_path / "m.jsonl",
                                   [{"id": "a", "path": "a.wav", "kind": "noise"}])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=":1: expected kind 'speech', got 'noise'"):
             load_manifest(manifest, expect_kind="speech")
 
     def test_missing_file_raises_filenotfound(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.jsonl",
                                   [{"id": "a", "path": "gone.wav", "kind": "speech"}])
         with pytest.raises(FileNotFoundError):
-            load_manifest(manifest)
+            load_manifest(manifest, expect_kind="speech")
 
     def test_missing_file_tolerated_when_disabled(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.jsonl",
                                   [{"id": "a", "path": "gone.wav", "kind": "speech"}])
-        entries = load_manifest(manifest, require_exists=False)
+        entries = load_manifest(manifest, expect_kind="speech", require_exists=False)
         assert entries[0].id == "a"
 
     def test_keys_not_read_are_ignored(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.jsonl",
                                   [{"id": "a", "path": "a.wav", "kind": "speech",
                                     "duration_s": "about a second"}])
-        assert load_manifest(manifest, require_exists=False)[0].id == "a"
+        assert load_manifest(manifest, expect_kind="speech", require_exists=False)[0].id == "a"
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("")
-        with pytest.raises(DataError):
-            load_manifest(path)
+        with pytest.raises(DataError, match="empty manifest"):
+            load_manifest(path, expect_kind="speech")
 
     def test_bank_loaders(self, disk_assets):
         noises = load_noise_bank(disk_assets["noise"])

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from distilrobust.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, m
 import distilrobust.trainer as trainer_module
 from distilrobust.trainer import TrainConfig, _write_container, load_checkpoint, load_metrics
 
-from conftest import REMOVED_CONFIG_FIELDS, write_manifest
+from conftest import REMOVED_CONFIG_FIELDS, crash_after, write_manifest
 
 
 def run_cli(*argv):
@@ -314,9 +315,11 @@ class TestTrainCommand:
         full_ckpt = (train_setup["out_dir"] / "ckpt_final.drtc").read_bytes()
         full_metrics = (train_setup["out_dir"] / "metrics.jsonl").read_bytes()
 
-        # replay the first half, then resume from its checkpoint
-        from distilrobust.trainer import train
-        train(TrainConfig.from_json(train_setup["cfg_path"].read_text()), stop_after=2)
+        # a fresh run killed in its last iteration, resumed from the checkpoint before
+        shutil.rmtree(train_setup["out_dir"])
+        with crash_after(3):
+            trainer_module.train(TrainConfig.from_json(train_setup["cfg_path"].read_text()))
+        assert not (train_setup["out_dir"] / "ckpt_final.drtc").exists()
         code = run_cli("train", "--config", train_setup["cfg_path"],
                        "--resume", train_setup["out_dir"] / "ckpt_000002.drtc")
         assert code == EXIT_OK
@@ -409,6 +412,17 @@ class TestTrainCommand:
         line = one_error_line(capsys)
         assert "unreadable checkpoint container" in line
         assert f"header 'iteration' must be a non-negative integer, got {value!r}" in line
+        assert metrics.read_bytes() == before
+
+    def test_checkpoint_past_total_iterations_exits_1(self, train_setup, capsys):
+        ckpt = checkpoint_with_header(train_setup, capsys,
+                                      lambda header: header.update(iteration=99))
+        metrics = train_setup["out_dir"] / "metrics.jsonl"
+        before = metrics.read_bytes()
+        code = run_cli("train", "--config", train_setup["cfg_path"], "--resume", ckpt)
+        assert code == EXIT_VALIDATION
+        assert one_error_line(capsys) == (f"error: {ckpt}: header 'iteration' 99 exceeds "
+                                          f"the config's total_iterations 4")
         assert metrics.read_bytes() == before
 
     @pytest.mark.parametrize("iteration, adam_step", [(-3, 2), (-3, -3)],

@@ -1,4 +1,5 @@
-"""Every artifact writer replaces its file whole: a failed write leaves the old file."""
+"""Every artifact writer replaces its file whole: a failed write leaves the old file.
+The one JSON-lines reader skips blank lines and names each bad line by its number."""
 
 import argparse
 import json
@@ -11,6 +12,7 @@ import pytest
 import distilrobust.fileio as fileio
 from distilrobust import cli
 from distilrobust.audio import Waveform, write_wav
+from distilrobust.errors import DataError
 from distilrobust.trainer import TrainConfig, _write_container
 
 
@@ -29,6 +31,12 @@ class _FailsMidway:
 
     def __exit__(self, *exc):
         self.fh.close()
+
+
+def _failing_writes(p, mode="r", **kwargs):
+    """`open` for `fileio`: a handle opened for writing fails its first write; reads pass."""
+    fh = open(p, mode, **kwargs)
+    return _FailsMidway(fh) if "w" in mode else fh
 
 
 def _write_wav(path, value):
@@ -57,9 +65,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     writer(path, 0.25)
     previous = path.read_bytes()
 
-    real_open = open
-    monkeypatch.setattr(fileio, "open", lambda p, mode: _FailsMidway(real_open(p, mode)),
-                        raising=False)
+    monkeypatch.setattr(fileio, "open", _failing_writes, raising=False)
     with pytest.raises(OSError, match="device full"):
         writer(path, -0.5)
     assert path.read_bytes() == previous
@@ -72,9 +78,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
 
 
 def test_new_path_is_absent_after_failed_write(tmp_path, monkeypatch):
-    real_open = open
-    monkeypatch.setattr(fileio, "open", lambda p, mode: _FailsMidway(real_open(p, mode)),
-                        raising=False)
+    monkeypatch.setattr(fileio, "open", _failing_writes, raising=False)
     with pytest.raises(OSError):
         _write_checkpoint(tmp_path / "new.drtc", 1.0)
     assert list(tmp_path.iterdir()) == []
@@ -97,12 +101,12 @@ def test_failed_augment_leaves_no_stale_plans(disk_assets, tmp_path, monkeypatch
         """An open whose nth write to a path ending in suffix fails halfway."""
         matched = []
 
-        def fake_open(p, mode):
+        def fake_open(p, mode="r", **kwargs):
             if p.endswith(suffix):
                 matched.append(p)
                 if len(matched) == nth:
                     return _FailsMidway(real_open(p, mode))
-            return real_open(p, mode)
+            return real_open(p, mode, **kwargs)
         return fake_open
 
     for suffix, nth in (("plans.jsonl.tmp", 1), (".wav.tmp", 2)):
@@ -118,3 +122,13 @@ def test_failed_augment_leaves_no_stale_plans(disk_assets, tmp_path, monkeypatch
     monkeypatch.undo()
     assert augment(4) == cli.EXIT_OK
     assert plans.read_bytes() != previous
+
+
+def test_json_lines_counts_blank_lines_it_skips(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"b": 2}\n[3]\n')
+    records = fileio.json_lines(path)
+    assert next(records) == (1, {"a": 1})
+    assert next(records) == (4, {"b": 2})
+    with pytest.raises(DataError, match=":5: record must be a JSON object"):
+        next(records)

@@ -45,7 +45,7 @@ from distilrobust.model import (
 from distilrobust.audio import Waveform
 from distilrobust.augment import stable_hash
 
-from conftest import REMOVED_CONFIG_FIELDS, tiny_corpus
+from conftest import REMOVED_CONFIG_FIELDS, crash_after, tiny_corpus
 
 
 def tiny_config(tmp_dir, experiment="A", **overrides):
@@ -579,22 +579,23 @@ class TestTrainLoop:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path, banks):
         noise, rirs = banks
         out = tmp_path / "run"
-        cfg = tiny_config(out, "C1")
-        train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        run = dict(corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        train(tiny_config(out, "C1"), **run)
         full_metrics = (out / "metrics.jsonl").read_bytes()
         full_ckpt = (out / "ckpt_final.drtc").read_bytes()
+        shutil.rmtree(out)
 
-        cfg_stop = tiny_config(out, "C1")
-        train(cfg_stop, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
-              stop_after=3)
-        assert not (out / "ckpt_final.drtc").exists() or True  # final comes from resume
-        cfg_resume = tiny_config(out, "C1")
-        train(cfg_resume, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
-              resume_from=str(out / "ckpt_000003.drtc"))
+        with crash_after(4):
+            train(tiny_config(out, "C1"), **run)
+        # the four completed iterations' records, and the checkpoint after the third
+        assert sorted(os.listdir(out)) == ["ckpt_000003.drtc", "metrics.jsonl"]
+        assert (out / "metrics.jsonl").read_bytes() == \
+            b"".join(full_metrics.splitlines(keepends=True)[:4])
+        train(tiny_config(out, "C1"), resume_from=str(out / "ckpt_000003.drtc"), **run)
         assert (out / "metrics.jsonl").read_bytes() == full_metrics
         assert (out / "ckpt_final.drtc").read_bytes() == full_ckpt
 
-    def test_resume_after_a_stop_at_every_iteration(self, tmp_path, banks):
+    def test_resume_after_a_crash_at_every_iteration(self, tmp_path, banks):
         noise, rirs = banks
         out = tmp_path / "run"
         cfg = tiny_config(out, "C1", checkpoint_every=2)
@@ -602,13 +603,16 @@ class TestTrainLoop:
         train(cfg, **run)
         full_metrics = (out / "metrics.jsonl").read_bytes()
         full_ckpt = (out / "ckpt_final.drtc").read_bytes()
-        for stop in range(1, 6):
-            train(cfg, stop_after=stop, **run)
-            periodic = stop - stop % 2  # newest checkpoint_every multiple at or below stop
+        for steps in range(cfg.total_iterations):
+            shutil.rmtree(out)
+            with crash_after(steps):
+                train(cfg, **run)
+            assert not (out / "ckpt_final.drtc").exists(), steps
+            periodic = steps - steps % 2  # newest checkpoint_every multiple at or below steps
             resume = str(out / f"ckpt_{periodic:06d}.drtc") if periodic else None
             train(cfg, resume_from=resume, **run)
-            assert (out / "metrics.jsonl").read_bytes() == full_metrics, stop
-            assert (out / "ckpt_final.drtc").read_bytes() == full_ckpt, stop
+            assert (out / "metrics.jsonl").read_bytes() == full_metrics, steps
+            assert (out / "ckpt_final.drtc").read_bytes() == full_ckpt, steps
 
     def test_resume_drops_metrics_past_checkpoint(self, tmp_path, banks):
         noise, rirs = banks
@@ -616,8 +620,8 @@ class TestTrainLoop:
         train(tiny_config(out, "A"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
         full_metrics = (out / "metrics.jsonl").read_bytes()
         full_ckpt = (out / "ckpt_final.drtc").read_bytes()
-        train(tiny_config(out, "A"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
-              stop_after=5)
+        with crash_after(5):
+            train(tiny_config(out, "A"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
         with open(out / "metrics.jsonl", "ab") as fh:
             fh.write(b'{"iter": 5, "comb')  # a record cut off by the crash
         train(tiny_config(out, "A"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
@@ -634,8 +638,9 @@ class TestTrainLoop:
         shutil.rmtree(final)
 
         first = tmp_path / "first"
-        train(tiny_config(first, "C1"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
-              stop_after=5)
+        with crash_after(5):
+            train(tiny_config(first, "C1"), corpus=tiny_corpus(), noise_bank=noise,
+                  rir_bank=rirs)
         shutil.move(str(first), str(final))
         train(tiny_config(final, "C1"), corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
               resume_from=str(final / "ckpt_000003.drtc"))
@@ -647,7 +652,8 @@ class TestTrainLoop:
         noise, rirs = banks
         out = tmp_path / "run"
         cfg = tiny_config(out, "C1")
-        train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs, stop_after=3)
+        with crash_after(3):
+            train(cfg, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
         other = tiny_config(out, "C1", lr_peak=5e-3)
         with pytest.raises(ConfigError, match="different config"):
             train(other, corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs,
@@ -966,6 +972,17 @@ class TestCheckpoints:
         path = str(tmp_path / "wrong.drtc")
         save_checkpoint(state, path)
         with pytest.raises(DataError, match="head.4.b"):
+            load_checkpoint(path)
+
+    def test_iteration_past_total_rejected(self, tmp_path, banks):
+        noise, rirs = banks
+        state = train(tiny_config(tmp_path / "run", "A", total_iterations=4),
+                      corpus=tiny_corpus(), noise_bank=noise, rir_bank=rirs)
+        path = str(tmp_path / "ahead.drtc")
+        save_checkpoint(TrainState(state.config, 99, state.student, state.moments,
+                                   state.teacher_checksum), path)
+        with pytest.raises(DataError, match="header 'iteration' 99 exceeds the config's "
+                                            "total_iterations 4"):
             load_checkpoint(path)
 
     def test_corrupt_container_rejected(self, tmp_path):
