@@ -1,5 +1,10 @@
 """Mono waveforms, WAV file I/O, and the signal primitives behind contamination.
 
+All audio is at SAMPLE_RATE_HZ, the 16 kHz of HuBERT and DistilHuBERT: the
+model's 320-sample frames are their 20 ms, and the STFT and noise low-pass are
+designed in samples for it. So the rate is checked once, where audio enters
+(`read_wav` refuses any other), and nothing downstream carries it.
+
 Everything here is a pure function of its inputs (plus an explicit seed where
 randomness is involved); no global RNG state is touched.
 """
@@ -18,18 +23,15 @@ from .errors import (
     DistilRobustError,
     NumericError,
     ParameterError,
-    SampleRateError,
     ShapeError,
     UnsupportedWavError,
     WavFormatError,
 )
 from .fileio import atomic_write
 
-DEFAULT_SAMPLE_RATE_HZ = 16_000
+SAMPLE_RATE_HZ = 16_000  # the one rate a WAV is read or written at
 
 PCM16_SCALE = 32768  # int16 full scale; read maps q -> q / 32768
-
-ROOM_CLASSES = ("small", "medium", "large")
 
 NOISE_CUTOFF_HZ = 2000.0  # white noise is low-passed to this narrow band
 NOISE_FILTER_ORDER = 4  # Butterworth order of that low-pass
@@ -44,10 +46,9 @@ _WAVE_FORMAT_IEEE_FLOAT = 3
 
 @dataclass
 class Waveform:
-    """Mono audio: float samples (nominally in [-1, 1]) at a fixed rate."""
+    """Mono audio: float samples (nominally in [-1, 1]) at SAMPLE_RATE_HZ."""
 
     samples: np.ndarray
-    sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -55,25 +56,17 @@ class Waveform:
             raise ShapeError("waveform must be a nonempty 1-D sample sequence")
         if not np.all(np.isfinite(self.samples)):
             raise NumericError("waveform samples must be finite")
-        if self.sample_rate_hz <= 0:
-            raise ParameterError("sample_rate_hz must be positive")
 
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class RoomImpulseResponse:
-    """Finite impulse response simulating a room, tagged by rough room size. Its taps are
-    a read-only copy, so the spectrum convolve_rir keeps in `_spectra` cannot go stale."""
+    """Finite impulse response simulating a room. Its taps are a read-only copy, so the
+    spectrum convolve_rir keeps in `_spectra` cannot go stale."""
 
     taps: np.ndarray
-    sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
-    room_class: str = "medium"
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,19 +78,10 @@ class RoomImpulseResponse:
             raise NumericError("impulse response taps must be finite")
         if not np.any(self.taps):
             raise DegenerateSignalError("impulse response has no nonzero tap")
-        if self.sample_rate_hz <= 0:
-            raise ParameterError("sample_rate_hz must be positive")
-        if self.room_class not in ROOM_CLASSES:
-            raise ParameterError(f"room_class must be one of {ROOM_CLASSES}")
-
-
-def _require_same_rate(a_hz: int, b_hz: int):
-    if a_hz != b_hz:
-        raise SampleRateError(f"sample-rate mismatch: {a_hz} Hz vs {b_hz} Hz")
 
 
 def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file (PCM16 or float32, any channel count) as mono.
+    """Read a RIFF/WAVE file (PCM16 or float32, any channel count, SAMPLE_RATE_HZ) as mono.
 
     Multichannel input is averaged down to one channel; 16-bit integers map
     to [-1, 1) through division by 32768.
@@ -129,6 +113,8 @@ def read_wav(path) -> Waveform:
     audio_format, n_channels, rate, _byte_rate, _block_align, bits = fmt
     if n_channels < 1:
         raise WavFormatError(f"{path}: channel count {n_channels}")
+    if rate != SAMPLE_RATE_HZ:
+        raise UnsupportedWavError(f"{path}: {rate} Hz not supported ({SAMPLE_RATE_HZ} only)")
 
     if audio_format == _WAVE_FORMAT_PCM:
         if bits != 16:
@@ -152,20 +138,13 @@ def read_wav(path) -> Waveform:
         raw = raw / PCM16_SCALE
     mono = raw.reshape(-1, n_channels).mean(axis=1)
     try:
-        return Waveform(mono, int(rate))
+        return Waveform(mono)
     except DistilRobustError as exc:
         raise WavFormatError(f"{path}: {exc}") from exc
 
 
-def check_wav_rate(sample_rate_hz: int):
-    """Refuse a rate whose PCM16 byte rate (2 x rate) does not fit the header's u32."""
-    if 2 * sample_rate_hz > 0xFFFFFFFF:
-        raise ParameterError(f"sample rate {sample_rate_hz} Hz overflows a WAV byte rate")
-
-
 def write_wav(w: Waveform, path):
-    """Write mono PCM16; samples outside [-1, 1] are clamped."""
-    check_wav_rate(w.sample_rate_hz)
+    """Write mono PCM16 at SAMPLE_RATE_HZ; samples outside [-1, 1] are clamped."""
     clamped = np.clip(w.samples, -1.0, 1.0)
     quantized = np.clip(np.rint(clamped * PCM16_SCALE), -32768, 32767).astype("<i2")
     body = quantized.tobytes()
@@ -175,8 +154,8 @@ def write_wav(w: Waveform, path):
             struct.pack("<I", 36 + len(body)),
             b"WAVE",
             b"fmt ",
-            struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, 1, w.sample_rate_hz,
-                        w.sample_rate_hz * 2, 2, 16),
+            struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, 1, SAMPLE_RATE_HZ,
+                        SAMPLE_RATE_HZ * 2, 2, 16),
             b"data",
             struct.pack("<I", len(body)),
         ]
@@ -210,7 +189,6 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, seed: int) -> Wa
     rms(clean) / (rms(noise) * 10^(snr_db/20)), so recomputing the SNR from the
     two addends reproduces snr_db up to floating rounding.
     """
-    _require_same_rate(clean.sample_rate_hz, noise.sample_rate_hz)
     clean_rms = rms(clean)
     if clean_rms == 0.0:
         raise DegenerateSignalError("clean signal has zero RMS")
@@ -220,7 +198,7 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, seed: int) -> Wa
     if noise_rms == 0.0:
         raise DegenerateSignalError("noise signal has zero RMS over the mixed span")
     gain = clean_rms / (noise_rms * 10.0 ** (snr_db / 20.0))
-    return Waveform(clean.samples + gain * fitted, clean.sample_rate_hz)
+    return Waveform(clean.samples + gain * fitted)
 
 
 def _fft_size(n: int) -> int:
@@ -266,27 +244,22 @@ def convolve_rir(clean: Waveform, rir: RoomImpulseResponse) -> Waveform:
     direct sum; shorter ones directly, so a unit-impulse response is the exact
     identity.
     """
-    _require_same_rate(clean.sample_rate_hz, rir.sample_rate_hz)
     wet = _convolve_head(clean.samples, rir.taps, rir._spectra)
     wet_rms = float(np.sqrt(np.mean(np.square(wet))))
     if wet_rms == 0.0:
         raise DegenerateSignalError("convolution output has zero RMS")
-    return Waveform(wet * (rms(clean) / wet_rms), clean.sample_rate_hz)
+    return Waveform(wet * (rms(clean) / wet_rms))
 
 
 @lru_cache
-def _lowpass_taps(sample_rate_hz: int) -> np.ndarray:
+def _lowpass_taps() -> np.ndarray:
     """Read-only impulse response of the Butterworth low-pass that shapes white noise.
 
     Digital poles z_k come from the analog ones by a bilinear transform prewarped to
     NOISE_CUTOFF_HZ. The response (1 + z^-1)^N / prod(1 - z_k z^-1), 1 at DC, is inverted
     from an FFT grid and cut at the first n taps with max|z_k|^n < 1e-17.
     """
-    fs, order = float(sample_rate_hz), NOISE_FILTER_ORDER
-    if fs <= 2.0 * NOISE_CUTOFF_HZ:
-        raise ParameterError(f"white noise at {sample_rate_hz} Hz cannot be low-passed at "
-                             f"{NOISE_CUTOFF_HZ:g} Hz: the rate must exceed "
-                             f"{2 * NOISE_CUTOFF_HZ:g} Hz")
+    fs, order = float(SAMPLE_RATE_HZ), NOISE_FILTER_ORDER
     warped = 2.0 * fs * math.tan(math.pi * NOISE_CUTOFF_HZ / fs)
     analog = warped * np.exp(1j * np.pi * (2 * np.arange(order) + order + 1) / (2 * order))
     poles = (2.0 * fs + analog) / (2.0 * fs - analog)
@@ -298,12 +271,10 @@ def _lowpass_taps(sample_rate_hz: int) -> np.ndarray:
     return taps
 
 
-def white_noise(length: int, seed: int, sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ) -> Waveform:
-    """Seeded standard-normal noise through the 4th-order 2 kHz Butterworth low-pass.
-
-    The rate must exceed 4 kHz; a fixed seed gives identical output.
-    """
+def white_noise(length: int, seed: int) -> Waveform:
+    """Seeded standard-normal noise through the 4th-order 2 kHz Butterworth low-pass;
+    a fixed seed gives identical output."""
     if length <= 0:
         raise ParameterError(f"noise length must be positive, got {length}")
     samples = np.random.default_rng(seed).standard_normal(length)
-    return Waveform(_convolve_head(samples, _lowpass_taps(sample_rate_hz)), sample_rate_hz)
+    return Waveform(_convolve_head(samples, _lowpass_taps()))

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import (
-    ROOM_CLASSES,
-    RoomImpulseResponse,
-    Waveform,
-    convolve_rir,
-    mix_at_snr,
-    read_wav,
-    white_noise,
-)
+from .audio import RoomImpulseResponse, Waveform, convolve_rir, mix_at_snr, read_wav, white_noise
 from .errors import DataError, ParameterError
 from .fileio import json_lines
 
@@ -45,12 +37,10 @@ _REVERB_ACTIONS = (AugmentAction.A3_REVERB, AugmentAction.A4_NOISE_REVERB)
 
 
 def stable_hash(*parts) -> int:
-    """Stable 64-bit hash of ints/strings/bytes; identical across processes."""
+    """Stable 64-bit hash of ints/strings; identical across processes."""
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
-        if isinstance(part, (bytes, bytearray)):
-            data = b"B" + bytes(part)
-        elif isinstance(part, str):
+        if isinstance(part, str):
             data = b"S" + part.encode("utf-8")
         elif isinstance(part, (bool, int, np.integer)):
             data = b"I" + str(int(part)).encode("ascii")
@@ -171,13 +161,13 @@ def apply_plan(clean: Waveform, plan: AugmentPlan, noise_bank, rir_bank) -> Wave
     out = clean
     if plan.snr_db is not None:
         if plan.noise_index is None:
-            noise = white_noise(len(clean), stable_hash(plan.seed, "white"), clean.sample_rate_hz)
+            noise = white_noise(len(clean), stable_hash(plan.seed, "white"))
         else:
             noise = _bank_entry(noise_bank, plan.noise_index, "noise")
         out = mix_at_snr(clean, noise, plan.snr_db, seed=stable_hash(plan.seed, "crop"))
     if plan.rir_index is not None:
         out = convolve_rir(out, _bank_entry(rir_bank, plan.rir_index, "rir"))
-    return Waveform(clean.samples.copy(), clean.sample_rate_hz) if out is clean else out
+    return Waveform(clean.samples.copy()) if out is clean else out
 
 
 def utterance_seed(master_seed: int, iteration: int, index: int) -> int:
@@ -204,7 +194,6 @@ def augment_batch(batch, state: CurriculumState, noise_bank, rir_bank, master_se
 class ManifestEntry:
     id: str
     path: str
-    room_class: str | None = None
 
 
 def load_manifest(path, expect_kind: str, require_exists: bool = True) -> list[ManifestEntry]:
@@ -236,10 +225,7 @@ def load_manifest(path, expect_kind: str, require_exists: bool = True) -> list[M
             wav_path = os.path.join(base, wav_path)
         if require_exists and not os.path.exists(wav_path):
             raise FileNotFoundError(f"{path}:{line_no}: file not found: {wav_path}")
-        room_class = record.get("room_class")
-        if room_class is not None and room_class not in ROOM_CLASSES:
-            raise DataError(f"{path}:{line_no}: unknown room_class {room_class!r}")
-        entries.append(ManifestEntry(id=entry_id, path=wav_path, room_class=room_class))
+        entries.append(ManifestEntry(id=entry_id, path=wav_path))
     if not entries:
         raise DataError(f"{path}: empty manifest")
     return entries
@@ -250,22 +236,5 @@ def load_noise_bank(manifest_path) -> list[Waveform]:
 
 
 def load_rir_bank(manifest_path) -> list[RoomImpulseResponse]:
-    bank = []
-    for entry in load_manifest(manifest_path, expect_kind="rir"):
-        wav = read_wav(entry.path)
-        bank.append(RoomImpulseResponse(taps=wav.samples, sample_rate_hz=wav.sample_rate_hz,
-                                        room_class=entry.room_class or "medium"))
-    return bank
-
-
-def check_sample_rates(utterances, noise_bank, rir_bank):
-    """Every utterance (an (id, Waveform) pair), noise and RIR must share one rate;
-    checked before anything is contaminated."""
-    rate = utterances[0][1].sample_rate_hz
-    entries = ([(f"utterance {utt_id}", w) for utt_id, w in utterances]
-               + [(f"noise bank entry {i}", w) for i, w in enumerate(noise_bank)]
-               + [(f"RIR bank entry {i}", r) for i, r in enumerate(rir_bank)])
-    for name, item in entries:
-        if item.sample_rate_hz != rate:
-            raise DataError(f"{name}: sample-rate mismatch: {rate} Hz vs "
-                            f"{item.sample_rate_hz} Hz")
+    return [RoomImpulseResponse(read_wav(e.path).samples)
+            for e in load_manifest(manifest_path, expect_kind="rir")]

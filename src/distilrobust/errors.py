@@ -5,11 +5,11 @@ stable exit codes by type:
 
 - exit 1: validation and numeric failures, and DataError, which reports bad
   content in a manifest, checkpoint, export or metrics file (a checkpoint cut
-  short exits 1, and so does a training WAV that cannot be decoded, since
+  short exits 1, and so does a corpus WAV that `train` cannot decode, since
   training wraps its error in DataError);
 - exit 2: OSError from the standard library (a missing or unreadable file) and
-  WavFormatError, a WAV container that cannot be decoded, as `augment` reports
-  it.
+  WavFormatError, any other WAV that cannot be decoded. Its UnsupportedWavError
+  covers a WAV at any rate but the package's one, 16 kHz.
 """
 
 
@@ -22,11 +22,7 @@ class WavFormatError(DistilRobustError):
 
 
 class UnsupportedWavError(WavFormatError):
-    """Structurally valid WAV whose codec/width is not supported."""
-
-
-class SampleRateError(DistilRobustError):
-    """Operands carry different sample rates."""
+    """Structurally valid WAV whose codec, width or rate (16 kHz only) is not supported."""
 
 
 class DegenerateSignalError(DistilRobustError):

@@ -282,8 +282,9 @@ def l1_distance(a, b) -> Tensor:
     return _node(np.sum(np.abs(diff), axis=-1), (a, b), "l1_distance", vjp)
 
 
-def cosine_sim_rows(a, b, eps: float = COSINE_EPS) -> Tensor:
-    """Per-row cosine similarity of two (T, D) matrices with a guarded denominator."""
+def cosine_sim_rows(a, b) -> Tensor:
+    """Per-row cosine similarity of two (T, D) matrices, the denominator guarded at
+    COSINE_EPS."""
     a, b = as_tensor(a), as_tensor(b)
     _check_same_shape(a, b, "cosine_sim_rows")
     if a.values.ndim != 2:
@@ -291,16 +292,16 @@ def cosine_sim_rows(a, b, eps: float = COSINE_EPS) -> Tensor:
     av, bv = a.values, b.values
     dot = np.sum(av * bv, axis=1)
     norm_prod = np.linalg.norm(av, axis=1) * np.linalg.norm(bv, axis=1)
-    guarded = norm_prod <= eps
-    denom = np.where(guarded, eps, norm_prod)
+    guarded = norm_prod <= COSINE_EPS
+    denom = np.where(guarded, COSINE_EPS, norm_prod)
     cos = dot / denom
 
     def d_cos(u, v):
         # d cos/du per row: unguarded rows v/(|u||v|) - cos * u/|u|^2; guarded rows see
-        # a constant denominator, so the derivative is just the other operand / eps
+        # a constant denominator, so the derivative is just the other operand / COSINE_EPS
         sq_u = np.sum(u * u, axis=1)
         du_open = v / denom[:, None] - (cos / np.where(sq_u == 0, 1.0, sq_u))[:, None] * u
-        return np.where(guarded[:, None], v / eps, du_open)
+        return np.where(guarded[:, None], v / COSINE_EPS, du_open)
 
     def vjp(g):  # None for an operand that needs no gradient
         return (g[:, None] * d_cos(av, bv) if a.requires_grad else None,

@@ -25,7 +25,6 @@ from .augment import (
     AugmentAction,
     CurriculumState,
     augment_batch,
-    check_sample_rates,
     load_manifest,
     load_noise_bank,
     load_rir_bank,
@@ -140,6 +139,9 @@ class TrainConfig:
                               f"{self.experiment}'s minimum {method.min_samples}")
         if self.checkpoint_every < 1:
             raise ConfigError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
+        for name in ("out_dir", "data_manifest", "noise_manifest", "rir_manifest"):
+            if "\0" in (getattr(self, name) or ""):
+                raise ConfigError(f"{name} must not contain a NUL character")
 
     def to_dict(self) -> dict:
         record = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -307,9 +309,9 @@ def _check_corpus(cfg: TrainConfig, corpus: list[tuple[str, Waveform]]):
 
 def _crop(w: Waveform, crop_samples: int, seed: int) -> Waveform:
     if len(w) <= crop_samples:
-        return Waveform(w.samples.copy(), w.sample_rate_hz)
+        return Waveform(w.samples.copy())
     start = int(np.random.default_rng(seed).integers(0, len(w) - crop_samples + 1))
-    return Waveform(w.samples[start : start + crop_samples].copy(), w.sample_rate_hz)
+    return Waveform(w.samples[start : start + crop_samples].copy())
 
 
 @functools.lru_cache(maxsize=2)  # slots are read in order: each epoch is shuffled once a run
@@ -440,7 +442,6 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
         rir_bank = load_rir_bank(cfg.rir_manifest)
     if not noise_bank or not rir_bank:
         raise DataError("noise and RIR banks must be nonempty")
-    check_sample_rates(corpus, noise_bank, rir_bank)
 
     teacher = build_teacher(cfg)
     checksum_before = teacher.checksum()
@@ -502,7 +503,7 @@ def train(cfg: TrainConfig, corpus=None, noise_bank=None, rir_bank=None,
             log.write(json.dumps(record, sort_keys=True) + "\n")
 
             done = iteration + 1
-            if done % cfg.checkpoint_every == 0 or done == n:
+            if done < n and done % cfg.checkpoint_every == 0:  # the last is ckpt_final
                 state = TrainState(cfg, done, student, moments, checksum_before)
                 save_checkpoint(state, os.path.join(cfg.out_dir, f"ckpt_{done:06d}.drtc"))
 

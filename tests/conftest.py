@@ -68,15 +68,15 @@ def make_reference_data(seed=7):
         f1, f2 = rng.uniform(80, 600), rng.uniform(600, 3000)
         x = 0.2 * np.sin(2 * np.pi * f1 * t) + 0.1 * np.sin(2 * np.pi * f2 * t + rng.uniform(0, 6))
         x += 0.02 * rng.standard_normal(n)
-        corpus.append((f"utt{i:02d}", Waveform(x, 16000)))
-    noise_bank = [Waveform(0.3 * rng.standard_normal(16000), 16000) for _ in range(2)]
+        corpus.append((f"utt{i:02d}", Waveform(x)))
+    noise_bank = [Waveform(0.3 * rng.standard_normal(16000)) for _ in range(2)]
     taps = np.zeros(800)
     taps[0] = 1.0
     taps[1:] = 0.3 * rng.standard_normal(799) * np.exp(-np.arange(799) / 120.0)
     rir_bank = [
-        RoomImpulseResponse(taps, 16000, "small"),
-        RoomImpulseResponse(np.r_[1.0, 0.2 * rng.standard_normal(300) * np.exp(-np.arange(300) / 40.0)],
-                            16000, "medium"),
+        RoomImpulseResponse(taps),
+        RoomImpulseResponse(
+            np.r_[1.0, 0.2 * rng.standard_normal(300) * np.exp(-np.arange(300) / 40.0)]),
     ]
     return corpus, noise_bank, rir_bank
 
@@ -117,18 +117,15 @@ def disk_assets(tmp_path, reference_data):
     for name, wave in corpus[:4]:
         p = tmp_path / f"{name}.wav"
         write_wav(wave, p)
-        speech_rows.append({"id": name, "path": p.name, "kind": "speech",
-                            "duration_s": wave.duration_s})
+        speech_rows.append({"id": name, "path": p.name, "kind": "speech"})
     for i, wave in enumerate(noises):
         p = tmp_path / f"noise{i}.wav"
         write_wav(wave, p)
-        noise_rows.append({"id": f"noise{i}", "path": p.name, "kind": "noise",
-                           "duration_s": wave.duration_s})
+        noise_rows.append({"id": f"noise{i}", "path": p.name, "kind": "noise"})
     for i, rir in enumerate(rirs):
         p = tmp_path / f"rir{i}.wav"
-        write_wav(Waveform(rir.taps, rir.sample_rate_hz), p)
-        rir_rows.append({"id": f"rir{i}", "path": p.name, "kind": "rir",
-                         "room_class": rir.room_class})
+        write_wav(Waveform(rir.taps), p)
+        rir_rows.append({"id": f"rir{i}", "path": p.name, "kind": "rir"})
     return {
         "dir": tmp_path,
         "speech": write_manifest(tmp_path / "speech.jsonl", speech_rows),
@@ -148,5 +145,5 @@ def tiny_corpus(n_utts=6, n_samples=1600, seed=11):
         t = np.arange(n_samples) / 16000.0
         x = 0.3 * np.sin(2 * np.pi * rng.uniform(100, 2000) * t)
         x += 0.05 * rng.standard_normal(n_samples)
-        out.append((f"tiny{i}", Waveform(x, 16000)))
+        out.append((f"tiny{i}", Waveform(x)))
     return out

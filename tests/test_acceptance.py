@@ -251,8 +251,8 @@ def test_criterion_4_snr_from_addends():
     for _ in range(100):
         n = int(rng.integers(1000, 16001))
         m = int(rng.integers(500, 24001))
-        clean = Waveform(0.3 * rng.standard_normal(n), 16000)
-        noise = Waveform(float(rng.uniform(0.1, 1.0)) * rng.standard_normal(m), 16000)
+        clean = Waveform(0.3 * rng.standard_normal(n))
+        noise = Waveform(float(rng.uniform(0.1, 1.0)) * rng.standard_normal(m))
         snr = float(rng.uniform(-5.0, 20.0))
         mixed = mix_at_snr(clean, noise, snr, seed=int(rng.integers(0, 2**32)))
         addend = mixed.samples - clean.samples
@@ -286,16 +286,15 @@ def test_criterion_5_reverb_against_direct_convolution():
         k = int(rng.integers(1, 65))
         x = 0.5 * rng.standard_normal(n)
         taps = rng.standard_normal(k) * np.exp(-np.arange(k) / 20.0)
-        wave = Waveform(x, 16000)
-        rir = RoomImpulseResponse(taps, 16000, "small")
+        wave = Waveform(x)
+        rir = RoomImpulseResponse(taps)
         got = convolve_rir(wave, rir).samples
         want = direct_convolution(x, taps)
         want = want * (_rms(x) / _rms(want))
         worst = max(worst, float(np.max(np.abs(got - want))))
 
     x = 0.4 * rng.standard_normal(400)
-    impulse_out = convolve_rir(Waveform(x, 16000),
-                               RoomImpulseResponse(np.array([1.0]), 16000, "small"))
+    impulse_out = convolve_rir(Waveform(x), RoomImpulseResponse(np.array([1.0])))
     impulse_exact = np.array_equal(impulse_out.samples, x)
 
     ok = worst <= 1e-6 and impulse_exact

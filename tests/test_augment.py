@@ -105,9 +105,14 @@ class TestStableHash:
 
     def test_frozen_reference_value(self):
         # pinned so seed derivations stay reproducible across releases
-        assert stable_hash(0) == stable_hash(0)
-        assert isinstance(stable_hash(0), int)
-        assert 0 <= stable_hash(0) < 2 ** 64
+        assert stable_hash(0) == 461627935642343411
+        assert stable_hash(1, "x", 2) == 3723181288836092285
+        assert stable_hash(-5, "white") == 9042129994640462453
+
+    @pytest.mark.parametrize("part", [b"x", 1.5, None])
+    def test_other_types_refused(self, part):
+        with pytest.raises(ParameterError, match="unhashable seed component"):
+            stable_hash(1, part)
 
     def test_utterance_seed_distinct_per_index(self):
         seeds = {utterance_seed(3, 7, i) for i in range(100)}
@@ -239,8 +244,7 @@ class TestApplyPlan:
         _, wave = reference_corpus[2]
         plan = AugmentPlan(AugmentAction.A2_NOISE, seed=13, snr_db=5)
         out = apply_plan(wave, plan, noise_bank, rir_bank)
-        want_noise = white_noise(len(wave), stable_hash(13, "white"),
-                                 sample_rate_hz=wave.sample_rate_hz)
+        want_noise = white_noise(len(wave), stable_hash(13, "white"))
         want = mix_at_snr(wave, want_noise, 5, seed=stable_hash(13, "crop"))
         np.testing.assert_array_equal(out.samples, want.samples)
 
@@ -275,7 +279,6 @@ class TestApplyPlan:
             plan = sample_plan(state, len(noise_bank), len(rir_bank), seed)
             out = apply_plan(wave, plan, noise_bank, rir_bank)
             assert len(out) == len(wave)
-            assert out.sample_rate_hz == wave.sample_rate_hz
 
     def test_bad_bank_index_rejected(self, reference_corpus, noise_bank, rir_bank):
         _, wave = reference_corpus[0]
@@ -421,14 +424,5 @@ class TestManifests:
         noises = load_noise_bank(disk_assets["noise"])
         rirs = load_rir_bank(disk_assets["rir"])
         assert len(noises) == 2 and len(rirs) == 2
-        assert {r.room_class for r in rirs} == {"small", "medium"}
         assert all(rms(nw) > 0 for nw in noises)
 
-    def test_bad_room_class_rejected(self, tmp_path, reference_corpus):
-        wav = tmp_path / "r.wav"
-        write_wav(reference_corpus[0][1], wav)
-        manifest = write_manifest(tmp_path / "m.jsonl",
-                                  [{"id": "r", "path": "r.wav", "kind": "rir",
-                                    "room_class": "hangar"}])
-        with pytest.raises(DataError):
-            load_manifest(manifest, expect_kind="rir")

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import distilrobust
-from distilrobust.audio import RoomImpulseResponse, Waveform, read_wav, write_wav
-from distilrobust.augment import AugmentAction, CurriculumState, sample_plan, utterance_seed
+from distilrobust.audio import Waveform, read_wav, write_wav
 from distilrobust.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main,
                               render_metrics_svg)
 import distilrobust.trainer as trainer_module
@@ -26,6 +25,15 @@ from conftest import REMOVED_CONFIG_FIELDS, crash_after, write_manifest
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def write_wav_at(path, samples, rate):
+    """A mono PCM16 WAV of `samples` whose fmt chunk declares `rate` Hz (and keeps the
+    16 kHz byte rate, which nothing reads)."""
+    write_wav(Waveform(samples), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 24, rate)
+    path.write_bytes(bytes(blob))
 
 
 def one_error_line(capsys) -> str:
@@ -124,55 +132,41 @@ class TestAugmentCommand:
         assert "fmt chunk too short" in one_error_line(capsys)
 
     def test_sample_rate_beyond_wav_byte_rate_exits_1(self, disk_assets, tmp_path, capsys):
-        # a PCM16 file may declare any u32 rate, but 2 x 3e9 bytes/s does not fit the
-        # byte-rate field augment must write; the seed gives a clean plan, which only copies
-        rate = 3_000_000_000
-        fmt = struct.pack("<IHHIIHH", 16, 1, 1, rate, 0, 2, 16)
-        body = struct.pack("<4h", 1000, -1000, 500, 0)
-        chunks = b"fmt " + fmt + b"data" + struct.pack("<I", len(body)) + body
-        (tmp_path / "fast.wav").write_bytes(
-            b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        # a PCM16 file may declare any u32 rate; all but 16 kHz is an unsupported WAV,
+        # exit 2, refused on reading, before any plan is drawn
+        write_wav_at(tmp_path / "fast.wav", np.array([1000, -1000, 500, 0]) / 32768,
+                     3_000_000_000)
         manifest = write_manifest(tmp_path / "fast.jsonl",
                                   [{"id": "fast", "path": "fast.wav", "kind": "speech"}])
-        state = CurriculumState(0, 10)
-        n_noise, n_rir = len(disk_assets["noise_rows"]), len(disk_assets["rir_rows"])
-        seed = next(s for s in range(100) if sample_plan(
-            state, n_noise, n_rir, utterance_seed(s, 0, 0)).action is AugmentAction.A1_CLEAN)
         out = tmp_path / "x"
         code = run_cli("augment", "--manifest", manifest,
                        "--noise-bank", disk_assets["noise"],
                        "--rir-bank", disk_assets["rir"],
                        "--iterations", 10, "--iter", 0,
-                       "--seed", seed, "--out-dir", out)
-        assert code == EXIT_VALIDATION
-        assert f"sample rate {rate} Hz overflows a WAV byte rate" in one_error_line(capsys)
+                       "--seed", 0, "--out-dir", out)
+        assert code == EXIT_IO
+        assert one_error_line(capsys) == (f"error: fast: {tmp_path / 'fast.wav'}: "
+                                          f"3000000000 Hz not supported (16000 only)")
         assert not out.exists()
 
     def test_unwritable_rate_refused_before_any_write(self, disk_assets, tmp_path, capsys):
-        # a 16 kHz utterance, then one declaring 3,000,000,000 Hz whose plan is clean:
-        # the second is refused by id, and the first is not written either
-        rate = 3_000_000_000
-        fmt = struct.pack("<IHHIIHH", 16, 1, 1, rate, 0, 2, 16)
-        body = struct.pack("<4h", 1000, -1000, 500, 0)
-        chunks = b"fmt " + fmt + b"data" + struct.pack("<I", len(body)) + body
-        (tmp_path / "fast.wav").write_bytes(
-            b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        # a 16 kHz utterance, then one declaring 3,000,000,000 Hz: the second is
+        # refused by id, and the first is not written either
+        write_wav_at(tmp_path / "fast.wav", np.array([1000, -1000, 500, 0]) / 32768,
+                     3_000_000_000)
         first = disk_assets["speech_rows"][0]
         manifest = write_manifest(tmp_path / "two.jsonl", [
             {"id": first["id"], "path": first["path"], "kind": "speech"},
             {"id": "fast", "path": "fast.wav", "kind": "speech"}])
-        state = CurriculumState(0, 10)
-        n_noise, n_rir = len(disk_assets["noise_rows"]), len(disk_assets["rir_rows"])
-        seed = next(s for s in range(100) if sample_plan(
-            state, n_noise, n_rir, utterance_seed(s, 0, 1)).action is AugmentAction.A1_CLEAN)
         out = tmp_path / "x"
         code = run_cli("augment", "--manifest", manifest,
                        "--noise-bank", disk_assets["noise"],
                        "--rir-bank", disk_assets["rir"],
                        "--iterations", 10, "--iter", 0,
-                       "--seed", seed, "--out-dir", out)
-        assert code == EXIT_VALIDATION
-        assert f"error: fast: sample rate {rate} Hz overflows" in one_error_line(capsys)
+                       "--seed", 0, "--out-dir", out)
+        assert code == EXIT_IO
+        assert one_error_line(capsys) == (f"error: fast: {tmp_path / 'fast.wav'}: "
+                                          f"3000000000 Hz not supported (16000 only)")
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
@@ -210,29 +204,29 @@ class TestAugmentCommand:
         assert code == EXIT_VALIDATION
 
     def test_white_noise_below_twice_cutoff_exits_1(self, tmp_path, capsys):
+        # 4 kHz audio cannot carry the 2 kHz noise band; it is an unsupported WAV, exit 2,
+        # and each speech file is named
         rng = np.random.default_rng(4)
         rows = {"speech": [], "noise": [], "rir": []}
         for i in range(12):
-            write_wav(Waveform(0.3 * rng.standard_normal(4000), 4000), tmp_path / f"s{i}.wav")
+            write_wav_at(tmp_path / f"s{i}.wav", 0.3 * rng.standard_normal(4000), 4000)
             rows["speech"].append({"id": f"s{i}", "path": f"s{i}.wav", "kind": "speech"})
         for i in range(2):
-            write_wav(Waveform(0.3 * rng.standard_normal(4000), 4000), tmp_path / f"n{i}.wav")
+            write_wav_at(tmp_path / f"n{i}.wav", 0.3 * rng.standard_normal(4000), 4000)
             rows["noise"].append({"id": f"n{i}", "path": f"n{i}.wav", "kind": "noise"})
-            rir = RoomImpulseResponse(np.r_[1.0, 0.2 * rng.standard_normal(50)], 4000)
-            write_wav(Waveform(rir.taps, 4000), tmp_path / f"r{i}.wav")
-            rows["rir"].append({"id": f"r{i}", "path": f"r{i}.wav", "kind": "rir",
-                                "room_class": "medium"})
+            write_wav_at(tmp_path / f"r{i}.wav", np.r_[1.0, 0.2 * rng.standard_normal(50)], 4000)
+            rows["rir"].append({"id": f"r{i}", "path": f"r{i}.wav", "kind": "rir"})
         manifests = {k: write_manifest(tmp_path / f"{k}.jsonl", v) for k, v in rows.items()}
         code = run_cli("augment", "--manifest", manifests["speech"],
                        "--noise-bank", manifests["noise"], "--rir-bank", manifests["rir"],
                        "--iterations", 10, "--iter", 10,
                        "--seed", 3, "--out-dir", tmp_path / "x")
-        assert code == EXIT_VALIDATION
+        assert code == EXIT_IO
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1
-        assert "4000 Hz" in errors[0] and "2000 Hz" in errors[0]
+        assert err.splitlines() == [f"error: s{i}: {tmp_path / f's{i}.wav'}: 4000 Hz not "
+                                    f"supported (16000 only)" for i in range(12)]
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sample_rate_mismatch_refused_before_contamination(self, disk_assets, tmp_path,
@@ -240,16 +234,15 @@ class TestAugmentCommand:
         # whether a plan draws the 8 kHz noise depends on the seed; the refusal must not
         rows = disk_assets["noise_rows"]
         slow = tmp_path / "slow.wav"
-        write_wav(Waveform(read_wav(tmp_path / rows[1]["path"]).samples, 8000), slow)
+        write_wav_at(slow, read_wav(tmp_path / rows[1]["path"]).samples, 8000)
         noise = write_manifest(tmp_path / "mixed.jsonl", [rows[0], dict(rows[1], path=slow.name)])
         speech = write_manifest(tmp_path / "three.jsonl", disk_assets["speech_rows"][:3])
         rir = write_manifest(tmp_path / "one_rir.jsonl", disk_assets["rir_rows"][:1])
         out = tmp_path / "x"
         code = run_cli("augment", "--manifest", speech, "--noise-bank", noise, "--rir-bank", rir,
                        "--iterations", 100, "--iter", 100, "--seed", seed, "--out-dir", out)
-        assert code == EXIT_VALIDATION
-        assert one_error_line(capsys) == ("error: noise bank entry 1: sample-rate mismatch: "
-                                          "16000 Hz vs 8000 Hz")
+        assert code == EXIT_IO
+        assert one_error_line(capsys) == f"error: {slow}: 8000 Hz not supported (16000 only)"
         assert not out.exists()
 
 @pytest.fixture()
@@ -269,9 +262,8 @@ def train_setup(tmp_path, reference_data):
     for i, rir in enumerate(rirs):
         from distilrobust.audio import Waveform
         p = tmp_path / f"r{i}.wav"
-        write_wav(Waveform(np.clip(rir.taps, -1, 1), rir.sample_rate_hz), p)
-        rows["rir"].append({"id": f"r{i}", "path": p.name, "kind": "rir",
-                            "room_class": rir.room_class})
+        write_wav(Waveform(np.clip(rir.taps, -1, 1)), p)
+        rows["rir"].append({"id": f"r{i}", "path": p.name, "kind": "rir"})
     manifests = {kind: write_manifest(tmp_path / f"{kind}.jsonl", entries)
                  for kind, entries in rows.items()}
     out_dir = tmp_path / "run"
@@ -499,15 +491,37 @@ class TestTrainCommand:
         assert "lr_peak must be positive and finite" in one_error_line(capsys)
         assert not (train_setup["out_dir"] / "metrics.jsonl").exists()
 
-    @pytest.mark.parametrize("wav, entry", [("r0.wav", "RIR bank entry 0"),
-                                            ("n1.wav", "noise bank entry 1")])
-    def test_sample_rate_mismatch_exits_1_before_training(self, train_setup, capsys,
-                                                          wav, entry):
+    @pytest.mark.parametrize("wav", [pytest.param("r0.wav", id="r0.wav-RIR bank entry 0"),
+                                     pytest.param("n1.wav", id="n1.wav-noise bank entry 1")])
+    def test_sample_rate_mismatch_exits_1_before_training(self, train_setup, capsys, wav):
+        # an 8 kHz bank WAV is an unsupported WAV: exit 2, before any training
         path = train_setup["tmp"] / wav
-        write_wav(Waveform(read_wav(path).samples, 8000), path)
+        write_wav_at(path, read_wav(path).samples, 8000)
+        assert run_cli("train", "--config", train_setup["cfg_path"]) == EXIT_IO
+        assert one_error_line(capsys) == f"error: {path}: 8000 Hz not supported (16000 only)"
+        assert not (train_setup["out_dir"] / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "8000 Hz"])
+    def test_undecodable_corpus_wav_exits_1(self, train_setup, capsys, damage):
+        path = train_setup["tmp"] / "utt01.wav"
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        else:
+            write_wav_at(path, read_wav(path).samples, 8000)
         assert run_cli("train", "--config", train_setup["cfg_path"]) == EXIT_VALIDATION
-        assert one_error_line(capsys) == (f"error: {entry}: sample-rate mismatch: "
-                                          f"16000 Hz vs 8000 Hz")
+        line = one_error_line(capsys)
+        assert line.startswith(f"error: utterance utt01: {path}: ")
+        assert not (train_setup["out_dir"] / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("field", ["out_dir", "data_manifest", "noise_manifest",
+                                       "rir_manifest"])
+    def test_nul_in_config_path_exits_1(self, train_setup, tmp_path, capsys, field):
+        record = json.loads(train_setup["cfg_path"].read_text())
+        record[field] += "\u0000"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        assert run_cli("train", "--config", bad) == EXIT_VALIDATION
+        assert f"{field} must not contain a NUL character" in one_error_line(capsys)
         assert not (train_setup["out_dir"] / "metrics.jsonl").exists()
 
 

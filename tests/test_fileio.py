@@ -40,7 +40,7 @@ def _failing_writes(p, mode="r", **kwargs):
 
 
 def _write_wav(path, value):
-    write_wav(Waveform(np.full(800, value), 16000), path)
+    write_wav(Waveform(np.full(800, value)), path)
 
 
 def _write_checkpoint(path, value):
